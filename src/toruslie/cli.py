@@ -44,8 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report format (default json)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads for closure image computation; "
-                        "does not change the report (default 1)")
+                   help="accepted for compatibility; closures run in one "
+                        "thread and the report does not depend on it")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock times (breaks byte determinism)")
     return p
@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     twist = parse_tuple(args.twist) if args.twist else None
-    window = (0, 0, 0, 0)
-    if args.window:
+    window = (None, None, None, None)
+    if args.window is not None:
         parts = [int(x) for x in args.window.split(",")]
         if len(parts) != 4:
             raise ValueError("--window needs B,R,L,M")

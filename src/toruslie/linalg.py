@@ -8,6 +8,8 @@ contains another row's pivot. Insertion, membership and rank are exact.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .rational import ONE, rational
 
 
@@ -67,6 +69,14 @@ def linear_combine(terms) -> SparseVec:
     for c, vec in terms:
         out.add_scaled(c, vec)
     return out
+
+
+def primitive(vec) -> dict:
+    """The integer vector with coprime entries on the line of nonzero vec."""
+    den = lcm(*(int(c.denominator) for c in vec.values()))
+    ints = {key: int(c * den) for key, c in vec.items()}
+    g = gcd(*ints.values())
+    return {key: c // g for key, c in ints.items()}
 
 
 class SpanBasis:

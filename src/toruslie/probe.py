@@ -16,20 +16,21 @@ a window-stable proper subspace, a refutation signal wherever simplicity
 is expected; Inconclusive when the work budget runs out first.
 
 Everything is deterministic for a fixed configuration and seed, including
-the derivation log and its digest, at any worker count.
+the derivation log and its digest. The closure runs in one thread: its
+work is pure-Python arithmetic, which threads cannot overlap.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
+from math import lcm
 
 from . import glmod, tensor
 from .fields import VectorField, euler_field, spanning_generators
-from .indices import add, box, dot, inf_norm, inside, zero
-from .linalg import SparseVec, kernel_of_map
+from .indices import box, dot, inf_norm, inside, zero
+from .linalg import SparseVec, kernel_of_map, primitive
 from .rational import ONE, rat, rational
 
 FILLS = "FillsWindow"
@@ -77,9 +78,15 @@ class ClosureResult:
         return hashlib.sha256(payload).hexdigest()
 
 
-def _gen_tables(gens, vmod):
-    """Per generator: (r, u, combined rank-one action table on V keys)."""
-    out = []
+def gen_kernel(gens, vmod, twist) -> list:
+    """Generators as integer tables over one common denominator D.
+
+    One entry (r, D*u, D*(u|twist), table) per generator D(u, r) with a
+    nonzero shift, where table maps each V key to [(key2, D*a)], the
+    combined rank-one action r u^T on V. _apply_gen turns an integer row
+    into an integer image that is D times the true one.
+    """
+    exact = []
     for X in gens:
         if not any(X.r):
             continue  # zero-shift fields act as scalars on graded rows
@@ -89,31 +96,39 @@ def _gen_tables(gens, vmod):
             acc = {}
             for (i, j), a in entries.items():
                 for key2, b in vmod.unit_table(i, j)[key]:
-                    c = acc.get(key2, 0) + a * b
-                    if c:
-                        acc[key2] = c
-                    elif key2 in acc:
-                        del acc[key2]
-            table[key] = list(acc.items())
-        out.append((X.r, X.u, table))
-    return out
+                    acc[key2] = acc.get(key2, 0) + a * b
+            table[key] = {key2: c for key2, c in acc.items() if c}
+        exact.append((X.r, X.u, dot(X.u, twist), table))
+    den = 1
+    for _, u, ut, table in exact:
+        for c in (*u, ut, *(a for acts in table.values() for a in acts.values())):
+            den = lcm(den, int(c.denominator))
+    return [(r, tuple(int(c * den) for c in u), int(ut * den),
+             {key: [(key2, int(a * den)) for key2, a in acts.items()]
+              for key, acts in table.items()})
+            for r, u, ut, table in exact]
 
 
-def _apply_gen(gen, s, row, twist):
-    r, u, table = gen
-    c1 = dot(u, s) - dot(u, twist)
+def _apply_gen(gen, s, row) -> dict:
+    """D times the image of the graded row at degree s under one kernel entry."""
+    _, du, dut, table = gen
+    c1 = dot(du, s) - dut
     out = {}
-    if c1:
-        for key, c in row.items():
-            out[key] = c * c1
+    get = out.get
     for key, c in row.items():
+        if c1:
+            out[key] = get(key, 0) + c * c1
         for key2, a in table[key]:
-            b = out.get(key2, 0) + c * a
-            if b:
-                out[key2] = b
-            elif key2 in out:
-                del out[key2]
-    return out
+            out[key2] = get(key2, 0) + c * a
+    return {key: c for key, c in out.items() if c}
+
+
+#: Tasks are re-checked against fullness once per chunk of this many, not
+#: per task. `apps` counts a chunk's live tasks as the chunk starts, so it
+#: includes images into degrees that fill mid-chunk, and those left
+#: unapplied when the window fills. The counters and log digests depend
+#: on this value, so it stays at the chunk size they were pinned at.
+RECHECK = 256
 
 
 def closure(seeds, gens, window: Window, depth: int, hull=None,
@@ -124,7 +139,16 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     outside the ambient box are rejected). gens: VectorFields. hull: an
     optional GradedSpan every image is known to stay inside (verified
     elsewhere); fullness per exponent is then measured against the hull,
-    and the verdict reports filling of the hull's central part.
+    and the verdict reports filling of the hull's central part. workers
+    is accepted for compatibility; the closure runs in one thread.
+
+    The frontier works on flat indices into a grid padded by the
+    generator bound, so a generator step s + r is one integer addition
+    and never leaves the grid; box membership and fullness are bytearray
+    lookups. Worklist rows are primitive integer vectors and images come
+    from the integer kernel, so each image is a nonzero multiple of the
+    true one. That changes nothing: the span stores the same pivot-1
+    reduced row, and membership and the zero test ignore scale.
     """
     if not seeds:
         raise ValueError("closure needs at least one seed")
@@ -136,41 +160,57 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     if window.margin < depth * gen_bound:
         raise ValueError("margin violation: margin %d < depth %d * generator bound %d"
                          % (window.margin, depth, gen_bound))
-    tables = _gen_tables(gens, vmod)
+    kernel = gen_kernel(gens, vmod, twist)
     ambient = window.ambient
-    central = list(box(n, window.central))
-    central_set = frozenset(central)
-    target_at = {}
-    for s in central:
-        target_at[s] = hull.rank_at(s) if hull is not None else vmod.dim
-    central_dim = sum(target_at.values())
+
+    pad = ambient + gen_bound
+    strides = [(2 * pad + 1) ** (n - 1 - i) for i in range(n)]
+
+    def flat(s):
+        return sum((a + pad) * st for a, st in zip(s, strides))
+
+    offsets = [sum(a * st for a, st in zip(gen[0], strides)) for gen in kernel]
+    size = (2 * pad + 1) ** n
+    degree = [None] * size
+    inbox = bytearray(size)
+    central = bytearray(size)
+    full = bytearray(size)
+    target = [0] * size
+    central_dim = 0
+    for s in box(n, ambient):
+        t = flat(s)
+        degree[t] = s
+        inbox[t] = 1
+        target[t] = hull.rank_at(s) if hull is not None else vmod.dim
+        full[t] = target[t] <= 0
+        if inside(s, window.central):
+            central[t] = 1
+            central_dim += target[t]
 
     span = tensor.GradedSpan(vmod.dim)
     log = ["closure n=%d module=%s twist=(%s) window=%d+%d depth=%d gens=%d"
            % (n, "-".join(map(str, vmod.kind)), ",".join(map(str, twist)),
               window.central, window.margin, depth, len(gens))]
-    counters = {"apps": 0, "inserts": 0, "drops": 0, "pruned": 0, "rows": 0}
-    central_rank = 0
-    worklist = deque()
+    central_rank = rows = apps = drops = pruned = 0
+    worklist = []
 
-    def full_at(s):
-        limit = target_at.get(s)
-        if limit is None:
-            limit = hull.rank_at(s) if hull is not None else vmod.dim
-            target_at[s] = limit
-        return span.rank_at(s) >= limit
+    def result(verdict):
+        counters = {"apps": apps, "inserts": rows, "drops": drops,
+                    "pruned": pruned, "rows": rows}
+        return ClosureResult(verdict, central_rank, central_dim, span,
+                             counters, log)
 
-    def push(s, vec, dep, entry):
-        nonlocal central_rank
+    def push(t, vec, entry):
+        nonlocal central_rank, rows
+        s = degree[t]
         if not span.insert(s, vec):
             return False
-        row = dict(span.rows_at(s)[-1])
-        rid = counters["rows"]
-        counters["rows"] += 1
-        counters["inserts"] += 1
-        log.append(entry + " row=%d" % rid)
-        worklist.append((s, row, dep))
-        if s in central_set:
+        log.append("%s row=%d" % (entry, rows))
+        rows += 1
+        worklist.append((t, s, primitive(span.rows_at(s)[-1])))
+        if span.rank_at(s) >= target[t]:
+            full[t] = 1
+        if central[t]:
             central_rank += 1
         return True
 
@@ -181,52 +221,43 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
         for s in sorted(comps):
             if not inside(s, ambient):
                 raise ValueError("seed component at %s outside the ambient box" % (s,))
-            push(s, comps[s], 0, "seed=%d deg=%s" % (idx, s))
+            push(flat(s), comps[s], "seed=%d deg=%s" % (idx, s))
     if central_rank >= central_dim:
-        return ClosureResult(FILLS, central_rank, central_dim, span, counters, log)
+        return result(FILLS)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while worklist:
-            batch = list(worklist)
-            worklist.clear()
-            tasks = []
-            for s, row, dep in batch:
-                for gidx, gen in enumerate(tables):
-                    t = add(s, gen[0])
-                    if not inside(t, ambient):
-                        counters["drops"] += 1
-                        continue
-                    if full_at(t):
-                        counters["pruned"] += 1
-                        continue
-                    tasks.append((gidx, gen, s, t, row, dep))
-            for start in range(0, len(tasks), 256):
-                chunk = tasks[start:start + 256]
-                todo = [c for c in chunk if not full_at(c[3])]
-                counters["apps"] += len(todo)
-                if counters["apps"] > max_apps:
-                    return ClosureResult(INCONCLUSIVE, central_rank, central_dim,
-                                         span, counters, log)
-                if pool is not None:
-                    images = list(pool.map(
-                        lambda c: _apply_gen(c[1], c[2], c[4], twist), todo))
-                else:
-                    images = [_apply_gen(c[1], c[2], c[4], twist) for c in todo]
-                for (gidx, gen, s, t, row, dep), img in zip(todo, images):
-                    if not img:
-                        continue
-                    push(t, SparseVec(img), dep + 1,
-                         "img gen=%d from deg=%s" % (gidx, s))
-                    if central_rank >= central_dim:
-                        return ClosureResult(FILLS, central_rank, central_dim,
-                                             span, counters, log)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    # source index -> ([(target index, kernel index)] inside the box, drops)
+    neighbours = {}
+    while worklist:
+        batch, worklist = worklist, []
+        # pruning is decided against fullness as the layer is built
+        layer = []
+        live_at = {}
+        for item in batch:
+            src = item[0]
+            nb = neighbours.get(src)
+            if nb is None:
+                steps = [(src + off, g) for g, off in enumerate(offsets)]
+                kept = [step for step in steps if inbox[step[0]]]
+                nb = neighbours[src] = (kept, len(steps) - len(kept))
+            live = live_at.get(src)
+            if live is None:
+                live = live_at[src] = [step for step in nb[0] if not full[step[0]]]
+            drops += nb[1]
+            pruned += len(nb[0]) - len(live)
+            layer.append((item, live))
+        tasks = ((t, g, item) for item, live in layer for t, g in live)
+        while chunk := list(islice(tasks, RECHECK)):
+            todo = [task for task in chunk if not full[task[0]]]
+            apps += len(todo)
+            if apps > max_apps:
+                return result(INCONCLUSIVE)
+            for t, g, (_, s, row) in todo:
+                img = _apply_gen(kernel[g], s, row)
+                if img and push(t, img, "img gen=%d from deg=%s" % (g, s)) \
+                        and central_rank >= central_dim:
+                    return result(FILLS)
 
-    verdict = FILLS if central_rank >= central_dim else PROPER
-    return ClosureResult(verdict, central_rank, central_dim, span, counters, log)
+    return result(FILLS if central_rank >= central_dim else PROPER)
 
 
 # ------------------------------------------------------------- randomness
@@ -324,12 +355,14 @@ def lattice_scalar(twist, gens, window: Window, depth: int, trials: int,
     report["euler_central_rank"] = central_rank
 
     if report["integer_twist"]:
+        # the Euler span misses only the line x^twist (x) 1, so the central
+        # codimension is 1 when that line sits in the central box, else 0
         line = tuple(int(t) for t in twist)
         report["codim"] = len(central) - central_rank
-        if inside(line, window.central):
-            fixed = tensor.basis_element(ctx, line, ())
-            report["fixed_line_killed"] = all(
-                tensor.act_direct(X, fixed).is_zero for X in gens)
+        report["line_in_window"] = inside(line, window.central)
+        fixed = tensor.basis_element(ctx, line, ())
+        report["fixed_line_killed"] = all(
+            tensor.act_direct(X, fixed).is_zero for X in gens)
     else:
         results = generation_evidence(ctx, gens, window, depth, trials, rng)
         report["trials"] = trials

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 try:
     from gmpy2 import mpq as rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
+except ImportError:
     rational = Fraction
 
 ZERO = rational(0)
@@ -20,16 +20,25 @@ ONE = rational(1)
 
 
 def rat(value=0, den=None):
-    """Coerce ints, rationals, or 'p/q' strings to the scalar type."""
+    """Coerce ints, rationals, or 'p/q' strings to the scalar type.
+
+    A zero denominator raises ValueError, like any other malformed value.
+    """
     if den is not None:
-        return rational(value, den)
+        return _ratio(value, den)
     if isinstance(value, str):
         txt = value.strip()
         if "/" in txt:
             num, d = txt.split("/", 1)
-            return rational(int(num), int(d))
+            return _ratio(int(num), int(d))
         return rational(int(txt))
     return rational(value)
+
+
+def _ratio(num, den):
+    if not den:
+        raise ValueError("zero denominator in %s/%s" % (num, den))
+    return rational(num, den)
 
 
 def rat_str(value) -> str:

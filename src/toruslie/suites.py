@@ -24,7 +24,7 @@ from . import glmod, probe, tensor
 from .fields import (VectorField, adjacent_field, bracket, double_action_check,
                      euler_field, field_apply, pair_field, spanning_generators)
 from .indices import add, box, dot, inside, sub, unit, zero
-from .linalg import SpanBasis, SparseVec, kernel_of_map
+from .linalg import SpanBasis, SparseVec, kernel_of_map, primitive
 from .rational import ONE, rat, rat_str
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
@@ -41,22 +41,27 @@ class RunConfig:
     module: str = "natural"
     twist: tuple = None
     k: int = 0
-    central: int = 0
-    gen_bound: int = 0
-    depth: int = 0
-    margin: int = 0
+    central: int = None
+    gen_bound: int = None
+    depth: int = None
+    margin: int = None
     seed: int = 0
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two variables")
-        central, gen_bound, depth, margin = probe.default_params(self.n) \
-            if not (self.central or self.margin) else \
-            (self.central, self.gen_bound, self.depth, self.margin)
-        object.__setattr__(self, "central", central)
-        object.__setattr__(self, "gen_bound", gen_bound)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "margin", margin)
+        # window fields left as None take the rank's preset
+        names = ("central", "gen_bound", "depth", "margin")
+        if any(getattr(self, name) is None for name in names):
+            for name, preset in zip(names, probe.default_params(self.n)):
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, preset)
+        # with B, R or L at 0 the closures take no generator step, or the
+        # centre may hold only the twist's own degree: the suites' checks
+        # would then fail as artefacts of the window, not of the modules
+        if min(self.central, self.gen_bound, self.depth) < 1:
+            raise ValueError("window B,R,L must each be at least 1, got %d,%d,%d"
+                             % (self.central, self.gen_bound, self.depth))
         if self.margin < self.depth * self.gen_bound:
             raise ValueError("margin violation: margin %d < depth %d * generator bound %d"
                              % (self.margin, self.depth, self.gen_bound))
@@ -501,16 +506,17 @@ def run_minuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
             rec.check("image_proper_in_window", 0 < rank < dim,
                       "k=%d rank=%d dim=%d" % (k, rank, dim))
 
-        tables = probe._gen_tables(gens, vmod)
+        kernel = probe.gen_kernel(gens, vmod, twist)
         stable = True
         apps = 0
         for s in central:
             for row in hull_central.rows_at(s):
-                for gen in tables:
+                row = primitive(row)
+                for gen in kernel:
                     t = add(s, gen[0])
-                    img = probe._apply_gen(gen, s, row, twist)
+                    img = probe._apply_gen(gen, s, row)
                     apps += 1
-                    if img and not hull_near.mini(t).contains(SparseVec(img)):
+                    if img and not hull_near.mini(t).contains(img):
                         stable = False
         rec.check("image_invariant_under_fields", stable, "k=%d" % k)
         rec.bump("invariance_apps", apps)
@@ -685,9 +691,11 @@ def run_lattice(cfg: RunConfig, workers: int = 1) -> SuiteResult:
     rec.tally("max_rank", report["euler_central_rank"])
     rec.tally("dim", report["central_dim"])
     if report["integer_twist"]:
+        want = 1 if report["line_in_window"] else 0
         rec.check("integer_twist_fixed_line",
-                  report.get("codim") == 1 and report.get("fixed_line_killed", True),
-                  "codim=%s" % report.get("codim"))
+                  report["codim"] == want and report["fixed_line_killed"],
+                  "codim=%d want=%d killed=%s" % (report["codim"], want,
+                                                  report["fixed_line_killed"]))
     else:
         rec.evidence_used = True
         full = report["euler_central_rank"] == report["central_dim"]

@@ -70,10 +70,35 @@ def test_margin_violation_is_usage_error(capsys):
 
 
 def test_bad_lambda_is_usage_error(capsys):
-    code, _, err = run_main(
-        ["--n", "2", "--lambda", "1/3", "--suite", "iso"], capsys)
+    for twist in ("1/3", "1/0,1", "1,2/0"):
+        code, out, err = run_main(
+            ["--n", "2", "--lambda", twist, "--suite", "iso"], capsys)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_explicit_window_runs_as_given_or_exits(capsys):
+    code, out, err = run_main(
+        ["--n", "2", "--window", "0,2,0,0", "--suite", "iso"], capsys)
     assert code == 2
-    assert "error:" in err
+    assert not out
+    assert "at least 1" in err
+    code, out, _ = run_main(
+        ["--n", "2", "--window", "1,2,1,2", "--suite", "iso"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["window"] == {
+        "central": 1, "genBound": 2, "depth": 1, "margin": 2}
+
+
+def test_integer_twist_off_the_window_passes_lattice(capsys):
+    # (5,5) is congruent to (0,0); its fixed line lies outside the window
+    code, out, err = run_main(
+        ["--n", "2", "--lambda", "5,5", "--suite", "lattice"], capsys)
+    assert code == 0, err
+    entry = json.loads(out)["suites"][0]
+    assert entry["status"] == "pass"
+    assert entry["counters"]["max_rank"] == entry["counters"]["dim"] == 25
 
 
 def test_out_file_written_and_stable(tmp_path, capsys):

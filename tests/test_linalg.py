@@ -3,7 +3,7 @@
 import random
 
 from toruslie import rat
-from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map
+from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map, primitive
 
 
 def rand_vec(rng, keys, density=0.6):
@@ -16,6 +16,14 @@ def test_sparsevec_drops_zeros():
     assert "a" not in v
     assert v["b"] == 3
     assert v["c"] == rat(-1, 2)
+
+
+def test_primitive_gives_coprime_integers_on_the_same_line():
+    v = {"a": rat(-2, 3), "b": rat(4, 9), "c": rat(2)}
+    p = primitive(v)
+    assert p == {"a": -3, "b": 2, "c": 9}
+    assert all(isinstance(c, int) for c in p.values())
+    assert primitive({"x": rat(-5, 7)}) == {"x": -1}
 
 
 def test_sparsevec_add_scaled_cancels():

@@ -4,9 +4,11 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import spanning_generators
+from toruslie.linalg import primitive
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
@@ -65,6 +67,91 @@ def test_closure_deterministic_across_workers():
     assert one.log == four.log
     assert one.counters == four.counters
     assert one.log_digest == four.log_digest
+
+
+HALF_THIRD = (rat(1, 2), rat(1, 3))
+
+
+def _pinned_closure(case):
+    gens = spanning_generators(2, 2)
+    window = probe.Window(2, 6)
+    if case == "trivial":
+        ctx = tensor.context(ZERO2, glmod.trivial(2))
+        return probe.closure([tensor.basis_element(ctx, (1, 0), ())],
+                             gens, window, 3)
+    if case == "natural":
+        ctx = tensor.context(HALF_THIRD, glmod.natural(2))
+        seed = probe.random_element(random.Random(0), ctx, 2)
+        return probe.closure([seed], gens, window, 3)
+    ctx = tensor.context(HALF_THIRD, glmod.exterior(2, 1))
+    seed = probe.random_image_element(random.Random(0), ctx, 2)
+    hull = tensor.derham_image_graded(1, HALF_THIRD, 8, 2) \
+        if case == "ext:1 hull" else None
+    return probe.closure([seed], gens, window, 3, hull=hull)
+
+
+# full fingerprints of four n=2 closures, pinned before the flat frontier
+# and the integer kernel replaced the tuple frontier and Fraction tables;
+# between them they reach drops, pruning, ProperInvariant and hulls
+PINNED_CLOSURES = {
+    "trivial": (
+        probe.PROPER, 24, 25,
+        {"apps": 1461, "drops": 984, "inserts": 288, "pruned": 4266, "rows": 288},
+        "20484baacf301f926a1ecdfb18475129cd357f7b5d93cba38ff7e22e480781ab"),
+    "ext:1 hull": (
+        probe.FILLS, 25, 25,
+        {"apps": 88, "drops": 0, "inserts": 48, "pruned": 8, "rows": 48},
+        "7bf3c15fdeadd2d9e8483cd5f1453c9053f7d59c024369964b9cc64e498e280d"),
+    "ext:1": (
+        probe.PROPER, 25, 50,
+        {"apps": 5952, "drops": 984, "inserts": 289, "pruned": 0, "rows": 289},
+        "3c506add292e073881188cf7ba450c9479f69ceee0c324288b6601469c49c821"),
+    "natural": (
+        probe.FILLS, 50, 50,
+        {"apps": 352, "drops": 0, "inserts": 151, "pruned": 896, "rows": 151},
+        "5f938dc85d1330b84fcc4d0ffc57e7dcd25340dcfeef2d3f472a476c40f6b06a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CLOSURES))
+def test_closure_matches_pinned_fingerprint(case):
+    res = _pinned_closure(case)
+    got = (res.verdict, res.central_rank, res.central_dim, res.counters,
+           res.log_digest)
+    assert got == PINNED_CLOSURES[case]
+
+
+MODULES = ("trivial", "natural", "ext:1", "ext:2", "sym:2", "adjoint")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_image_is_scaled_direct_action(data):
+    # the integer kernel against tensor.act_direct, an independent path:
+    # one common positive integer factor D for every generator
+    n = data.draw(st.sampled_from((2, 3)), "n")
+    vmod = glmod.module_from_name(data.draw(st.sampled_from(MODULES)), n)
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    twist = tuple(rat(q) for q in data.draw(st.lists(small, min_size=n, max_size=n)))
+    shifted = [X for X in spanning_generators(n, 2) if any(X.r)]
+    gens = data.draw(st.lists(st.sampled_from(shifted), min_size=1, max_size=3))
+    s = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    row = {key: rat(c) for key, c in data.draw(st.dictionaries(
+        st.sampled_from(vmod.keys), small.filter(bool), min_size=1)).items()}
+    row = primitive(row)
+    assert all(isinstance(c, int) for c in row.values())
+    ctx = tensor.context(twist, vmod)
+    m = tensor.TensorElement(ctx, {(s, key): c for key, c in row.items()})
+    factors = set()
+    for gen, X in zip(probe.gen_kernel(gens, vmod, twist), gens):
+        img = probe._apply_gen(gen, s, row)
+        assert all(isinstance(c, int) and c for c in img.values())
+        direct = tensor.act_direct(X, m).terms
+        t = tuple(a + b for a, b in zip(s, X.r))
+        assert set(direct) == {(t, key) for key in img}
+        factors.update(img[key] / c for (_, key), c in direct.items())
+    assert len(factors) <= 1
+    assert all(f > 0 and f.denominator == 1 for f in factors)
 
 
 def test_closure_log_is_replayable_shape():
