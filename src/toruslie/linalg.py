@@ -1,16 +1,17 @@
 """Sparse exact linear algebra over totally ordered basis keys.
 
 A vector is a finite map from hashable, comparable keys to nonzero rational
-coefficients. SpanBasis keeps a reduced row echelon spanning set: the pivot
-of each row is its smallest key, pivot coefficients are 1, and no row
-contains another row's pivot. Insertion, membership and rank are exact.
+or integer coefficients. SpanBasis keeps a reduced row echelon spanning set
+of primitive integer rows, eliminating fraction-free with content removal
+(Bareiss, Math. Comp. 22, 1968): insertion, membership and rank build no
+rational, and reduce returns the exact rational residue.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rational import ONE, rational
+from .rational import rational
 
 
 class SparseVec(dict):
@@ -63,14 +64,6 @@ class SparseVec(dict):
         return " + ".join("%s*%s" % (c, key) for key, c in self.sorted_items())
 
 
-def linear_combine(terms) -> SparseVec:
-    """Exact sum of (coefficient, vector) pairs with zero dropping."""
-    out = SparseVec()
-    for c, vec in terms:
-        out.add_scaled(c, vec)
-    return out
-
-
 def primitive(vec) -> dict:
     """The integer vector with coprime entries on the line of nonzero vec."""
     den = lcm(*(int(c.denominator) for c in vec.values()))
@@ -79,72 +72,88 @@ def primitive(vec) -> dict:
     return {key: c // g for key, c in ints.items()}
 
 
-class SpanBasis:
-    """Incremental reduced row echelon span with exact queries.
+def _eliminate(work, key, row) -> int:
+    """Set work to m*work - c*row, cancelling its entry at row's pivot key
+    with the least integer m > 0, in place; returns m."""
+    p, c = row[key], work.pop(key)
+    g = gcd(p, c)
+    m, c = p // g, c // g
+    if m != 1:
+        for key2 in work:
+            work[key2] *= m
+    for key2, a in row.items():
+        if key2 != key:
+            b = work.get(key2, 0) - c * a
+            if b:
+                work[key2] = b
+            else:
+                del work[key2]
+    return m
 
-    Pivot choice is the smallest key of a row, so every other key in a row
-    is larger than its pivot; reducing a vector by extracting its minimal
-    key repeatedly therefore terminates in one sweep.
+
+class SpanBasis:
+    """Incremental reduced row echelon span of primitive integer rows.
+
+    A row's pivot is its smallest key, where its entry is positive, and no
+    row contains another row's pivot, so reduction by minimal keys takes
+    one sweep. A residue is the unique vector of its coset with no pivot
+    key, so each row is primitive(pivot-1 row). An insert replaces, never
+    mutates, the dict of a row it updates.
     """
 
     def __init__(self):
-        self.rows: list[SparseVec] = []
+        self.rows: list[dict] = []
         self.pivots: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec) -> SparseVec:
-        """Residue of vec modulo the span (fully reduced)."""
-        out = SparseVec()
-        work = dict(vec)
+    def _sweep(self, vec, first=False) -> list:
+        """Residue entries (key, c, scale) of vec in key order, each being
+        c / scale, in integer arithmetic. With first, stop at the first."""
+        scale = lcm(*[c.denominator for c in vec.values()])
+        work = {key: c.numerator * (scale // c.denominator)
+                for key, c in vec.items() if c}
+        out = []
         while work:
             key = min(work)
-            c = work.pop(key)
-            if not c:
-                continue
             idx = self.pivots.get(key)
-            if idx is None:
-                out[key] = c
+            if idx is not None:
+                scale *= _eliminate(work, key, self.rows[idx])
                 continue
-            row = self.rows[idx]  # pivot coefficient is 1
-            for key2, a in row.items():
-                if key2 == key:
-                    continue
-                b = work.get(key2, 0) - c * a
-                if b:
-                    work[key2] = b
-                elif key2 in work:
-                    del work[key2]
+            out.append((key, work.pop(key), scale))
+            if first:
+                break
         return out
 
+    def reduce(self, vec) -> SparseVec:
+        """Exact rational residue of vec modulo the span (fully reduced)."""
+        return SparseVec((key, rational(c, scale))
+                         for key, c, scale in self._sweep(vec))
+
     def contains(self, vec) -> bool:
-        return not self.reduce(vec)
+        return not self._sweep(vec, first=True)
 
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew."""
-        red = self.reduce(vec)
-        if not red:
+        res = self._sweep(vec)
+        if not res:
             return False
-        pivot = min(red)
-        inv = ONE / red[pivot]
-        row = red.scaled(inv)
+        top = res[-1][2]
+        row = primitive({key: c * (top // scale) for key, c, scale in res})
+        pivot = res[0][0]
+        if row[pivot] < 0:
+            row = {key: -c for key, c in row.items()}
         # keep existing rows reduced against the new pivot
-        for other in self.rows:
-            c = other.get(pivot)
-            if c is not None:
-                other.add_scaled(-c, row)
+        for idx, other in enumerate(self.rows):
+            if pivot in other:
+                other = dict(other)
+                _eliminate(other, pivot, row)
+                self.rows[idx] = primitive(other)
         self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
         return True
-
-    def restricted(self, keep) -> "SpanBasis":
-        """Span of coordinate restrictions of the rows (keys with keep(key))."""
-        out = SpanBasis()
-        for row in self.rows:
-            out.insert(SparseVec.make({k: c for k, c in row.items() if keep(k)}))
-        return out
 
 
 def kernel_of_map(keys, image_of) -> list[SparseVec]:
@@ -157,15 +166,11 @@ def kernel_of_map(keys, image_of) -> list[SparseVec]:
     span = SpanBasis()
     kernel = []
     for idx, key in enumerate(keys):
-        aug = SparseVec()
-        for okey, c in image_of(key).items():
-            if c:
-                aug[(0, okey)] = rational(c)
-        aug[(1, idx)] = ONE
+        aug = {(0, okey): c for okey, c in image_of(key).items()}
+        aug[(1, idx)] = 1
         red = span.reduce(aug)
         if all(k[0] == 1 for k in red):
-            combo = SparseVec.make({keys[k[1]]: c for k, c in red.items()})
-            kernel.append(combo)
+            kernel.append(SparseVec({keys[i]: c for (_, i), c in red.items()}))
         else:
             span.insert(red)
     return kernel

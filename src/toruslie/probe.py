@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from math import lcm
 
 from . import glmod, tensor
 from .fields import VectorField, euler_field, spanning_generators
 from .indices import box, dot, inf_norm, inside, zero
-from .linalg import SparseVec, kernel_of_map, primitive
+from .linalg import SparseVec, kernel_of_map
 from .rational import ONE, rat, rational
 
 FILLS = "FillsWindow"
@@ -84,8 +85,14 @@ def gen_kernel(gens, vmod, twist) -> list:
     One entry (r, D*u, D*(u|twist), table) per generator D(u, r) with a
     nonzero shift, where table maps each V key to [(key2, D*a)], the
     combined rank-one action r u^T on V. _apply_gen turns an integer row
-    into an integer image that is D times the true one.
+    into an integer image that is D times the true one. The result is
+    memoised and shared between callers, which must not modify it.
     """
+    return _gen_kernel(tuple(gens), vmod, tuple(twist))
+
+
+@lru_cache(maxsize=8)
+def _gen_kernel(gens, vmod, twist) -> list:
     exact = []
     for X in gens:
         if not any(X.r):
@@ -147,8 +154,8 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     and never leaves the grid; box membership and fullness are bytearray
     lookups. Worklist rows are primitive integer vectors and images come
     from the integer kernel, so each image is a nonzero multiple of the
-    true one. That changes nothing: the span stores the same pivot-1
-    reduced row, and membership and the zero test ignore scale.
+    true one. That changes nothing: the span stores the same primitive
+    integer row, and membership and the zero test ignore scale.
     """
     if not seeds:
         raise ValueError("closure needs at least one seed")
@@ -207,7 +214,7 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
             return False
         log.append("%s row=%d" % (entry, rows))
         rows += 1
-        worklist.append((t, s, primitive(span.rows_at(s)[-1])))
+        worklist.append((t, s, span.rows_at(s)[-1]))
         if span.rank_at(s) >= target[t]:
             full[t] = 1
         if central[t]:

@@ -24,7 +24,7 @@ from . import glmod, probe, tensor
 from .fields import (VectorField, adjacent_field, bracket, double_action_check,
                      euler_field, field_apply, pair_field, spanning_generators)
 from .indices import add, box, dot, inside, sub, unit, zero
-from .linalg import SpanBasis, SparseVec, kernel_of_map, primitive
+from .linalg import SpanBasis, SparseVec, kernel_of_map
 from .rational import ONE, rat, rat_str
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
@@ -511,7 +511,6 @@ def run_minuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
         apps = 0
         for s in central:
             for row in hull_central.rows_at(s):
-                row = primitive(row)
                 for gen in kernel:
                     t = add(s, gen[0])
                     img = probe._apply_gen(gen, s, row)

@@ -387,14 +387,6 @@ class GradedSpan:
         sp = self.spans.get(s)
         return sp.rows if sp is not None else []
 
-    def to_span_basis(self) -> SpanBasis:
-        """Flatten to a single echelon basis over (exponent, key) pairs."""
-        flat = SpanBasis()
-        for s in sorted(self.spans):
-            for row in self.spans[s].rows:
-                flat.insert(SparseVec.make({(s, vkey): c for vkey, c in row.items()}))
-        return flat
-
 
 def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
     """Graded span of the level-k de Rham image over an exponent window."""
@@ -421,11 +413,6 @@ def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
             if vec:
                 span.insert(s, vec)
     return span
-
-
-def derham_image_span(k: int, twist, bound: int, n: int) -> SpanBasis:
-    """Window span of the level-k de Rham image as a flat echelon basis."""
-    return derham_image_graded(k, twist, bound, n).to_span_basis()
 
 
 def kernel_member(m: TensorElement) -> bool:

@@ -1,6 +1,10 @@
 """Exact sparse vectors, incremental row echelon spans, kernel extraction."""
 
+import math
 import random
+
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from toruslie import rat
 from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map, primitive
@@ -61,7 +65,11 @@ def test_spanbasis_rows_stay_fully_reduced():
         pivots = set(span.pivots)
         for pivot, idx in span.pivots.items():
             row = span.rows[idx]
-            assert row[pivot] == 1
+            # a primitive integer row with a positive pivot entry
+            assert all(isinstance(c, int) for c in row.values())
+            assert math.gcd(*row.values()) == 1
+            assert row[pivot] > 0
+            assert pivot == min(row)
             # no other pivot key appears in any row
             for key in row:
                 assert key == pivot or key not in pivots
@@ -80,15 +88,6 @@ def test_spanbasis_membership_closed_under_combination():
             combo.add_scaled(rat(rng.randint(-3, 3)), v)
         assert span.contains(combo)
         assert not span.reduce(combo)
-
-
-def test_spanbasis_restricted_projects_rows():
-    span = SpanBasis()
-    span.insert(SparseVec.make({1: rat(1), 10: rat(4)}))
-    span.insert(SparseVec.make({2: rat(1), 10: rat(-1)}))
-    low = span.restricted(lambda k: k < 10)
-    assert low.rank == 2
-    assert low.contains(SparseVec.make({1: rat(3)}))
 
 
 def test_kernel_of_map_known_matrix():
@@ -122,3 +121,52 @@ def test_kernel_of_map_rank_nullity_and_annihilation():
             for k, c in vec.items():
                 image.add_scaled(c, cols[k])
             assert not image
+
+
+# ------------------------------------------- oracle: sympy dense rank over QQ
+
+SCALARS = st.one_of(st.just(0), st.fractions(min_value=-6, max_value=6,
+                                             max_denominator=5))
+
+
+def sparse(values):
+    return SparseVec.make({j: rat(c) for j, c in enumerate(values)})
+
+
+def qq_rank(rows):
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+def dense(vec, width):
+    return [vec.get(j, 0) for j in range(width)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_spanbasis_and_kernel_agree_with_sympy(data):
+    width = data.draw(st.integers(1, 6), "width")
+    vector = st.lists(SCALARS, min_size=width, max_size=width)
+    rows = data.draw(st.lists(vector, min_size=1, max_size=6), "rows")
+    probes = data.draw(st.lists(vector, min_size=1, max_size=3), "probes")
+    span = SpanBasis()
+    for row in rows:
+        span.insert(sparse(row))
+    rank = qq_rank(rows)
+    assert span.rank == rank
+    for v in probes:
+        red = span.reduce(sparse(v))
+        assert not set(red) & set(span.pivots)
+        # v - red lies in the row space, and red is zero iff v does too
+        diff = [c - red.get(j, 0) for j, c in enumerate(v)]
+        assert qq_rank(rows + [diff]) == rank
+        assert span.contains(sparse(v)) == (qq_rank(rows + [v]) == rank)
+        assert (not red) == span.contains(sparse(v))
+
+    # the map e_j -> column j of the matrix whose rows are `rows`
+    kernel = kernel_of_map(list(range(width)),
+                           lambda j: {i: rat(row[j]) for i, row in enumerate(rows)})
+    assert len(kernel) == len(sympy.Matrix(rows).nullspace())
+    assert qq_rank([dense(vec, width) for vec in kernel]) == len(kernel)
+    for vec in kernel:
+        for row in rows:
+            assert sum(rat(row[j]) * c for j, c in vec.items()) == 0

@@ -20,3 +20,8 @@ def test_rat_rejects_malformed_values_with_value_error():
         rat(1, 0)
     with pytest.raises(ValueError):
         parse_tuple("1,3/0")
+
+
+def test_rational_submodule_is_not_shadowed_by_the_scalar_type():
+    import toruslie.rational as r
+    assert r.rat is rat

@@ -1,0 +1,30 @@
+"""Byte-exact report gate: the sha256 of the --out JSON of reference runs.
+
+A change to any of these digests changes what the reports say; a change
+that only makes the engine faster leaves them alone.
+"""
+
+import hashlib
+
+import pytest
+
+from toruslie import cli
+
+REFERENCE = [
+    pytest.param(["--n", "2", "--lambda", "1/2,1/3"],
+                 "6f99154565f91c9a083f222ab2a7d4e5b29ed7cdc6dc1f6257fcfef3285a714f",
+                 id="n2-generic-natural"),
+    pytest.param(["--n", "2", "--lambda", "1/2,1/3", "--module", "sym:2"],
+                 "9ae27f1d73510a0a762ae165c180dd9617ff7d0c303bb90c45a697ef8dd6578c",
+                 id="n2-generic-sym2"),
+    pytest.param(["--n", "2", "--lambda", "0,0", "--module", "sym:2"],
+                 "ecf38195ac82af16d1d55dceee092841ea1629e7d6a8eef7e63c9009e86a579a",
+                 id="n2-integer-sym2"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REFERENCE)
+def test_reference_report_digest(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -133,8 +133,8 @@ def test_derham_image_and_graded_ranks():
                               tensor.context(ZERO2, glmod.exterior(2, 1)))
     assert img.terms == {((1, 0), (1,)): rat(1)}
 
-    assert tensor.derham_image_span(1, ZERO2, 1, 2).rank == 8
-    assert tensor.derham_image_span(1, GEN2, 1, 2).rank == 9
+    assert tensor.derham_image_graded(1, ZERO2, 1, 2).total_rank() == 8
+    assert tensor.derham_image_graded(1, GEN2, 1, 2).total_rank() == 9
     span = tensor.derham_image_graded(1, GEN2, 1, 2)
     for s in ((0, 0), (1, 1), (-1, 0)):
         assert span.rank_at(s) == 1
