@@ -32,14 +32,6 @@ class SparseVec(dict):
                     del v[key]
         return v
 
-    def scaled(self, c) -> "SparseVec":
-        if not c:
-            return SparseVec()
-        out = SparseVec()
-        for key, a in self.items():
-            out[key] = a * c
-        return out
-
     def add_scaled(self, c, other) -> None:
         # in-place self += c * other
         if not c:
@@ -141,8 +133,13 @@ class SpanBasis:
         if not res:
             return False
         top = res[-1][2]
-        row = primitive({key: c * (top // scale) for key, c, scale in res})
-        pivot = res[0][0]
+        self._add_residue({key: c * (top // scale) for key, c, scale in res})
+        return True
+
+    def _add_residue(self, res) -> None:
+        """Append a nonzero residue, its keys in increasing order, as a row."""
+        row = primitive(res)
+        pivot = next(iter(row))
         if row[pivot] < 0:
             row = {key: -c for key, c in row.items()}
         # keep existing rows reduced against the new pivot
@@ -153,7 +150,6 @@ class SpanBasis:
                 self.rows[idx] = primitive(other)
         self.pivots[pivot] = len(self.rows)
         self.rows.append(row)
-        return True
 
 
 def kernel_of_map(keys, image_of) -> list[SparseVec]:
@@ -161,7 +157,8 @@ def kernel_of_map(keys, image_of) -> list[SparseVec]:
 
     keys is an ordered list of input basis keys; image_of returns a dict
     (or SparseVec) over arbitrary output keys. Works by reducing images
-    augmented with tracker coordinates that sort after every output key.
+    augmented with tracker coordinates that sort after every output key;
+    a residue with an output key joins the span without a second sweep.
     """
     span = SpanBasis()
     kernel = []
@@ -172,5 +169,5 @@ def kernel_of_map(keys, image_of) -> list[SparseVec]:
         if all(k[0] == 1 for k in red):
             kernel.append(SparseVec({keys[i]: c for (_, i), c in red.items()}))
         else:
-            span.insert(red)
+            span._add_residue(red)
     return kernel

@@ -29,10 +29,9 @@ from itertools import islice
 from math import lcm
 
 from . import glmod, tensor
-from .fields import VectorField, euler_field, spanning_generators
 from .indices import box, dot, inf_norm, inside, zero
 from .linalg import SparseVec, kernel_of_map
-from .rational import ONE, rat, rational
+from .rational import ONE, rat
 
 FILLS = "FillsWindow"
 PROPER = "ProperInvariant"
@@ -482,12 +481,16 @@ def _invert_matrix(rows):
     return [row[m:] for row in aug]
 
 
+@lru_cache(maxsize=8)
 def _coeff_of_nodes(nodes):
-    """Matrix C with C[a][b] = coefficient of t^a in the b-th Lagrange basis."""
+    """Matrix C with C[a][b] = coefficient of t^a in the b-th Lagrange basis.
+
+    Memoised on the node tuple; every family of a run shares one of a few.
+    """
     if len(set(nodes)) != len(nodes):
         raise ValueError("repeated sample points")
     vand = [[rat(t) ** a for a in range(len(nodes))] for t in nodes]
-    return _invert_matrix(vand)
+    return tuple(map(tuple, _invert_matrix(vand)))
 
 
 @dataclass
@@ -539,7 +542,7 @@ def coeff_extract(family: PolyFamily, target: dict):
     exps = [target.get(coord, 0) for coord in family.active]
     if sum(exps) > family.degree_bound:
         raise ValueError("target degree exceeds the declared bound")
-    coeffs = _coeff_of_nodes(family.nodes)
+    coeffs = _coeff_of_nodes(tuple(family.nodes))
     node_index = {t: i for i, t in enumerate(family.nodes)}
     out = None
     for combo, value in family.values.items():

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import glmod, probe, tensor
 from .fields import (VectorField, adjacent_field, bracket, double_action_check,
                      euler_field, field_apply, pair_field, spanning_generators)
-from .indices import add, box, dot, inside, sub, unit, zero
+from .indices import add, box, dot, sub, unit, zero
 from .linalg import SpanBasis, SparseVec, kernel_of_map
 from .rational import ONE, rat, rat_str
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .indices import add, box, dot, zero
+from .indices import add, box, zero
 from .linalg import SpanBasis, SparseVec
-from .rational import ONE, rat, rational
+from .rational import ONE, rat
 
 
 class LaurentPoly(dict):

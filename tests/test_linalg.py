@@ -38,12 +38,6 @@ def test_sparsevec_add_scaled_cancels():
     assert v == SparseVec.make({2: rat(5), 3: rat(-14)})
 
 
-def test_sparsevec_scaled_by_zero_is_empty():
-    v = SparseVec.make({1: rat(2)})
-    assert not v.scaled(0)
-    assert v.scaled(rat(1, 2)) == SparseVec.make({1: rat(1)})
-
-
 def test_spanbasis_rank_and_contains():
     span = SpanBasis()
     assert span.insert(SparseVec.make({1: rat(1), 2: rat(1)}))

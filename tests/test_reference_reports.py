@@ -20,6 +20,15 @@ REFERENCE = [
     pytest.param(["--n", "2", "--lambda", "0,0", "--module", "sym:2"],
                  "ecf38195ac82af16d1d55dceee092841ea1629e7d6a8eef7e63c9009e86a579a",
                  id="n2-integer-sym2"),
+    # n=3 is the least rank at which the minuscule suite evaluates image_probe
+    pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5", "--suite", "minuscule",
+                  "--window", "1,2,1,2"],
+                 "e647a68159075eff4cf630ea434b25031a93cd8d0ce37d14209da768296b6c86",
+                 id="n3-generic-minuscule"),
+    pytest.param(["--n", "3", "--lambda", "0,0,0", "--suite", "minuscule",
+                  "--window", "1,2,1,2"],
+                 "e85ea315dc6a778ec01613f3affc8e346aff510fca704524731fd146507df437",
+                 id="n3-integer-minuscule"),
 ]
 
 

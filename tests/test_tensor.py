@@ -3,10 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
-from toruslie.fields import VectorField, bracket, spanning_generators
+from toruslie.fields import VectorField, bracket, pair_field, spanning_generators
+from toruslie.indices import add, dot
 from toruslie.linalg import SparseVec
+from toruslie.rational import rational
+from toruslie.tensor import STYLE_DIRECT, TensorElement, eigen_vector
 from toruslie.weyl import LaurentPoly
 
 ZERO2 = (rat(0), rat(0))
@@ -201,3 +205,153 @@ def test_weight_split_components_sum_back():
     for part in parts.values():
         total = total + part
     assert total == m
+
+
+# ------------------------------------------- Fraction oracles, differential
+#
+# The two functions below are the per-term Fraction implementations that
+# tensor.act_direct and tensor.image_probe replaced, kept verbatim as an
+# independent path: the integer-scaled versions must give equal elements.
+
+
+def fraction_act_direct(X: VectorField, m: TensorElement) -> TensorElement:
+    """Vector-field action in the direct style."""
+    ctx = m.ctx
+    if ctx.style != STYLE_DIRECT:
+        raise ValueError("direct action on a %s-style element" % ctx.style)
+    trace = dot(X.u, X.r)
+    if trace and ctx.vmod.id_scalar is None:
+        raise ValueError("field with (u|r) != 0 needs an identity scalar on V")
+    vmod = ctx.vmod
+    twist = ctx.twist
+    ru = glmod.rank_one(X.r, X.u)
+    out = TensorElement(ctx)
+    for (s, vkey), c in m.terms.items():
+        t = add(s, X.r)
+        c1 = c * (dot(X.u, s) - dot(X.u, twist))
+        if c1:
+            out.add_term(t, vkey, c1)
+        for (i, j), a in ru.items():
+            for vkey2, b in vmod.unit_table(i, j)[vkey]:
+                out.add_term(t, vkey2, c * a * b)
+    return out
+
+
+def fraction_image_probe(i: int, s, m: TensorElement) -> TensorElement:
+    """A quadratic probe that annihilates the level-k de Rham image.
+
+    For 1 <= i <= n-2:
+
+      probe_{i,s}(p (x) w) = x^s d_{i+1} p (x) E_{i,i+2} w
+                           - x^s d_{i+2} p (x) E_{i,i+1} w
+                           + sum_l x^s d_l p (x) E_{l,i+2} E_{i,i+1} w.
+
+    Every summand carries the same x^s factor, so the map is the exponent
+    shift by s applied to the s = 0 probe.
+    """
+    ctx = m.ctx
+    n = ctx.n
+    if not 1 <= i <= n - 2:
+        raise ValueError("probe index %d out of range 1..%d (needs column i+2)"
+                         % (i, n - 2))
+    s = tuple(s)
+    vmod, twist = ctx.vmod, ctx.twist
+    out = TensorElement(ctx)
+    for (t, vkey), c in m.terms.items():
+        base = add(t, s)
+        eig = eigen_vector(t, twist)
+        c1 = c * eig[i]      # d_{i+1} eigenvalue
+        if c1:
+            for vkey2, b in vmod.unit_table(i, i + 2)[vkey]:
+                out.add_term(base, vkey2, c1 * b)
+        c2 = c * eig[i + 1]  # d_{i+2} eigenvalue
+        if c2:
+            for vkey2, b in vmod.unit_table(i, i + 1)[vkey]:
+                out.add_term(base, vkey2, -c2 * b)
+        for vkey1, b1 in vmod.unit_table(i, i + 1)[vkey]:
+            for l in range(1, n + 1):
+                cl = c * eig[l - 1] * b1
+                if not cl:
+                    continue
+                for vkey2, b2 in vmod.unit_table(l, i + 2)[vkey1]:
+                    out.add_term(base, vkey2, cl * b2)
+    return out
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def twists(draw, n):
+    """Generic (any small fractions) or integer twists."""
+    coords = SMALL if draw(st.booleans()) else st.integers(-2, 2)
+    return tuple(rat(c) for c in draw(st.lists(coords, min_size=n, max_size=n)))
+
+
+@st.composite
+def elements(draw, ctx):
+    """Possibly empty elements with Fraction coefficients near the centre."""
+    deg = st.tuples(*[st.integers(-2, 2)] * ctx.n)
+    terms = draw(st.dictionaries(st.tuples(deg, st.sampled_from(ctx.vmod.keys)),
+                                 SMALL.filter(bool), max_size=4))
+    return TensorElement(ctx, terms)
+
+
+@st.composite
+def fields(draw, n):
+    """Divergence-zero pair fields, or general fields with Fraction u."""
+    r = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        i = draw(st.integers(1, n - 1))
+        j = draw(st.integers(i + 1, n))
+        X = pair_field(i, j, r)
+        return VectorField(tuple(c * draw(SMALL) for c in X.u), r)
+    return VectorField(draw(st.lists(SMALL, min_size=n, max_size=n)), r)
+
+
+def module_names(n):
+    return ["ext:%d" % k for k in range(n + 1)] + ["sym:2"]
+
+
+def outcome(fn, *args):
+    """The element fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_act_direct_matches_fraction_oracle(data):
+    n = data.draw(st.sampled_from((2, 3)), "n")
+    vmod = glmod.module_from_name(data.draw(st.sampled_from(module_names(n))), n)
+    ctx = tensor.context(data.draw(twists(n), "twist"), vmod)
+    X = data.draw(fields(n), "field")
+    m = data.draw(elements(ctx), "element")
+    got = outcome(tensor.act_direct, X, m)
+    assert got == outcome(fraction_act_direct, X, m)
+    if isinstance(got, TensorElement):
+        assert all(isinstance(c, rational) for c in got.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_image_probe_matches_fraction_oracle(data):
+    n = data.draw(st.sampled_from((3, 4)), "n")
+    vmod = glmod.module_from_name(data.draw(st.sampled_from(module_names(n))), n)
+    ctx = tensor.context(data.draw(twists(n), "twist"), vmod)
+    i = data.draw(st.integers(0, n - 1), "i")   # 0 and n-1 are out of range
+    s = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    m = data.draw(elements(ctx), "element")
+    assert outcome(tensor.image_probe, i, s, m) \
+        == outcome(fraction_image_probe, i, s, m)
+
+
+def test_direct_action_rejects_shifted_elements_like_the_oracle():
+    ctx = tensor.context(GEN2, glmod.natural(2), tensor.STYLE_SHIFTED)
+    X = VectorField((1, 0), (0, 1))
+    m = tensor.basis_element(ctx, (0, 0), (1,))
+    want = "ValueError: direct action on a shifted-style element"
+    assert outcome(tensor.act_direct, X, m) == want
+    assert outcome(fraction_act_direct, X, m) == want
