@@ -7,9 +7,8 @@ window-truncated probe engine that turns module-theoretic claims into
 finite, replayable certificates.
 """
 
-from .fields import (FieldSum, VectorField, adjacent_field, bracket,
-                     divergence_zero_generators, euler_field, field_apply,
-                     pair_field, spanning_generators)
+from .fields import (VectorField, adjacent_field, bracket, euler_field,
+                     field_apply, pair_field, spanning_generators)
 from .glmod import (FinModule, adjoint, exterior, module_from_name, natural,
                     rank_one, symmetric, trivial)
 from .linalg import SparseVec, SpanBasis, kernel_of_map
@@ -19,11 +18,10 @@ from .probe import (ClosureResult, PolyFamily, Window, closure, coeff_extract,
 from .rational import ONE, ZERO, parse_tuple, rat, rat_str
 from .suites import CHECKS, SUITES, RunConfig, SuiteResult, run_suites
 from .tensor import (Context, GradedSpan, TensorElement, act, act_direct,
-                     act_shifted_field, basis_element, context, derham_image,
+                     act_shifted_field, basis_element, context,
                      derham_image_graded, derham_map, derham_map_shifted,
                      eigen_vector, from_shifted_form, image_probe,
                      kernel_member, to_shifted_form)
-from .weyl import (LaurentPoly, WeylOp, commutator, euler_image_span,
-                   operator_apply, twist_op)
+from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
 __version__ = "0.1.0"

@@ -41,12 +41,8 @@ class VectorField:
         return dot(self.u, self.r) == 0
 
     def to_weyl(self) -> WeylOp:
-        out = WeylOp()
-        for i, c in enumerate(self.u, start=1):
-            if c:
-                a = tuple(1 if k == i else 0 for k in range(1, self.n + 1))
-                out = out + WeylOp.word(self.r, a, c)
-        return out
+        return WeylOp.make(((self.r, unit(i, self.n)), c)
+                           for i, c in enumerate(self.u, start=1))
 
     def __eq__(self, other):
         return isinstance(other, VectorField) and self.u == other.u and self.r == other.r
@@ -88,77 +84,8 @@ def bracket(a: VectorField, b: VectorField) -> VectorField:
 
 def field_apply(X: VectorField, p: LaurentPoly, twist) -> LaurentPoly:
     """Twisted action on Laurent polynomials: x^s -> (u|s-t) x^{s+r}."""
-    out = LaurentPoly()
-    for s, c in p.items():
-        coeff = c * (dot(X.u, s) - dot(X.u, twist))
-        if not coeff:
-            continue
-        key = add(s, X.r)
-        b = out.get(key, 0) + coeff
-        if b:
-            out[key] = b
-        elif key in out:
-            del out[key]
-    return out
-
-
-class FieldSum:
-    """Formal rational combination of fields, merged by exponent.
-
-    Supports the termwise bracket; used for Jacobi-type identities where
-    single fields do not close.
-    """
-
-    def __init__(self, terms=()):
-        self.terms: dict = {}
-        for X in terms:
-            self.add_field(X)
-
-    def add_field(self, X: VectorField, scale=1) -> None:
-        scale = rat(scale)
-        if not scale or X.is_zero:
-            return
-        u0 = self.terms.get(X.r)
-        merged = tuple((0 if u0 is None else u0[k]) + scale * X.u[k] for k in range(X.n))
-        if any(merged):
-            self.terms[X.r] = merged
-        elif X.r in self.terms:
-            del self.terms[X.r]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def fields(self):
-        return [VectorField(u, r) for r, u in sorted(self.terms.items())]
-
-    def bracket_with(self, other: "FieldSum") -> "FieldSum":
-        out = FieldSum()
-        for r, u in self.terms.items():
-            for s, v in other.terms.items():
-                out.add_field(bracket(VectorField(u, r), VectorField(v, s)))
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, FieldSum) and self.terms == other.terms
-
-
-def divergence_zero_generators(n: int, bound: int) -> list:
-    """All pair fields over every index pair and |r| <= bound, plus Euler fields.
-
-    For each nonzero exponent r the directions r_j e_i - r_i e_j over pairs
-    i < j span the full hyperplane (u|r) = 0.
-    """
-    gens = []
-    for r in box(n, bound):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                X = pair_field(i, j, r)
-                if not X.is_zero:
-                    gens.append(X)
-    for i in range(1, n + 1):
-        gens.append(euler_field(i, n))
-    return gens
+    ut = dot(X.u, twist)
+    return LaurentPoly.make((add(s, X.r), c * (dot(X.u, s) - ut)) for s, c in p.items())
 
 
 def spanning_generators(n: int, bound: int) -> list:

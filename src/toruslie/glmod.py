@@ -10,9 +10,7 @@ Five concrete kinds with exact integer structure constants:
 - trivial:      one basis key ()
 
 Matrix units act through unit_apply; the identity matrix acts by the
-module's id_scalar (its trace on the natural module scale). A module may
-be stripped to a bare traceless-only structure (id_scalar None), in which
-case actions of matrices with nonzero trace are rejected upstream.
+module's id_scalar (its trace on the natural module scale).
 """
 
 from __future__ import annotations
@@ -110,12 +108,6 @@ class FinModule:
     def __repr__(self):
         return "FinModule(%s, n=%d, dim=%d)" % ("-".join(map(str, self.kind)), self.n, self.dim)
 
-    def bare(self) -> "FinModule":
-        """Same realization without a declared identity scalar."""
-        clone = FinModule(self.kind, self.n, self.keys, self._weight_fn,
-                          self._unit_fn, None)
-        return clone
-
     def weight_of(self, key) -> tuple:
         """Diagonal weight: the tuple of E_ii eigenvalues on the basis key."""
         return self._weight_fn(key)
@@ -147,25 +139,12 @@ class FinModule:
 
     def matrix_apply(self, entries, vec) -> SparseVec:
         """A general matrix sum_{ij} entries[(i,j)] E_ij applied to vec."""
-        out = SparseVec()
-        for (i, j), m in entries.items():
-            if m:
-                out.add_scaled(m, self.unit_apply(i, j, vec))
-        return out
+        return SparseVec.make((key, m * c) for (i, j), m in entries.items() if m
+                              for key, c in self.unit_apply(i, j, vec).items())
 
     def character(self) -> tuple:
         """Sorted multiset of diagonal weights; equal for isomorphic kinds."""
         return tuple(sorted(self.weight_of(key) for key in self.keys))
-
-    @property
-    def is_minuscule(self) -> bool:
-        """True when every off-diagonal unit squares to zero on the module."""
-        kind = self.kind[0]
-        if kind in ("trivial", "natural", "exterior"):
-            return True
-        if kind == "symmetric":
-            return self.kind[1] <= 1
-        return False
 
 
 def natural(n: int) -> FinModule:
@@ -239,27 +218,17 @@ def module_from_name(name: str, n: int) -> FinModule:
     raise ValueError("unknown module kind: %r" % name)
 
 
-def wedge_key(i: int, key: tuple):
-    """e_i wedge e_key -> (sign, new key), or None when i already occurs."""
-    if i in key:
-        return None
-    q = sum(1 for e in key if e < i)
-    return (-1 if q % 2 else 1, tuple(sorted(key + (i,))))
+def wedge_by(vec, key) -> list:
+    """Terms [(i, new key, c)] of (sum_i vec_i e_i) wedge e_key.
 
-
-def wedge(i: int, vec) -> SparseVec:
-    """Left wedge by e_i from exterior k into exterior k+1 coordinates."""
-    out = SparseVec()
-    for key, c in vec.items():
-        hit = wedge_key(i, key)
-        if hit is None:
-            continue
-        sign, new = hit
-        b = out.get(new, 0) + (c if sign > 0 else -c)
-        if b:
-            out[new] = b
-        elif new in out:
-            del out[new]
+    One term per nonzero vec_i with i not in key; c is vec_i times the
+    sign of moving e_i past the smaller indices of key.
+    """
+    out = []
+    for i, c in enumerate(vec, start=1):
+        if c and i not in key:
+            q = sum(1 for e in key if e < i)
+            out.append((i, tuple(sorted(key + (i,))), -c if q % 2 else c))
     return out
 
 

@@ -24,10 +24,6 @@ def sub(r: tuple, s: tuple) -> tuple:
     return tuple(a - b for a, b in zip(r, s))
 
 
-def neg(r: tuple) -> tuple:
-    return tuple(-a for a in r)
-
-
 def inf_norm(r: tuple) -> int:
     return max(abs(a) for a in r) if r else 0
 

@@ -11,49 +11,64 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rational import rational
+from .rational import rat, rational
 
 
 class SparseVec(dict):
-    """key -> nonzero rational coefficient; zero entries are dropped."""
+    """key -> nonzero rational coefficient; zero entries are dropped.
+
+    The one sparse accumulator of the package: Laurent polynomials and
+    operators subclass it, tensor elements keep their terms in one, and
+    its arithmetic returns the type it is called on. Sources of terms are
+    dicts or iterables of (key, coeff) pairs, where a key may repeat.
+    """
 
     __slots__ = ()
 
     @classmethod
     def make(cls, items) -> "SparseVec":
         v = cls()
-        for key, c in items.items() if isinstance(items, dict) else items:
-            if c:
-                c0 = v.get(key)
-                c = c + c0 if c0 is not None else c
-                if c:
-                    v[key] = c
-                elif c0 is not None:
-                    del v[key]
+        v.add_pairs(items.items() if isinstance(items, dict) else items)
         return v
 
-    def add_scaled(self, c, other) -> None:
-        # in-place self += c * other
-        if not c:
-            return
-        for key, a in other.items():
-            b = self.get(key)
-            if b is None:
-                self[key] = a * c
-            else:
-                b = b + a * c
-                if b:
-                    self[key] = b
+    def add_pairs(self, pairs) -> None:
+        """In place self += sum of the (key, coeff) pairs."""
+        get = self.get
+        for key, c in pairs:
+            if c:
+                old = get(key)
+                # a new key keeps c itself: 0 + c would build another rational
+                if old is None:
+                    self[key] = c
                 else:
-                    del self[key]
+                    c = c + old
+                    if c:
+                        self[key] = c
+                    else:
+                        del self[key]
 
-    def sorted_items(self):
-        return sorted(self.items())
+    def add_scaled(self, c, other) -> None:
+        """In place self += c * other, other a dict or (key, coeff) pairs."""
+        if c:
+            self.add_pairs((key, a * c) for key, a in
+                           (other.items() if isinstance(other, dict) else other))
+
+    def scaled(self, c):
+        c = rat(c)
+        return type(self)((key, a * c) for key, a in self.items()) if c else type(self)()
+
+    def __add__(self, other):
+        out = type(self)(self)
+        out.add_pairs(other.items())
+        return out
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
 
     def __str__(self):
         if not self:
             return "0"
-        return " + ".join("%s*%s" % (c, key) for key, c in self.sorted_items())
+        return " + ".join("%s*%s" % (c, key) for key, c in sorted(self.items()))
 
 
 def primitive(vec) -> dict:

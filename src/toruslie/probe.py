@@ -97,13 +97,7 @@ def _gen_kernel(gens, vmod, twist) -> list:
         if not any(X.r):
             continue  # zero-shift fields act as scalars on graded rows
         entries = glmod.rank_one(X.r, X.u)
-        table = {}
-        for key in vmod.keys:
-            acc = {}
-            for (i, j), a in entries.items():
-                for key2, b in vmod.unit_table(i, j)[key]:
-                    acc[key2] = acc.get(key2, 0) + a * b
-            table[key] = {key2: c for key2, c in acc.items() if c}
+        table = {key: vmod.matrix_apply(entries, {key: 1}) for key in vmod.keys}
         exact.append((X.r, X.u, dot(X.u, twist), table))
     den = 1
     for _, u, ut, table in exact:
@@ -146,7 +140,8 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     optional GradedSpan every image is known to stay inside (verified
     elsewhere); fullness per exponent is then measured against the hull,
     and the verdict reports filling of the hull's central part. workers
-    is accepted for compatibility; the closure runs in one thread.
+    is accepted and ignored: the closure runs in one thread, and callers
+    outside the package, such as the benchmark, still pass it.
 
     The frontier works on flat indices into a grid padded by the
     generator bound, so a generator step s + r is one integer addition
@@ -302,7 +297,7 @@ def random_image_element(rng, ctx_k, bound: int, max_terms: int = 4):
 
 
 def generation_evidence(ctx, gens, window: Window, depth: int, trials: int,
-                        rng, hull=None, workers: int = 1) -> list:
+                        rng, hull=None) -> list:
     """Closure verdicts from `trials` random central-window seeds."""
     results = []
     for _ in range(trials):
@@ -310,8 +305,7 @@ def generation_evidence(ctx, gens, window: Window, depth: int, trials: int,
             seed = random_image_element(rng, ctx, window.central)
         else:
             seed = random_element(rng, ctx, window.central)
-        results.append(closure([seed], gens, window, depth,
-                               hull=hull, workers=workers))
+        results.append(closure([seed], gens, window, depth, hull=hull))
     return results
 
 
@@ -386,23 +380,14 @@ def kernel_at(s, twist, vmod_k) -> list:
         return [SparseVec({key: ONE}) for key in vmod_k.keys]
 
     def image_of(key):
-        out = {}
-        for i, ci in enumerate(shat, start=1):
-            if not ci:
-                continue
-            hit = glmod.wedge_key(i, key)
-            if hit is None:
-                continue
-            sign, new = hit
-            out[new] = out.get(new, 0) + (ci if sign > 0 else -ci)
-        return {k2: c for k2, c in out.items() if c}
+        # distinct indices i give distinct keys, so no entry repeats
+        return {new: c for _, new, c in glmod.wedge_by(shat, key)}
 
     return kernel_of_map(list(vmod_k.keys), image_of)
 
 
 def maximality_evidence(k: int, twist, gens, window: Window, depth: int,
-                        trials: int, rng, workers: int = 1,
-                        maximality: bool = True) -> dict:
+                        trials: int, rng, maximality: bool = True) -> dict:
     """Simplicity/maximality evidence for the level-k de Rham image.
 
     (i) closures from random image vectors must fill the image's central
@@ -420,7 +405,7 @@ def maximality_evidence(k: int, twist, gens, window: Window, depth: int,
     contained = True
     covered = True
     results = generation_evidence(ctx, gens, window, depth, trials, rng,
-                                  hull=hull, workers=workers)
+                                  hull=hull)
     central = list(box(n, window.central))
     for res in results:
         if res.verdict == FILLS:
@@ -452,7 +437,7 @@ def maximality_evidence(k: int, twist, gens, window: Window, depth: int,
             if not tensor.kernel_member(cand):
                 seeds.append(cand)
                 break
-        res = closure(seeds, gens, window, depth, workers=workers)
+        res = closure(seeds, gens, window, depth)
         report["beyond_kernel_verdict"] = res.verdict
         report["beyond_kernel_rank"] = res.central_rank
         report["beyond_kernel_dim"] = res.central_dim

@@ -193,7 +193,7 @@ def _random_poly(rng, n, bound=2, terms=3) -> LaurentPoly:
 # --------------------------------------------------------------- identities
 
 
-def run_identities(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_identities(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("identities")
     rng = _rng(cfg, "identities")
@@ -271,7 +271,7 @@ def _axiom_modules(cfg: RunConfig) -> list:
     return mods
 
 
-def run_axioms(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_axioms(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("axioms")
     rng = _rng(cfg, "axioms")
@@ -311,7 +311,7 @@ def run_axioms(cfg: RunConfig, workers: int = 1) -> SuiteResult:
 # ------------------------------------------------------------------- derham
 
 
-def run_derham(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_derham(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("derham")
     rng = _rng(cfg, "derham")
@@ -480,7 +480,7 @@ def _double_quad_part(i1, j1, i2, j2, s, r, m):
     return out
 
 
-def run_minuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_minuscule(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("minuscule")
     rng = _rng(cfg, "minuscule")
@@ -675,7 +675,7 @@ def run_minuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
 # ------------------------------------------------------------------ lattice
 
 
-def run_lattice(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_lattice(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("lattice")
     rng = _rng(cfg, "lattice")
@@ -724,7 +724,7 @@ def run_lattice(cfg: RunConfig, workers: int = 1) -> SuiteResult:
 # --------------------------------------------------------------- simplicity
 
 
-def run_simplicity(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_simplicity(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("simplicity")
     rng = _rng(cfg, "simplicity")
@@ -736,8 +736,7 @@ def run_simplicity(cfg: RunConfig, workers: int = 1) -> SuiteResult:
     rec.evidence_used = True
 
     report = probe.maximality_evidence(k, twist, gens, window, cfg.depth,
-                                       10, rng, workers=workers,
-                                       maximality=not integer_twist)
+                                       10, rng, maximality=not integer_twist)
     rec.check("image_simplicity_closure",
               report["fills"] == report["trials"]
               and report["closure_inside_image"] and report["image_covered"],
@@ -766,8 +765,7 @@ def run_simplicity(cfg: RunConfig, workers: int = 1) -> SuiteResult:
     ctx1 = tensor.context(twist, glmod.exterior(n, 1))
     hull1 = tensor.derham_image_graded(1, twist, window.ambient, n)
     seed1 = probe.random_image_element(rng, ctx1, cfg.central)
-    res1 = probe.closure([seed1], gens, window, cfg.depth, hull=hull1,
-                         workers=workers)
+    res1 = probe.closure([seed1], gens, window, cfg.depth, hull=hull1)
     rec.check("level_one_closure_fills", res1.verdict == probe.FILLS,
               "verdict=%s rank=%d/%d" % (res1.verdict, res1.central_rank,
                                          res1.central_dim))
@@ -781,7 +779,7 @@ def run_simplicity(cfg: RunConfig, workers: int = 1) -> SuiteResult:
 # ------------------------------------------------------------- nonminuscule
 
 
-def run_nonminuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("nonminuscule")
     rng = _rng(cfg, "nonminuscule")
@@ -801,7 +799,7 @@ def run_nonminuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
     gens = spanning_generators(n, cfg.gen_bound)
     ctx = tensor.context(twist, vmod)
     results = probe.generation_evidence(ctx, gens, cfg.window, cfg.depth,
-                                        10, rng, workers=workers)
+                                        10, rng)
     fills = sum(1 for r in results if r.verdict == probe.FILLS)
     stuck = [r for r in results if r.verdict == probe.PROPER]
     detail = "fills=%d/%d" % (fills, len(results))
@@ -818,7 +816,7 @@ def run_nonminuscule(cfg: RunConfig, workers: int = 1) -> SuiteResult:
 # ---------------------------------------------------------------------- iso
 
 
-def run_iso(cfg: RunConfig, workers: int = 1) -> SuiteResult:
+def run_iso(cfg: RunConfig) -> SuiteResult:
     started = time.perf_counter()
     rec = Recorder("iso")
     n, twist = cfg.n, cfg.twist
@@ -905,11 +903,13 @@ CHECKS = {
 
 
 def run_suites(cfg: RunConfig, names, workers: int = 1) -> list:
+    """Run the named suites in order. workers is accepted and ignored, as is
+    the command line's --workers: every suite runs in one thread."""
     out = []
     for name in names:
         fn = SUITES.get(name)
         if fn is None:
             raise ValueError("unknown suite %r (known: %s)"
                              % (name, ", ".join(SUITES)))
-        out.append(fn(cfg, workers=workers))
+        out.append(fn(cfg))
     return out

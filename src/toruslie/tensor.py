@@ -4,9 +4,7 @@ Elements live in P (x) V where P is the rank-one twisted Laurent module
 (exponents s, Euler eigenvalues s_i - t_i) and V is a FinModule. Two
 actions of the torus vector fields are implemented:
 
-- style "direct":   D(u,r).(z (x) y) = (D(u,r) z) (x) y + x^r z (x) (r u^T) y,
-  defined for divergence-zero fields on any V and for all fields when V
-  declares an identity scalar;
+- style "direct":   D(u,r).(z (x) y) = (D(u,r) z) (x) y + x^r z (x) (r u^T) y;
 - style "shifted":  the monomial field with exponent r - e_j and direction
   e_j acts by (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w.
 
@@ -38,7 +36,6 @@ from .fields import VectorField
 from .indices import add, box, dot, sub, unit
 from .linalg import SpanBasis, SparseVec
 from .rational import rat, rational
-from .weyl import LaurentPoly
 
 STYLE_DIRECT = "direct"
 STYLE_SHIFTED = "shifted"
@@ -74,43 +71,27 @@ def context(twist, vmod, style=STYLE_DIRECT) -> Context:
 
 
 class TensorElement:
-    """Finite sum of terms coeff * x^s (x) key over a fixed context."""
+    """Finite sum of terms coeff * x^s (x) key over a fixed context.
+
+    terms is a SparseVec keyed by (s, key); the constructor sums a dict or
+    (key, coeff) pairs into a new one.
+    """
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms=None):
+    def __init__(self, ctx: Context, terms=()):
         self.ctx = ctx
-        self.terms = {}
-        if terms:
-            for key, c in terms.items() if isinstance(terms, dict) else terms:
-                if c:
-                    old = self.terms.get(key)
-                    c = c + old if old is not None else c
-                    if c:
-                        self.terms[key] = c
-                    elif old is not None:
-                        del self.terms[key]
+        self.terms = SparseVec.make(terms) if terms else SparseVec()
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def add_term(self, s, vkey, c) -> None:
-        if not c:
-            return
-        key = (s, vkey)
-        old = self.terms.get(key)
-        c = c + old if old is not None else c
-        if c:
-            self.terms[key] = c
-        elif old is not None:
-            del self.terms[key]
+        self.terms.add_pairs((((s, vkey), c),))
 
     def scaled(self, c) -> "TensorElement":
-        c = rat(c)
-        if not c:
-            return TensorElement(self.ctx)
-        return TensorElement(self.ctx, {k: a * c for k, a in self.terms.items()})
+        return _wrap(self.ctx, self.terms.scaled(c))
 
     def _check(self, other):
         if self.ctx != other.ctx:
@@ -118,21 +99,11 @@ class TensorElement:
 
     def __add__(self, other):
         self._check(other)
-        out = TensorElement(self.ctx, dict(self.terms))
-        for key, c in other.terms.items():
-            b = out.terms.get(key)
-            if b is None:
-                out.terms[key] = c
-            else:
-                b = b + c
-                if b:
-                    out.terms[key] = b
-                else:
-                    del out.terms[key]
-        return out
+        return _wrap(self.ctx, self.terms + other.terms)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        self._check(other)
+        return _wrap(self.ctx, self.terms - other.terms)
 
     def __eq__(self, other):
         return (isinstance(other, TensorElement) and self.ctx == other.ctx
@@ -150,12 +121,10 @@ class TensorElement:
         return {s for (s, _) in self.terms}
 
 
-def tensor(ctx: Context, p: LaurentPoly, vvec) -> TensorElement:
-    """Build p (x) v from a Laurent polynomial and a sparse V-vector."""
+def _wrap(ctx: Context, terms: SparseVec) -> TensorElement:
+    """The element over ctx that takes terms as they are, without a copy."""
     out = TensorElement(ctx)
-    for s, a in p.items():
-        for vkey, b in vvec.items():
-            out.add_term(s, vkey, a * b)
+    out.terms = terms
     return out
 
 
@@ -178,8 +147,6 @@ def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
     if ctx.style != STYLE_DIRECT:
         raise ValueError("direct action on a %s-style element" % ctx.style)
     du_den, du = _cleared(X.u)
-    if dot(du, X.r) and ctx.vmod.id_scalar is None:
-        raise ValueError("field with (u|r) != 0 needs an identity scalar on V")
     vmod = ctx.vmod
     r = X.r
     tw_den, dtwist = _cleared(ctx.twist)
@@ -221,18 +188,14 @@ def _cleared(values):
 
 def _from_integers(ctx: Context, acc: dict, den) -> TensorElement:
     """The element with coefficient v / den at each key of acc."""
-    out = TensorElement(ctx)
-    out.terms = {key: rational(v, den) for key, v in acc.items() if v}
-    return out
+    return _wrap(ctx, SparseVec({key: rational(v, den) for key, v in acc.items() if v}))
 
 
 def act_monomial(r, m: TensorElement) -> TensorElement:
     """Multiplication action of the Laurent monomial x^r (exponent shift)."""
     r = tuple(r)
-    out = TensorElement(m.ctx)
-    for (s, vkey), c in m.terms.items():
-        out.add_term(add(s, r), vkey, c)
-    return out
+    return TensorElement(m.ctx, (((add(s, r), vkey), c)
+                                 for (s, vkey), c in m.terms.items()))
 
 
 def act_shifted(j: int, r, m: TensorElement) -> TensorElement:
@@ -249,20 +212,21 @@ def act_shifted(j: int, r, m: TensorElement) -> TensorElement:
     if not 1 <= j <= n:
         raise ValueError("index %d out of range" % j)
     vmod, twist = ctx.vmod, ctx.twist
-    out = TensorElement(ctx)
     ej = unit(j, n)
-    for (s, vkey), c in m.terms.items():
-        c1 = c * (s[j - 1] - twist[j - 1])
-        if c1:
-            out.add_term(add(s, sub(r, ej)), vkey, c1)
-        for i in range(1, n + 1):
-            ri = r[i - 1]
-            if not ri:
-                continue
-            t = add(s, sub(r, unit(i, n)))
-            for vkey2, b in vmod.unit_table(i, j)[vkey]:
-                out.add_term(t, vkey2, c * ri * b)
-    return out
+
+    def terms():
+        for (s, vkey), c in m.terms.items():
+            c1 = c * (s[j - 1] - twist[j - 1])
+            if c1:
+                yield (add(s, sub(r, ej)), vkey), c1
+            for i in range(1, n + 1):
+                ri = r[i - 1]
+                if not ri:
+                    continue
+                t = add(s, sub(r, unit(i, n)))
+                for vkey2, b in vmod.unit_table(i, j)[vkey]:
+                    yield (t, vkey2), c * ri * b
+    return TensorElement(ctx, terms())
 
 
 def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
@@ -271,7 +235,7 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     n = m.ctx.n
     for j, uj in enumerate(X.u, start=1):
         if uj:
-            out = out + act_shifted(j, add(X.r, unit(j, n)), m).scaled(uj)
+            out.terms.add_scaled(uj, act_shifted(j, add(X.r, unit(j, n)), m).terms)
     return out
 
 
@@ -302,19 +266,9 @@ def derham_map(m: TensorElement) -> TensorElement:
     if k >= n:
         raise ValueError("de Rham map undefined above the top exterior power")
     out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
-    twist = ctx.twist
-    out = TensorElement(out_ctx)
-    for (s, vkey), c in m.terms.items():
-        for i in range(1, n + 1):
-            ci = c * (s[i - 1] - twist[i - 1])
-            if not ci:
-                continue
-            hit = glmod.wedge_key(i, vkey)
-            if hit is None:
-                continue
-            sign, new = hit
-            out.add_term(s, new, ci if sign > 0 else -ci)
-    return out
+    return TensorElement(out_ctx, (
+        ((s, new), c * e) for (s, vkey), c in m.terms.items()
+        for _, new, e in glmod.wedge_by(eigen_vector(s, ctx.twist), vkey)))
 
 
 def derham_map_shifted(m: TensorElement) -> TensorElement:
@@ -327,19 +281,9 @@ def derham_map_shifted(m: TensorElement) -> TensorElement:
     if k >= n:
         raise ValueError("de Rham map undefined above the top exterior power")
     out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
-    twist = ctx.twist
-    out = TensorElement(out_ctx)
-    for (s, vkey), c in m.terms.items():
-        for i in range(1, n + 1):
-            ci = c * (s[i - 1] - twist[i - 1])
-            if not ci:
-                continue
-            hit = glmod.wedge_key(i, vkey)
-            if hit is None:
-                continue
-            sign, new = hit
-            out.add_term(sub(s, unit(i, n)), new, ci if sign > 0 else -ci)
-    return out
+    return TensorElement(out_ctx, (
+        ((sub(s, unit(i, n)), new), c * e) for (s, vkey), c in m.terms.items()
+        for i, new, e in glmod.wedge_by(eigen_vector(s, ctx.twist), vkey)))
 
 
 def to_shifted_form(m: TensorElement) -> TensorElement:
@@ -347,22 +291,18 @@ def to_shifted_form(m: TensorElement) -> TensorElement:
     ctx = m.ctx
     if ctx.style != STYLE_DIRECT:
         raise ValueError("element already in shifted form")
-    out = TensorElement(ctx.with_style(STYLE_SHIFTED))
-    vmod = ctx.vmod
-    for (s, vkey), c in m.terms.items():
-        out.add_term(sub(s, vmod.weight_of(vkey)), vkey, c)
-    return out
+    weight = ctx.vmod.weight_of
+    return TensorElement(ctx.with_style(STYLE_SHIFTED), (
+        ((sub(s, weight(vkey)), vkey), c) for (s, vkey), c in m.terms.items()))
 
 
 def from_shifted_form(m: TensorElement) -> TensorElement:
     ctx = m.ctx
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("element already in direct form")
-    out = TensorElement(ctx.with_style(STYLE_DIRECT))
-    vmod = ctx.vmod
-    for (s, vkey), c in m.terms.items():
-        out.add_term(add(s, vmod.weight_of(vkey)), vkey, c)
-    return out
+    weight = ctx.vmod.weight_of
+    return TensorElement(ctx.with_style(STYLE_DIRECT), (
+        ((add(s, weight(vkey)), vkey), c) for (s, vkey), c in m.terms.items()))
 
 
 # ---------------------------------------------------- de Rham image spans
@@ -371,19 +311,6 @@ def from_shifted_form(m: TensorElement) -> TensorElement:
 def eigen_vector(s, twist) -> list:
     """Euler eigenvalue vector of x^s: (s_1 - t_1, ..., s_n - t_n)."""
     return [si - ti for si, ti in zip(s, twist)]
-
-
-def derham_image(p: LaurentPoly, wvec, ctx_k: Context) -> TensorElement:
-    """d applied to p (x) w, with w over exterior k-1: the image generators.
-
-    ctx_k is the target context (exterior k); on a monomial x^s the result
-    is x^s (x) (shat wedge w) with shat the eigenvalue vector of x^s.
-    """
-    k = _exterior_level(ctx_k)
-    if k < 1:
-        raise ValueError("image vectors live in exterior level >= 1")
-    src = ctx_k.with_vmod(glmod.exterior(ctx_k.n, k - 1))
-    return derham_map(tensor(src, p, wvec))
 
 
 class GradedSpan:
@@ -442,19 +369,8 @@ def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
     for s in box(n, bound):
         shat = eigen_vector(s, twist)
         for wkey in lower.keys:
-            vec = SparseVec()
-            for i, ci in enumerate(shat, start=1):
-                if not ci:
-                    continue
-                hit = glmod.wedge_key(i, wkey)
-                if hit is None:
-                    continue
-                sign, new = hit
-                b = vec.get(new, 0) + (ci if sign > 0 else -ci)
-                if b:
-                    vec[new] = b
-                elif new in vec:
-                    del vec[new]
+            # distinct indices i give distinct keys, so no entry repeats
+            vec = SparseVec((new, c) for _, new, c in glmod.wedge_by(shat, wkey))
             if vec:
                 span.insert(s, vec)
     return span
@@ -463,20 +379,6 @@ def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
 def kernel_member(m: TensorElement) -> bool:
     """Membership in the kernel of the de Rham map at the element's level."""
     return derham_map(m).is_zero
-
-
-def weight_split(m: TensorElement) -> dict:
-    """Joint Euler eigenvalue -> graded component of the element."""
-    out = {}
-    twist = m.ctx.twist
-    for (s, vkey), c in m.terms.items():
-        eig = tuple(si - ti for si, ti in zip(s, twist))
-        comp = out.get(eig)
-        if comp is None:
-            comp = TensorElement(m.ctx)
-            out[eig] = comp
-        comp.add_term(s, vkey, c)
-    return out
 
 
 # -------------------------------------------------------------- image probe

@@ -3,8 +3,7 @@
 import random
 
 from toruslie import rat
-from toruslie.fields import (VectorField, adjacent_field,
-                             divergence_zero_generators, bracket,
+from toruslie.fields import (VectorField, adjacent_field, bracket,
                              double_action_check, euler_field, field_apply,
                              pair_field, spanning_generators)
 from toruslie.weyl import LaurentPoly, WeylOp, commutator, operator_apply
@@ -109,7 +108,6 @@ def test_double_action_rewrite_property():
 
 def test_generator_family_sizes():
     assert len(spanning_generators(2, 2)) == 26
-    assert len(divergence_zero_generators(2, 1)) == 10
     # every generator in the full family with r = 0 is an Euler direction
     eulers = [g for g in spanning_generators(3, 1) if not any(g.r)]
     assert len(eulers) == 3

@@ -6,8 +6,9 @@ import random
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from toruslie import rat
+from toruslie import glmod, rat, tensor
 from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map, primitive
+from toruslie.weyl import LaurentPoly, WeylOp
 
 
 def rand_vec(rng, keys, density=0.6):
@@ -164,3 +165,85 @@ def test_spanbasis_and_kernel_agree_with_sympy(data):
     for vec in kernel:
         for row in rows:
             assert sum(rat(row[j]) * c for j, c in vec.items()) == 0
+
+
+# ------------------------------------------------ the one sparse accumulator
+#
+# SparseVec, LaurentPoly, WeylOp and the terms of a TensorElement share one
+# accumulator. A plain dict of Fractions, with zeros dropped once at the
+# end, is the oracle for every way of building and combining them.
+
+COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+EXPS = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+KEYS = {
+    SparseVec: st.integers(0, 2),
+    LaurentPoly: EXPS,
+    WeylOp: st.tuples(EXPS, st.tuples(st.integers(0, 1), st.integers(0, 1))),
+}
+
+
+def dict_sum(*scaled_sources):
+    """Oracle: sum of c * source over (c, source) pairs, zeros dropped."""
+    acc = {}
+    for c, source in scaled_sources:
+        for key, a in (source.items() if isinstance(source, dict) else source):
+            acc[key] = acc.get(key, 0) + c * a
+    return {key: a for key, a in acc.items() if a}
+
+
+def pairs_of(key):
+    """Pair lists over few keys, so repeated keys and cancellation are common."""
+    return st.lists(st.tuples(key, COEFFS), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sparse_accumulator_matches_dict_oracle(data):
+    cls = data.draw(st.sampled_from(list(KEYS)), "type")
+    p = data.draw(pairs_of(KEYS[cls]), "p")
+    q = data.draw(pairs_of(KEYS[cls]), "q")
+    c = data.draw(st.sampled_from([0, 1, -1]) | COEFFS, "c")
+    a, b = cls.make(p), cls.make(dict(q))
+    results = {
+        "make pairs": (a, dict_sum((1, p))),
+        "make dict": (b, dict_sum((1, dict(q)))),
+        "+": (a + b, dict_sum((1, p), (1, dict(q)))),
+        "-": (a - b, dict_sum((1, p), (-1, dict(q)))),
+        "a - a": (a - a, {}),
+        "scaled": (a.scaled(c), dict_sum((c, p))),
+    }
+    for source in (q, dict(q)):
+        v = cls.make(p)
+        v.add_scaled(c, source)
+        results["add_scaled %s" % type(source).__name__] = (v, dict_sum((1, p), (c, source)))
+    for name, (got, want) in results.items():
+        assert type(got) is cls, name
+        assert dict(got) == want, name
+        assert all(got.values()), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tensor_element_terms_use_the_accumulator(data):
+    ctx = tensor.context((rat(1, 3), rat(1, 2)), glmod.natural(2))
+    key = st.tuples(EXPS, st.sampled_from(ctx.vmod.keys))
+    p = data.draw(pairs_of(key), "p")
+    q = data.draw(pairs_of(key), "q")
+    c = data.draw(st.sampled_from([0, -1]) | COEFFS, "c")
+    a, b = tensor.TensorElement(ctx, p), tensor.TensorElement(ctx, dict(q))
+    built = tensor.TensorElement(ctx)
+    for (s, vkey), coeff in q:
+        built.add_term(s, vkey, coeff)
+    results = {
+        "init pairs": (a, dict_sum((1, p))),
+        "init dict": (b, dict_sum((1, dict(q)))),
+        "add_term": (built, dict_sum((1, q))),
+        "+": (a + b, dict_sum((1, p), (1, dict(q)))),
+        "-": (a - b, dict_sum((1, p), (-1, dict(q)))),
+        "scaled": (a.scaled(c), dict_sum((c, p))),
+    }
+    for name, (got, want) in results.items():
+        assert type(got) is tensor.TensorElement and got.ctx == ctx, name
+        assert type(got.terms) is SparseVec, name
+        assert dict(got.terms) == want, name
+        assert all(got.terms.values()), name

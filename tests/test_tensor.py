@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, bracket, pair_field, spanning_generators
-from toruslie.indices import add, dot
+from toruslie.indices import add, dot, sub, unit
 from toruslie.linalg import SparseVec
 from toruslie.rational import rational
-from toruslie.tensor import STYLE_DIRECT, TensorElement, eigen_vector
-from toruslie.weyl import LaurentPoly
+from toruslie.tensor import (STYLE_DIRECT, STYLE_SHIFTED, TensorElement,
+                             _exterior_level, eigen_vector)
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
@@ -133,8 +133,8 @@ def test_chain_map_intertwines_general_fields():
 
 
 def test_derham_image_and_graded_ranks():
-    img = tensor.derham_image(LaurentPoly.monomial((1, 0)), {(): rat(1)},
-                              tensor.context(ZERO2, glmod.exterior(2, 1)))
+    scalars = tensor.context(ZERO2, glmod.exterior(2, 0))
+    img = tensor.derham_map(tensor.basis_element(scalars, (1, 0), ()))
     assert img.terms == {((1, 0), (1,)): rat(1)}
 
     assert tensor.derham_image_graded(1, ZERO2, 1, 2).total_rank() == 8
@@ -194,17 +194,6 @@ def test_graded_action_keeps_image_invariant():
             img = tensor.act_direct(g, m)
             if not img.is_zero:
                 assert span.contains_element(img)
-
-
-def test_weight_split_components_sum_back():
-    ctx = tensor.context(GEN2, glmod.natural(2))
-    rng = random.Random(20)
-    m = probe.random_element(rng, ctx, 2)
-    parts = tensor.weight_split(m)
-    total = tensor.TensorElement(ctx)
-    for part in parts.values():
-        total = total + part
-    assert total == m
 
 
 # ------------------------------------------- Fraction oracles, differential
@@ -355,3 +344,101 @@ def test_direct_action_rejects_shifted_elements_like_the_oracle():
     want = "ValueError: direct action on a shifted-style element"
     assert outcome(tensor.act_direct, X, m) == want
     assert outcome(fraction_act_direct, X, m) == want
+
+
+# ------------------------------------------ wedge-by-eigenvalue, differential
+#
+# The de Rham maps below are the per-index bodies that glmod.wedge_by
+# replaced, kept as an independent path together with the wedge_key
+# helper they called; the maps must give equal elements.
+
+
+def wedge_key(i: int, key: tuple):
+    """e_i wedge e_key -> (sign, new key), or None when i already occurs."""
+    if i in key:
+        return None
+    q = sum(1 for e in key if e < i)
+    return (-1 if q % 2 else 1, tuple(sorted(key + (i,))))
+
+
+def oracle_derham_map(m: TensorElement) -> TensorElement:
+    """d: p (x) w -> sum_i (d_i p) (x) (e_i wedge w), exterior k -> k+1."""
+    ctx = m.ctx
+    k = _exterior_level(ctx)
+    n = ctx.n
+    if ctx.style != STYLE_DIRECT:
+        raise ValueError("the unshifted de Rham map needs a direct-style element")
+    if k >= n:
+        raise ValueError("de Rham map undefined above the top exterior power")
+    out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
+    twist = ctx.twist
+    out = TensorElement(out_ctx)
+    for (s, vkey), c in m.terms.items():
+        for i in range(1, n + 1):
+            ci = c * (s[i - 1] - twist[i - 1])
+            if not ci:
+                continue
+            hit = wedge_key(i, vkey)
+            if hit is None:
+                continue
+            sign, new = hit
+            out.add_term(s, new, ci if sign > 0 else -ci)
+    return out
+
+
+def oracle_derham_map_shifted(m: TensorElement) -> TensorElement:
+    """Shifted-style variant: p (x) w -> sum_i (x^{-e_i} d_i p) (x) (e_i wedge w)."""
+    ctx = m.ctx
+    k = _exterior_level(ctx)
+    n = ctx.n
+    if ctx.style != STYLE_SHIFTED:
+        raise ValueError("shifted de Rham map needs a shifted-style element")
+    if k >= n:
+        raise ValueError("de Rham map undefined above the top exterior power")
+    out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
+    twist = ctx.twist
+    out = TensorElement(out_ctx)
+    for (s, vkey), c in m.terms.items():
+        for i in range(1, n + 1):
+            ci = c * (s[i - 1] - twist[i - 1])
+            if not ci:
+                continue
+            hit = wedge_key(i, vkey)
+            if hit is None:
+                continue
+            sign, new = hit
+            out.add_term(sub(s, unit(i, n)), new, ci if sign > 0 else -ci)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_derham_maps_match_per_index_oracles(data):
+    n = data.draw(st.integers(2, 4), "n")
+    k = data.draw(st.integers(0, n), "k")    # k = n is out of range
+    ctx = tensor.context(data.draw(twists(n), "twist"), glmod.exterior(n, k))
+    m = data.draw(elements(ctx), "element")
+    assert outcome(tensor.derham_map, m) == outcome(oracle_derham_map, m)
+    ms = data.draw(elements(ctx.with_style(STYLE_SHIFTED)), "shifted element")
+    assert outcome(tensor.derham_map_shifted, ms) \
+        == outcome(oracle_derham_map_shifted, ms)
+
+
+def permutation_sign(seq) -> int:
+    """Sign of the permutation that sorts seq, by counting inversions."""
+    inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq))
+                     if seq[a] > seq[b])
+    return -1 if inversions % 2 else 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_wedge_by_on_every_exterior_key(data):
+    n = data.draw(st.integers(2, 4), "n")
+    # eigenvalue vectors with zero entries, as at degrees on the twist
+    vec = data.draw(st.lists(st.just(0) | SMALL, min_size=n, max_size=n), "vec")
+    for k in range(n + 1):
+        for key in glmod.exterior(n, k).keys:
+            want = [(i, tuple(sorted(key + (i,))), permutation_sign((i,) + key) * c)
+                    for i, c in enumerate(vec, start=1) if c and i not in key]
+            assert glmod.wedge_by(vec, key) == want
