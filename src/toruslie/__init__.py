@@ -13,8 +13,7 @@ from .glmod import (FinModule, adjoint, exterior, module_from_name, natural,
                     rank_one, symmetric, trivial)
 from .linalg import SparseVec, SpanBasis, kernel_of_map
 from .probe import (ClosureResult, PolyFamily, Window, closure, coeff_extract,
-                    generation_evidence, iso_evidence, lattice_scalar,
-                    maximality_evidence, random_element)
+                    generation_evidence, iso_evidence, random_element)
 from .rational import ONE, ZERO, parse_tuple, rat, rat_str
 from .suites import CHECKS, SUITES, RunConfig, SuiteResult, run_suites
 from .tensor import (Context, GradedSpan, TensorElement, act, act_direct,

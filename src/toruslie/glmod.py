@@ -86,7 +86,6 @@ class FinModule:
         self.kind = kind
         self.n = n
         self.keys = tuple(keys)
-        self.key_index = {key: i for i, key in enumerate(self.keys)}
         self._weight_fn = weight_fn
         self._unit_fn = unit_fn
         self.id_scalar = id_scalar

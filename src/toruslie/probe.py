@@ -188,7 +188,7 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
             central[t] = 1
             central_dim += target[t]
 
-    span = tensor.GradedSpan(vmod.dim)
+    span = tensor.GradedSpan()
     log = ["closure n=%d module=%s twist=(%s) window=%d+%d depth=%d gens=%d"
            % (n, "-".join(map(str, vmod.kind)), ",".join(map(str, twist)),
               window.central, window.margin, depth, len(gens))]
@@ -264,13 +264,21 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
 # ------------------------------------------------------------- randomness
 
 
+def _random_terms(rng, ctx, bound: int, max_terms: int) -> tensor.TensorElement:
+    """1..max_terms random window terms, coefficients in +-{1..3}.
+
+    Each term draws its exponent, then its key, then its coefficient."""
+    keys = ctx.vmod.keys
+    return tensor.TensorElement(ctx, [
+        ((tuple(rng.randint(-bound, bound) for _ in range(ctx.n)),
+          keys[rng.randrange(len(keys))]),
+         rat(rng.choice([-3, -2, -1, 1, 2, 3])))
+        for _ in range(rng.randint(1, max_terms))])
+
+
 def random_element(rng, ctx, bound: int, max_terms: int = 4) -> tensor.TensorElement:
-    """Random window element: <= max_terms terms, coefficients in +-{1..3}."""
-    out = tensor.TensorElement(ctx)
-    for _ in range(rng.randint(1, max_terms)):
-        s = tuple(rng.randint(-bound, bound) for _ in range(ctx.n))
-        vkey = ctx.vmod.keys[rng.randrange(ctx.vmod.dim)]
-        out.add_term(s, vkey, rat(rng.choice([-3, -2, -1, 1, 2, 3])))
+    """Random nonzero window element of at most max_terms terms."""
+    out = _random_terms(rng, ctx, bound, max_terms)
     if out.is_zero:
         out.add_term(zero(ctx.n), ctx.vmod.keys[0], ONE)
     return out
@@ -278,16 +286,9 @@ def random_element(rng, ctx, bound: int, max_terms: int = 4) -> tensor.TensorEle
 
 def random_image_element(rng, ctx_k, bound: int, max_terms: int = 4):
     """Random element of the level-k de Rham image supported in the window."""
-    k = ctx_k.vmod.kind[1]
-    lower = glmod.exterior(ctx_k.n, k - 1)
-    src = ctx_k.with_vmod(lower)
+    src = ctx_k.with_vmod(glmod.exterior(ctx_k.n, ctx_k.vmod.kind[1] - 1))
     for _ in range(64):
-        m = tensor.TensorElement(src)
-        for _ in range(rng.randint(1, max_terms)):
-            s = tuple(rng.randint(-bound, bound) for _ in range(ctx_k.n))
-            wkey = lower.keys[rng.randrange(lower.dim)]
-            m.add_term(s, wkey, rat(rng.choice([-3, -2, -1, 1, 2, 3])))
-        img = tensor.derham_map(m)
+        img = tensor.derham_map(_random_terms(rng, src, bound, max_terms))
         if not img.is_zero:
             return img
     raise RuntimeError("could not sample a nonzero image element")
@@ -312,63 +313,11 @@ def generation_evidence(ctx, gens, window: Window, depth: int, trials: int,
 def euler_span_scalar(twist, bound: int, n: int) -> tensor.GradedSpan:
     """Graded window span of all Euler images inside P (x) trivial."""
     twist = tuple(rat(t) for t in twist)
-    span = tensor.GradedSpan(1)
+    span = tensor.GradedSpan()
     for s in box(n, bound):
         if any(si != ti for si, ti in zip(s, twist)):
             span.insert(s, SparseVec({(): ONE}))
     return span
-
-
-def lattice_scalar(twist, gens, window: Window, depth: int, trials: int,
-                   rng) -> dict:
-    """Scalar-coefficient module structure over the exponent lattice.
-
-    Exact part: every generator image of every central basis vector lands in
-    the Euler-image span (the quotient by it carries the zero action), and
-    for an integer twist the missed line x^twist (x) 1 is itself killed by
-    every generator. Evidence part (twist off the lattice): the Euler span
-    fills the window and every random seed generates it.
-    """
-    twist = tuple(rat(t) for t in twist)
-    n = len(twist)
-    vmod = glmod.trivial(n)
-    ctx = tensor.context(twist, vmod)
-    ambient = window.ambient
-    hspan = euler_span_scalar(twist, ambient, n)
-    report = {"n": n, "integer_twist": all(t.denominator == 1 for t in twist)}
-
-    bad = 0
-    checked = 0
-    for s in box(n, window.central):
-        m = tensor.basis_element(ctx, s, ())
-        for X in gens:
-            img = tensor.act_direct(X, m)
-            checked += 1
-            if not img.is_zero and not hspan.contains_element(img):
-                bad += 1
-    report["quotient_checks"] = checked
-    report["quotient_failures"] = bad
-
-    central = list(box(n, window.central))
-    central_rank = hspan.rank_in(central)
-    report["central_dim"] = len(central)
-    report["euler_central_rank"] = central_rank
-
-    if report["integer_twist"]:
-        # the Euler span misses only the line x^twist (x) 1, so the central
-        # codimension is 1 when that line sits in the central box, else 0
-        line = tuple(int(t) for t in twist)
-        report["codim"] = len(central) - central_rank
-        report["line_in_window"] = inside(line, window.central)
-        fixed = tensor.basis_element(ctx, line, ())
-        report["fixed_line_killed"] = all(
-            tensor.act_direct(X, fixed).is_zero for X in gens)
-    else:
-        results = generation_evidence(ctx, gens, window, depth, trials, rng)
-        report["trials"] = trials
-        report["fills"] = sum(1 for r in results if r.verdict == FILLS)
-        report["verdicts"] = [r.verdict for r in results]
-    return report
 
 
 def kernel_at(s, twist, vmod_k) -> list:
@@ -384,64 +333,6 @@ def kernel_at(s, twist, vmod_k) -> list:
         return {new: c for _, new, c in glmod.wedge_by(shat, key)}
 
     return kernel_of_map(list(vmod_k.keys), image_of)
-
-
-def maximality_evidence(k: int, twist, gens, window: Window, depth: int,
-                        trials: int, rng, maximality: bool = True) -> dict:
-    """Simplicity/maximality evidence for the level-k de Rham image.
-
-    (i) closures from random image vectors must fill the image's central
-    window part (rank target = the image's own graded ranks), verified both
-    ways by membership; (ii) when maximality is set, the kernel's window
-    part plus one vector outside the kernel must generate the full central
-    window.
-    """
-    n = len(twist)
-    ctx = tensor.context(twist, glmod.exterior(n, k))
-    hull = tensor.derham_image_graded(k, twist, window.ambient, n)
-    report = {"k": k, "n": n}
-
-    fills = 0
-    contained = True
-    covered = True
-    results = generation_evidence(ctx, gens, window, depth, trials, rng,
-                                  hull=hull)
-    central = list(box(n, window.central))
-    for res in results:
-        if res.verdict == FILLS:
-            fills += 1
-        for s, mini in res.span.spans.items():
-            for row in mini.rows:
-                if not hull.mini(s).contains(row):
-                    contained = False
-        for s in central:
-            for row in hull.rows_at(s):
-                if not res.span.mini(s).contains(row):
-                    covered = False
-    report["trials"] = trials
-    report["fills"] = fills
-    report["closure_inside_image"] = contained
-    report["image_covered"] = covered
-    report["central_rank"] = max(r.central_rank for r in results)
-    report["central_dim"] = results[0].central_dim
-
-    if maximality:
-        # (ii) kernel window part plus a vector outside the kernel
-        seeds = []
-        for s in box(n, window.central):
-            for vec in kernel_at(s, twist, ctx.vmod):
-                seeds.append(tensor.TensorElement(
-                    ctx, {(s, key): c for key, c in vec.items()}))
-        for _ in range(64):
-            cand = random_element(rng, ctx, window.central)
-            if not tensor.kernel_member(cand):
-                seeds.append(cand)
-                break
-        res = closure(seeds, gens, window, depth)
-        report["beyond_kernel_verdict"] = res.verdict
-        report["beyond_kernel_rank"] = res.central_rank
-        report["beyond_kernel_dim"] = res.central_dim
-    return report
 
 
 # ----------------------------------------------- interpolation extraction
@@ -557,23 +448,15 @@ def lattice_fingerprint(twist) -> tuple:
     return tuple(out)
 
 
-def iso_evidence(twist1, vmod1, twist2, vmod2) -> dict:
-    """Computable fingerprints separating non-isomorphic tensor modules.
+def iso_evidence(twist1, vmod1, twist2, vmod2):
+    """The fingerprint that separates two tensor modules, or None.
 
     Same eigenvalue lattice (twists congruent mod Z^n) and same finite
-    module character are necessary for isomorphism; a mismatch in either is
-    an exact distinction.
+    module character are necessary for isomorphism; a mismatch in either,
+    "eigenvalue-lattice" or "character", is an exact distinction.
     """
-    lat1, lat2 = lattice_fingerprint(twist1), lattice_fingerprint(twist2)
-    ch1, ch2 = vmod1.character(), vmod2.character()
-    separated = None
-    if lat1 != lat2:
-        separated = "eigenvalue-lattice"
-    elif ch1 != ch2:
-        separated = "character"
-    return {
-        "lattice": [tuple(str(c) for c in lat1), tuple(str(c) for c in lat2)],
-        "characters_equal": ch1 == ch2,
-        "verdict": "DISTINGUISHED" if separated else "EQUAL",
-        "separated_by": separated,
-    }
+    if lattice_fingerprint(twist1) != lattice_fingerprint(twist2):
+        return "eigenvalue-lattice"
+    if vmod1.character() != vmod2.character():
+        return "character"
+    return None

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import glmod, probe, tensor
 from .fields import (VectorField, adjacent_field, bracket, double_action_check,
                      euler_field, field_apply, pair_field, spanning_generators)
-from .indices import add, box, dot, sub, unit, zero
+from .indices import add, box, dot, inside, sub, unit, zero
 from .linalg import SpanBasis, SparseVec, kernel_of_map
 from .rational import ONE, rat, rat_str
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
@@ -94,39 +94,18 @@ class RunConfig:
 
 @dataclass
 class SuiteResult:
+    """One suite's check outcomes, counters and replayable log."""
+
     name: str
-    status: str
-    counters: dict
-    time_ms: int
+    evidence_used: bool = False
+    counters: dict = field(default_factory=lambda: {"checks": 0})
+    time_ms: int = 0
     log: list = field(default_factory=list, repr=False)
     failures: list = field(default_factory=list)
 
     @property
-    def log_digest(self) -> str:
-        return hashlib.sha256("\n".join(self.log).encode()).hexdigest()
-
-    def to_dict(self, timings: bool = False) -> dict:
-        out = {
-            "name": self.name,
-            "status": self.status,
-            "counters": dict(sorted(self.counters.items())),
-            "timeMs": self.time_ms if timings else 0,
-            "logDigest": self.log_digest,
-        }
-        if self.failures:
-            out["failures"] = self.failures[:20]
-        return out
-
-
-class Recorder:
-    """Accumulates check outcomes, counters and a replayable log."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.log = []
-        self.failures = []
-        self.counters = {"checks": 0}
-        self.evidence_used = False
+    def status(self) -> str:
+        return FAIL if self.failures else (EVIDENCE if self.evidence_used else PASS)
 
     def check(self, label: str, ok: bool, detail: str = "") -> bool:
         self.counters["checks"] += 1
@@ -147,11 +126,21 @@ class Recorder:
     def tally(self, key: str, value) -> None:
         self.counters[key] = value
 
-    def result(self, started: float) -> SuiteResult:
-        status = FAIL if self.failures else (EVIDENCE if self.evidence_used else PASS)
-        ms = int((time.perf_counter() - started) * 1000)
-        return SuiteResult(self.name, status, self.counters, ms,
-                           self.log, self.failures)
+    @property
+    def log_digest(self) -> str:
+        return hashlib.sha256("\n".join(self.log).encode()).hexdigest()
+
+    def to_dict(self, timings: bool = False) -> dict:
+        out = {
+            "name": self.name,
+            "status": self.status,
+            "counters": dict(sorted(self.counters.items())),
+            "timeMs": self.time_ms if timings else 0,
+            "logDigest": self.log_digest,
+        }
+        if self.failures:
+            out["failures"] = self.failures[:20]
+        return out
 
 
 def _rng(cfg: RunConfig, name: str) -> random.Random:
@@ -194,8 +183,7 @@ def _random_poly(rng, n, bound=2, terms=3) -> LaurentPoly:
 
 
 def run_identities(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("identities")
+    rec = SuiteResult("identities")
     rng = _rng(cfg, "identities")
 
     for n in (2, 3, 4):
@@ -255,7 +243,7 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
             rec.check("semidirect_commutator", lhs == rhs,
                       "X=%r s=%s" % (X, s))
         rec.bump("instances", 35)
-    return rec.result(started)
+    return rec
 
 
 # ------------------------------------------------------------------- axioms
@@ -272,8 +260,7 @@ def _axiom_modules(cfg: RunConfig) -> list:
 
 
 def run_axioms(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("axioms")
+    rec = SuiteResult("axioms")
     rng = _rng(cfg, "axioms")
     n, twist = cfg.n, cfg.twist
 
@@ -305,18 +292,16 @@ def run_axioms(cfg: RunConfig) -> SuiteResult:
     except ValueError:
         mixed_ok = True
     rec.check("context_mixing_rejected", mixed_ok)
-    return rec.result(started)
+    return rec
 
 
 # ------------------------------------------------------------------- derham
 
 
 def run_derham(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("derham")
+    rec = SuiteResult("derham")
     rng = _rng(cfg, "derham")
-    n, twist = cfg.n, cfg.twist
-    B = cfg.central
+    n, twist, B = cfg.n, cfg.twist, cfg.central
 
     central = list(box(n, B))
     for k in range(0, n):
@@ -361,7 +346,6 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
                       tensor.from_shifted_form(phi_m) == m, "roundtrip k=%d" % k)
 
     # window image spans, exactness per degree
-    central = list(box(n, B))
     for k in range(1, n + 1):
         target = glmod.exterior(n, k)
         span = tensor.derham_image_graded(k, twist, B, n)
@@ -387,7 +371,7 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
         rec.check("image_kernel_exactness", exact and rank == expected,
                   "k=%d rank=%d expected=%d" % (k, rank, expected))
     rec.tally("dim", len(central))
-    return rec.result(started)
+    return rec
 
 
 # ---------------------------------------------------------------- minuscule
@@ -410,17 +394,17 @@ def _double_matrix_tail(i, s, m):
     """sum_l d_l(x^s p) (x) E_{l,i+2} E_{i,i+1} w, termwise over m."""
     ctx = m.ctx
     n, twist, vmod = ctx.n, ctx.twist, ctx.vmod
-    out = tensor.TensorElement(ctx)
-    for (t, vkey), c in m.terms.items():
-        texp = add(t, s)
-        for key2, b in vmod.unit_table(i, i + 1)[vkey]:
-            for l in range(1, n + 1):
-                cl = t[l - 1] - twist[l - 1] + s[l - 1]
-                if not cl:
-                    continue
-                for key3, b2 in vmod.unit_table(l, i + 2)[key2]:
-                    out.add_term(texp, key3, c * cl * b * b2)
-    return out
+
+    def terms():
+        for (t, vkey), c in m.terms.items():
+            texp = add(t, s)
+            for key2, b in vmod.unit_table(i, i + 1)[vkey]:
+                for l in range(1, n + 1):
+                    cl = t[l - 1] - twist[l - 1] + s[l - 1]
+                    if cl:
+                        for key3, b2 in vmod.unit_table(l, i + 2)[key2]:
+                            yield (texp, key3), c * cl * (b * b2)
+    return tensor.TensorElement(ctx, terms())
 
 
 def _composition_tail(i, s, m):
@@ -428,19 +412,19 @@ def _composition_tail(i, s, m):
     powers, where no vector survives losing its (i+1)-index twice."""
     ctx = m.ctx
     n, vmod = ctx.n, ctx.vmod
-    out = tensor.TensorElement(ctx)
     si2 = s[i + 1]
     if not si2:
-        return out
-    for (t, vkey), c in m.terms.items():
-        texp = add(t, s)
-        for key2, b in vmod.unit_table(i, i + 1)[vkey]:
-            for l in range(1, n + 1):
-                if not s[l - 1]:
-                    continue
-                for key3, b2 in vmod.unit_table(l, i + 1)[key2]:
-                    out.add_term(texp, key3, -c * si2 * s[l - 1] * b * b2)
-    return out
+        return tensor.TensorElement(ctx)
+
+    def terms():
+        for (t, vkey), c in m.terms.items():
+            texp = add(t, s)
+            for key2, b in vmod.unit_table(i, i + 1)[vkey]:
+                for l in range(1, n + 1):
+                    if s[l - 1]:
+                        for key3, b2 in vmod.unit_table(l, i + 1)[key2]:
+                            yield (texp, key3), c * (-si2 * s[l - 1] * b * b2)
+    return tensor.TensorElement(ctx, terms())
 
 
 def _square_coeff_expected(i, s, m):
@@ -451,38 +435,25 @@ def _square_coeff_expected(i, s, m):
             + _composition_tail(i, s, m))
 
 
-def _pair_quad(i, j, r, n):
+def _pair_quad(i, j, r):
     """Quadratic-in-r matrix r_l r_j E_{l,i} - r_l r_i E_{l,j} as entries."""
-    out = {}
-    for l in range(1, n + 1):
-        rl = r[l - 1]
-        if not rl:
-            continue
-        if r[j - 1]:
-            out[(l, i)] = out.get((l, i), 0) + rl * r[j - 1]
-        if r[i - 1]:
-            out[(l, j)] = out.get((l, j), 0) - rl * r[i - 1]
-    return {k: v for k, v in out.items() if v}
+    return SparseVec.make(
+        pair for l, rl in enumerate(r, start=1)
+        for pair in (((l, i), rl * r[j - 1]), ((l, j), -rl * r[i - 1])))
 
 
 def _double_quad_part(i1, j1, i2, j2, s, r, m):
     """Pure double-matrix summand of D_{(i2,j2),s-r} D_{(i1,j1),r} on m."""
-    ctx = m.ctx
-    vmod, n = ctx.vmod, ctx.n
-    q1 = _pair_quad(i1, j1, r, n)
-    q2 = _pair_quad(i2, j2, r, n)
-    out = tensor.TensorElement(ctx)
-    for (t, vkey), c in m.terms.items():
-        mid = vmod.matrix_apply(q1, SparseVec({vkey: rat(c)}))
-        fin = vmod.matrix_apply(q2, mid)
-        for key2, b in fin.items():
-            out.add_term(add(t, s), key2, b)
-    return out
+    vmod = m.ctx.vmod
+    q1, q2 = _pair_quad(i1, j1, r), _pair_quad(i2, j2, r)
+    return tensor.TensorElement(m.ctx, (
+        ((add(t, s), key2), b) for (t, vkey), c in m.terms.items()
+        for key2, b in vmod.matrix_apply(
+            q2, vmod.matrix_apply(q1, SparseVec({vkey: rat(c)}))).items()))
 
 
 def run_minuscule(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("minuscule")
+    rec = SuiteResult("minuscule")
     rng = _rng(cfg, "minuscule")
     n, twist, B = cfg.n, cfg.twist, cfg.central
     gens = spanning_generators(n, cfg.gen_bound)
@@ -669,47 +640,64 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
 
     rec.tally("max_rank", max_rank)
     rec.tally("dim", len(central) * max(glmod.exterior(n, k).dim for k in ks))
-    return rec.result(started)
+    return rec
 
 
 # ------------------------------------------------------------------ lattice
 
 
 def run_lattice(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("lattice")
+    rec = SuiteResult("lattice")
     rng = _rng(cfg, "lattice")
-    n, twist = cfg.n, cfg.twist
+    n, twist, B = cfg.n, cfg.twist, cfg.central
     gens = spanning_generators(n, cfg.gen_bound)
     window = cfg.window
+    ctx = tensor.context(twist, glmod.trivial(n))
 
-    report = probe.lattice_scalar(twist, gens, window, cfg.depth, 10, rng)
-    rec.check("scalar_quotient_trivial", report["quotient_failures"] == 0,
-              "failures=%d/%d" % (report["quotient_failures"],
-                                  report["quotient_checks"]))
-    rec.tally("max_rank", report["euler_central_rank"])
-    rec.tally("dim", report["central_dim"])
-    if report["integer_twist"]:
-        want = 1 if report["line_in_window"] else 0
-        rec.check("integer_twist_fixed_line",
-                  report["codim"] == want and report["fixed_line_killed"],
-                  "codim=%d want=%d killed=%s" % (report["codim"], want,
-                                                  report["fixed_line_killed"]))
+    # exact: every generator image of a central basis vector lands in the
+    # Euler-image span, so the quotient by it carries the zero action
+    hspan = probe.euler_span_scalar(twist, window.ambient, n)
+    central = list(box(n, B))
+    bad = 0
+    for s in central:
+        m = tensor.basis_element(ctx, s, ())
+        for X in gens:
+            img = tensor.act_direct(X, m)
+            if not img.is_zero and not hspan.contains_element(img):
+                bad += 1
+    rec.check("scalar_quotient_trivial", bad == 0,
+              "failures=%d/%d" % (bad, len(central) * len(gens)))
+    rank = hspan.rank_in(central)
+    rec.tally("max_rank", rank)
+    rec.tally("dim", len(central))
+    if all(t.denominator == 1 for t in twist):
+        # the Euler span misses only the line x^twist (x) 1, itself killed
+        # by every generator, so the central codimension is 1 when that
+        # line sits in the central box, else 0
+        line = tuple(int(t) for t in twist)
+        want = 1 if inside(line, B) else 0
+        fixed = tensor.basis_element(ctx, line, ())
+        killed = all(tensor.act_direct(X, fixed).is_zero for X in gens)
+        codim = len(central) - rank
+        rec.check("integer_twist_fixed_line", codim == want and killed,
+                  "codim=%d want=%d killed=%s" % (codim, want, killed))
     else:
+        # evidence: the Euler span fills the window, and every random seed
+        # generates it
         rec.evidence_used = True
-        full = report["euler_central_rank"] == report["central_dim"]
+        results = probe.generation_evidence(ctx, gens, window, cfg.depth, 10, rng)
+        fills = sum(1 for r in results if r.verdict == probe.FILLS)
         rec.check("generic_twist_generates",
-                  full and report["fills"] == report["trials"],
+                  rank == len(central) and fills == len(results),
                   "fills=%d/%d euler_rank=%d/%d" % (
-                      report["fills"], report["trials"],
-                      report["euler_central_rank"], report["central_dim"]))
+                      fills, len(results), rank, len(central)))
 
     # top exterior level mirrors the scalar picture through the image span
     top = glmod.exterior(n, n)
     ctx = tensor.context(twist, top)
-    span = tensor.derham_image_graded(n, twist, cfg.central + cfg.gen_bound, n)
+    span = tensor.derham_image_graded(n, twist, B + cfg.gen_bound, n)
     ok = True
-    for s in box(n, cfg.central):
+    for s in central:
         shat = tensor.eigen_vector(s, twist)
         ok = ok and span.rank_at(s) == (1 if any(shat) else 0)
         m = tensor.basis_element(ctx, s, top.keys[0])
@@ -718,77 +706,87 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
             if not img.is_zero and not span.contains_element(img):
                 ok = False
     rec.check("top_level_matches_scalar", ok)
-    return rec.result(started)
+    return rec
 
 
 # --------------------------------------------------------------- simplicity
 
 
 def run_simplicity(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("simplicity")
+    rec = SuiteResult("simplicity", evidence_used=True)
     rng = _rng(cfg, "simplicity")
-    n, twist = cfg.n, cfg.twist
+    n, twist, B = cfg.n, cfg.twist, cfg.central
     k = cfg.k if cfg.k else n - 1
     gens = spanning_generators(n, cfg.gen_bound)
     window = cfg.window
-    integer_twist = all(t.denominator == 1 for t in twist)
-    rec.evidence_used = True
+    central = list(box(n, B))
 
-    report = probe.maximality_evidence(k, twist, gens, window, cfg.depth,
-                                       10, rng, maximality=not integer_twist)
+    # closures from random level-k image vectors fill the image's central
+    # part (the rank target is the image's own graded ranks), verified
+    # both ways by membership
+    ctx = tensor.context(twist, glmod.exterior(n, k))
+    hull = tensor.derham_image_graded(k, twist, window.ambient, n)
+    results = probe.generation_evidence(ctx, gens, window, cfg.depth, 10, rng,
+                                        hull=hull)
+    fills = sum(1 for r in results if r.verdict == probe.FILLS)
+    contained = all(hull.mini(s).contains(row) for r in results
+                    for s, mini in r.span.spans.items() for row in mini.rows)
+    covered = all(r.span.mini(s).contains(row) for r in results
+                  for s in central for row in hull.rows_at(s))
     rec.check("image_simplicity_closure",
-              report["fills"] == report["trials"]
-              and report["closure_inside_image"] and report["image_covered"],
+              fills == len(results) and contained and covered,
               "fills=%d/%d inside=%s covered=%s" % (
-                  report["fills"], report["trials"],
-                  report["closure_inside_image"], report["image_covered"]))
-    if not integer_twist:
-        rec.check("image_maximality_closure",
-                  report["beyond_kernel_verdict"] == probe.FILLS,
-                  "verdict=%s rank=%d/%d" % (
-                      report["beyond_kernel_verdict"],
-                      report.get("beyond_kernel_rank", 0),
-                      report.get("beyond_kernel_dim", 0)))
-    else:
+                  fills, len(results), contained, covered))
+    if all(t.denominator == 1 for t in twist):
         rec.note("maximality closure skipped for an integer twist")
+    else:
+        # the kernel's window part plus one vector outside the kernel must
+        # generate the full central window
+        seeds = [tensor.TensorElement(ctx, {(s, key): c for key, c in vec.items()})
+                 for s in central for vec in probe.kernel_at(s, twist, ctx.vmod)]
+        for _ in range(64):
+            cand = probe.random_element(rng, ctx, B)
+            if not tensor.kernel_member(cand):
+                seeds.append(cand)
+                break
+        beyond = probe.closure(seeds, gens, window, cfg.depth)
+        rec.check("image_maximality_closure", beyond.verdict == probe.FILLS,
+                  "verdict=%s rank=%d/%d" % (beyond.verdict, beyond.central_rank,
+                                             beyond.central_dim))
 
     # level-one image is one line per admissible exponent
-    line = tensor.derham_image_graded(1, twist, cfg.central, n)
+    hull1 = tensor.derham_image_graded(1, twist, window.ambient, n)
     ok = True
-    for s in box(n, cfg.central):
+    for s in central:
         shat = tensor.eigen_vector(s, twist)
-        ok = ok and line.rank_at(s) == (1 if any(shat) else 0)
+        ok = ok and hull1.rank_at(s) == (1 if any(shat) else 0)
     rec.check("image_rank_pattern", ok)
 
     # and one vector of it regenerates the whole window part
     ctx1 = tensor.context(twist, glmod.exterior(n, 1))
-    hull1 = tensor.derham_image_graded(1, twist, window.ambient, n)
-    seed1 = probe.random_image_element(rng, ctx1, cfg.central)
+    seed1 = probe.random_image_element(rng, ctx1, B)
     res1 = probe.closure([seed1], gens, window, cfg.depth, hull=hull1)
     rec.check("level_one_closure_fills", res1.verdict == probe.FILLS,
               "verdict=%s rank=%d/%d" % (res1.verdict, res1.central_rank,
                                          res1.central_dim))
     rec.bump("closure_apps", res1.counters["apps"])
 
-    rec.tally("max_rank", report.get("central_rank", 0))
-    rec.tally("dim", report.get("central_dim", 0))
-    return rec.result(started)
+    rec.tally("max_rank", max(r.central_rank for r in results))
+    rec.tally("dim", results[0].central_dim)
+    return rec
 
 
 # ------------------------------------------------------------- nonminuscule
 
 
 def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("nonminuscule")
+    rec = SuiteResult("nonminuscule", evidence_used=True)
     rng = _rng(cfg, "nonminuscule")
     n, twist = cfg.n, cfg.twist
     vmod = cfg.vmod
     if glmod.offdiagonal_squares_vanish(vmod):
         vmod = glmod.symmetric(n, 2)
         rec.note("configured module is minuscule; probing sym:2 instead")
-    rec.evidence_used = True
 
     rec.check("minuscule_classifier",
               not glmod.offdiagonal_squares_vanish(vmod)
@@ -810,41 +808,28 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
     rec.tally("max_rank", max(r.central_rank for r in results))
     rec.tally("dim", results[0].central_dim)
     rec.tally("closure_apps", sum(r.counters["apps"] for r in results))
-    return rec.result(started)
+    return rec
 
 
 # ---------------------------------------------------------------------- iso
 
 
 def run_iso(cfg: RunConfig) -> SuiteResult:
-    started = time.perf_counter()
-    rec = Recorder("iso")
+    rec = SuiteResult("iso")
     n, twist = cfg.n, cfg.twist
     sym2 = glmod.symmetric(n, 2)
-    adj = glmod.adjoint(n)
     # move the first coordinate off the original rational-lattice class
     bumped = rat(1, 4) if twist[0] != rat(1, 4) else rat(1, 3)
-    offset = (bumped,) + tuple(twist[1:])
-
-    same = probe.iso_evidence(twist, sym2, twist, sym2)
-    rec.check("fingerprints_distinguish", same["verdict"] == "EQUAL",
-              "identical pair: %s" % same["separated_by"])
-    other = probe.iso_evidence(twist, sym2, twist, adj)
-    rec.check("fingerprints_distinguish",
-              other["verdict"] == "DISTINGUISHED"
-              and other["separated_by"] == "character",
-              "same twist, different module: %s" % other["separated_by"])
-    moved = probe.iso_evidence(twist, sym2, offset, sym2)
-    rec.check("fingerprints_distinguish",
-              moved["verdict"] == "DISTINGUISHED"
-              and moved["separated_by"] == "eigenvalue-lattice",
-              "moved twist: %s" % moved["separated_by"])
-    shift = add(twist, unit(1, n))
-    shifted = probe.iso_evidence(twist, sym2, shift, sym2)
-    rec.check("fingerprints_distinguish", shifted["verdict"] == "EQUAL",
-              "integer shift: %s" % shifted["separated_by"])
-    rec.tally("cases", 4)
-    return rec.result(started)
+    # (label, second twist, second module, expected separating fingerprint)
+    cases = (("identical pair", twist, sym2, None),
+             ("same twist, different module", twist, glmod.adjoint(n), "character"),
+             ("moved twist", (bumped,) + twist[1:], sym2, "eigenvalue-lattice"),
+             ("integer shift", add(twist, unit(1, n)), sym2, None))
+    for label, twist2, vmod2, want in cases:
+        got = probe.iso_evidence(twist, sym2, twist2, vmod2)
+        rec.check("fingerprints_distinguish", got == want, "%s: %s" % (label, got))
+    rec.tally("cases", len(cases))
+    return rec
 
 
 # ----------------------------------------------------------------- registry
@@ -902,14 +887,17 @@ CHECKS = {
 }
 
 
-def run_suites(cfg: RunConfig, names, workers: int = 1) -> list:
-    """Run the named suites in order. workers is accepted and ignored, as is
-    the command line's --workers: every suite runs in one thread."""
-    out = []
+def run_suites(cfg: RunConfig, names) -> list:
+    """Run the named suites in order, each timed into its time_ms. Unknown
+    names are rejected before any suite runs."""
     for name in names:
-        fn = SUITES.get(name)
-        if fn is None:
+        if name not in SUITES:
             raise ValueError("unknown suite %r (known: %s)"
                              % (name, ", ".join(SUITES)))
-        out.append(fn(cfg))
+    out = []
+    for name in names:
+        started = time.perf_counter()
+        res = SUITES[name](cfg)
+        res.time_ms = int((time.perf_counter() - started) * 1000)
+        out.append(res)
     return out

@@ -117,9 +117,6 @@ class TensorElement:
             bits.append("%s x^(%s) (x) %s" % (c, ",".join(str(e) for e in s), vkey or "1"))
         return " + ".join(bits)
 
-    def degrees(self) -> set:
-        return {s for (s, _) in self.terms}
-
 
 def _wrap(ctx: Context, terms: SparseVec) -> TensorElement:
     """The element over ctx that takes terms as they are, without a copy."""
@@ -225,7 +222,7 @@ def act_shifted(j: int, r, m: TensorElement) -> TensorElement:
                     continue
                 t = add(s, sub(r, unit(i, n)))
                 for vkey2, b in vmod.unit_table(i, j)[vkey]:
-                    yield (t, vkey2), c * ri * b
+                    yield (t, vkey2), c * (ri * b)
     return TensorElement(ctx, terms())
 
 
@@ -321,8 +318,7 @@ class GradedSpan:
     twist, so graded parts of module elements stay in the module.
     """
 
-    def __init__(self, vdim: int):
-        self.vdim = vdim
+    def __init__(self):
         self.spans: dict = {}
 
     def mini(self, s) -> SpanBasis:
@@ -338,9 +334,6 @@ class GradedSpan:
 
     def insert(self, s, minivec) -> bool:
         return self.mini(s).insert(minivec)
-
-    def total_rank(self) -> int:
-        return sum(sp.rank for sp in self.spans.values())
 
     def rank_in(self, degrees) -> int:
         return sum(self.rank_at(s) for s in degrees)
@@ -363,9 +356,8 @@ class GradedSpan:
 def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
     """Graded span of the level-k de Rham image over an exponent window."""
     twist = tuple(rat(t) for t in twist)
-    target = glmod.exterior(n, k)
     lower = glmod.exterior(n, k - 1)
-    span = GradedSpan(target.dim)
+    span = GradedSpan()
     for s in box(n, bound):
         shat = eigen_vector(s, twist)
         for wkey in lower.keys:

@@ -56,12 +56,6 @@ class WeylOp(SparseVec):
         return cls({(r, a): c}) if c else cls()
 
     @classmethod
-    def euler(cls, i, n) -> "WeylOp":
-        """The Euler derivation d_i = x_i d/dx_i."""
-        a = tuple(1 if k == i else 0 for k in range(1, n + 1))
-        return cls.word(zero(n), a)
-
-    @classmethod
     def monomial(cls, r) -> "WeylOp":
         return cls.word(tuple(r), zero(len(r)))
 

@@ -55,11 +55,15 @@ def test_csv_has_one_row_per_suite(capsys):
     assert lines[1].split(",")[0] == "iso"
 
 
-def test_unknown_suite_is_usage_error(capsys):
-    code, out, err = run_main(["--n", "2", "--suite", "nope"], capsys)
-    assert code == 2
-    assert not out
-    assert "unknown suite" in err
+def test_unknown_suite_is_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(suites.SUITES, "iso", ran.append)
+    for names in ("nope", "iso,nope"):
+        code, out, err = run_main(["--n", "2", "--suite", names], capsys)
+        assert code == 2
+        assert not out
+        assert "unknown suite" in err
+    assert not ran  # names are checked before any suite runs
 
 
 def test_margin_violation_is_usage_error(capsys):
@@ -107,17 +111,27 @@ def test_out_file_written_and_stable(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert cli.main(argv + ["--out", str(a)]) == 0
     time.sleep(0.01)  # wall time must not leak into the default report
-    assert cli.main(argv + ["--out", str(b), "--workers", "3"]) == 0
+    assert cli.main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["config"]["seed"] == 11
 
 
+def test_out_into_missing_directory_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "dir" / "r.json"
+    code, out, err = run_main(
+        ["--n", "2", "--suite", "iso", "--out", str(path)], capsys)
+    assert code == 2
+    assert not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not path.exists()
+
+
 def test_failing_suite_sets_exit_code(monkeypatch, capsys):
-    def broken(cfg, workers=1):
-        rec = suites.Recorder("iso")
-        rec.check("fingerprints_distinguish", False, "forced")
-        return rec.result(time.perf_counter())
+    def broken(cfg):
+        res = suites.SuiteResult("iso")
+        res.check("fingerprints_distinguish", False, "forced")
+        return res
 
     monkeypatch.setitem(suites.SUITES, "iso", broken)
     code, out, err = run_main(["--n", "2", "--suite", "iso"], capsys)

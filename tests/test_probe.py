@@ -244,28 +244,12 @@ def test_lattice_fingerprint_is_translation_invariant():
 def test_iso_fingerprint_cases():
     sym2 = glmod.symmetric(2, 2)
     adj = glmod.adjoint(2)
-    same = probe.iso_evidence(GEN2, sym2, GEN2, sym2)
-    assert same["verdict"] == "EQUAL" and same["separated_by"] is None
-
-    other = probe.iso_evidence(GEN2, sym2, GEN2, adj)
-    assert other["verdict"] == "DISTINGUISHED"
-    assert other["separated_by"] == "character"
-
-    moved = probe.iso_evidence(GEN2, sym2, (rat(1, 4), rat(1, 2)), sym2)
-    assert moved["verdict"] == "DISTINGUISHED"
-    assert moved["separated_by"] == "eigenvalue-lattice"
-
-    shifted = probe.iso_evidence(GEN2, sym2, (rat(4, 3), rat(3, 2)), sym2)
-    assert shifted["verdict"] == "EQUAL"
-
-
-def test_maximality_evidence_generic_twist():
-    gens = spanning_generators(2, 2)
-    rep = probe.maximality_evidence(1, GEN2, gens, probe.Window(2, 6), 3, 3,
-                                    random.Random(1))
-    assert rep["fills"] == rep["trials"] == 3
-    assert rep["closure_inside_image"] and rep["image_covered"]
-    assert rep["beyond_kernel_verdict"] == probe.FILLS
+    assert probe.iso_evidence(GEN2, sym2, GEN2, sym2) is None
+    assert probe.iso_evidence(GEN2, sym2, GEN2, adj) == "character"
+    assert probe.iso_evidence(GEN2, sym2, (rat(1, 4), rat(1, 2)), sym2) \
+        == "eigenvalue-lattice"
+    # an integer shift keeps the lattice class
+    assert probe.iso_evidence(GEN2, sym2, (rat(4, 3), rat(3, 2)), sym2) is None
 
 
 def test_generation_evidence_counts():
@@ -276,17 +260,3 @@ def test_generation_evidence_counts():
     assert len(results) == 4
     assert all(r.verdict == probe.FILLS for r in results)
 
-
-def test_lattice_scalar_reports():
-    gens = spanning_generators(2, 2)
-    rep = probe.lattice_scalar(ZERO2, gens, probe.Window(2, 6), 3, 5,
-                               random.Random(8))
-    assert rep["integer_twist"] and rep["codim"] == 1
-    assert rep["fixed_line_killed"]
-    assert rep["quotient_failures"] == 0
-
-    rep2 = probe.lattice_scalar(GEN2, gens, probe.Window(2, 6), 3, 5,
-                                random.Random(9))
-    assert not rep2["integer_twist"]
-    assert rep2["fills"] == rep2["trials"] == 5
-    assert rep2["euler_central_rank"] == rep2["central_dim"] == 25

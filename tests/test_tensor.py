@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, bracket, pair_field, spanning_generators
-from toruslie.indices import add, dot, sub, unit
+from toruslie.indices import add, box, dot, sub, unit
 from toruslie.linalg import SparseVec
 from toruslie.rational import rational
 from toruslie.tensor import (STYLE_DIRECT, STYLE_SHIFTED, TensorElement,
@@ -137,12 +137,12 @@ def test_derham_image_and_graded_ranks():
     img = tensor.derham_map(tensor.basis_element(scalars, (1, 0), ()))
     assert img.terms == {((1, 0), (1,)): rat(1)}
 
-    assert tensor.derham_image_graded(1, ZERO2, 1, 2).total_rank() == 8
-    assert tensor.derham_image_graded(1, GEN2, 1, 2).total_rank() == 9
+    assert tensor.derham_image_graded(1, ZERO2, 1, 2).rank_in(box(2, 1)) == 8
+    assert tensor.derham_image_graded(1, GEN2, 1, 2).rank_in(box(2, 1)) == 9
     span = tensor.derham_image_graded(1, GEN2, 1, 2)
     for s in ((0, 0), (1, 1), (-1, 0)):
         assert span.rank_at(s) == 1
-    assert span.total_rank() == 9
+    assert span.rank_in(box(2, 1)) == 9
 
 
 def test_image_membership_probe():
@@ -170,7 +170,7 @@ def test_eigen_vector_subtracts_twist():
 
 def test_graded_span_insert_and_membership():
     ctx = tensor.context(GEN2, glmod.natural(2))
-    span = tensor.GradedSpan(ctx.vmod.dim)
+    span = tensor.GradedSpan()
     assert span.insert((1, 0), SparseVec.make({(1,): rat(1)}))
     assert not span.insert((1, 0), SparseVec.make({(1,): rat(3)}))
     assert span.rank_at((1, 0)) == 1
@@ -179,7 +179,7 @@ def test_graded_span_insert_and_membership():
     assert span.contains_element(m.scaled(rat(-2)))
     other = tensor.basis_element(ctx, (1, 0), (2,))
     assert not span.contains_element(other)
-    assert span.total_rank() == 1
+    assert span.rank_in(box(2, 1)) == 1
 
 
 def test_graded_action_keeps_image_invariant():

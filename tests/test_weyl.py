@@ -3,7 +3,7 @@
 import random
 
 from toruslie import rat
-from toruslie.indices import box
+from toruslie.indices import box, unit
 from toruslie.probe import euler_span_scalar
 from toruslie.weyl import (LaurentPoly, WeylOp, _shifted_powers, commutator,
                            operator_apply)
@@ -51,7 +51,7 @@ def test_laurent_poly_arithmetic():
 
 def test_normal_ordering_euler_past_monomial():
     # d_1 x^(1,0) = x^(1,0) d_1 + x^(1,0)
-    prod = WeylOp.euler(1, 2) * WeylOp.word((1, 0), (0, 0))
+    prod = WeylOp.word((0, 0), unit(1, 2)) * WeylOp.word((1, 0), (0, 0))
     want = WeylOp.make({((1, 0), (1, 0)): rat(1), ((1, 0), (0, 0)): rat(1)})
     assert prod == want
 
@@ -68,9 +68,10 @@ def test_word_rejects_negative_derivative_powers():
 def test_operator_apply_euler_eigenvalue():
     # d_i acts on x^r as multiplication by r_i - twist_i
     p = LaurentPoly.monomial((0, 0))
-    out = operator_apply(WeylOp.euler(1, 2), p, (rat(1, 2), rat(0)))
+    out = operator_apply(WeylOp.word((0, 0), unit(1, 2)), p, (rat(1, 2), rat(0)))
     assert out == p.scaled(rat(-1, 2))
-    out2 = operator_apply(WeylOp.euler(2, 2), LaurentPoly.monomial((3, -2)), ZERO2)
+    out2 = operator_apply(WeylOp.word((0, 0), unit(2, 2)),
+                          LaurentPoly.monomial((3, -2)), ZERO2)
     assert out2 == LaurentPoly.monomial((3, -2), -2)
 
 
@@ -106,7 +107,7 @@ def test_commutator_antisymmetry_and_jacobi():
 
 def test_twist_shifts_euler_operators():
     twist = (rat(1, 2), rat(0))
-    y = twist_op(WeylOp.euler(1, 2), twist)
+    y = twist_op(WeylOp.word((0, 0), unit(1, 2)), twist)
     assert y == WeylOp.make({((0, 0), (1, 0)): rat(1),
                              ((0, 0), (0, 0)): rat(-1, 2)})
     # twisted application agrees with applying the twisted operator plainly
