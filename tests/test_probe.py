@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import spanning_generators
 from toruslie.linalg import primitive
+from toruslie.suites import EVIDENCE, PASS, RunConfig, run_lattice, run_simplicity
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
@@ -260,3 +261,26 @@ def test_generation_evidence_counts():
     assert len(results) == 4
     assert all(r.verdict == probe.FILLS for r in results)
 
+
+def test_maximality_evidence_generic_twist():
+    # window (B, R, L, M) = (2, 2, 3, 6), as probe.Window(2, 6) at depth 3
+    res = run_simplicity(RunConfig(n=2, k=1, twist=GEN2, seed=1))
+    assert res.status == EVIDENCE, res.failures[:5]
+    # every level-one closure fills the image and stays inside it, and the
+    # kernel plus one vector beyond it fills the whole central window
+    assert "ok image_simplicity_closure" in res.log
+    assert "ok image_maximality_closure" in res.log
+
+
+def test_lattice_scalar_reports():
+    rep = run_lattice(RunConfig(n=2, twist=ZERO2, seed=8))
+    assert rep.status == PASS, rep.failures[:5]
+    assert "ok scalar_quotient_trivial" in rep.log
+    # codimension 1: the Euler span misses exactly the killed line x^0 (x) 1
+    assert "ok integer_twist_fixed_line" in rep.log
+    assert rep.counters["dim"] - rep.counters["max_rank"] == 1
+
+    rep2 = run_lattice(RunConfig(n=2, twist=GEN2, seed=9))
+    assert rep2.status == EVIDENCE, rep2.failures[:5]
+    assert "ok generic_twist_generates" in rep2.log
+    assert rep2.counters["max_rank"] == rep2.counters["dim"] == 25
