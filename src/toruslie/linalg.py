@@ -4,7 +4,9 @@ A vector is a finite map from hashable, comparable keys to nonzero rational
 or integer coefficients. SpanBasis keeps a reduced row echelon spanning set
 of primitive integer rows, eliminating fraction-free with content removal
 (Bareiss, Math. Comp. 22, 1968): insertion, membership and rank build no
-rational, and reduce returns the exact rational residue.
+rational, and reduce returns the exact rational residue. Because no row
+holds another row's pivot, an elimination never brings in a pivot key, so
+an insert eliminates each pivot key of its vector once, in any order.
 """
 
 from __future__ import annotations
@@ -71,14 +73,6 @@ class SparseVec(dict):
         return " + ".join("%s*%s" % (c, key) for key, c in sorted(self.items()))
 
 
-def primitive(vec) -> dict:
-    """The integer vector with coprime entries on the line of nonzero vec."""
-    den = lcm(*(int(c.denominator) for c in vec.values()))
-    ints = {key: int(c * den) for key, c in vec.items()}
-    g = gcd(*ints.values())
-    return {key: c // g for key, c in ints.items()}
-
-
 def _eliminate(work, key, row) -> int:
     """Set work to m*work - c*row, cancelling its entry at row's pivot key
     with the least integer m > 0, in place; returns m."""
@@ -104,8 +98,12 @@ class SpanBasis:
     A row's pivot is its smallest key, where its entry is positive, and no
     row contains another row's pivot, so reduction by minimal keys takes
     one sweep. A residue is the unique vector of its coset with no pivot
-    key, so each row is primitive(pivot-1 row). An insert replaces, never
-    mutates, the dict of a row it updates.
+    key, up to scale, so the order of eliminations does not matter: insert
+    eliminates the vector's pivot keys once each and stores the residue
+    divided by its content, with a positive pivot and increasing keys.
+    Each row is therefore the pivot-1 row scaled to coprime integers, and
+    the rows depend only on the span. An insert replaces, never mutates,
+    the dict of a row it updates.
     """
 
     def __init__(self):
@@ -143,28 +141,31 @@ class SpanBasis:
         return not self._sweep(vec, first=True)
 
     def insert(self, vec) -> bool:
-        """Add vec to the span; True iff the rank grew."""
-        res = self._sweep(vec)
-        if not res:
+        """Add vec to the span; True iff the rank grew. vec is not modified."""
+        scale = lcm(*[c.denominator for c in vec.values()])
+        work = {key: c.numerator * (scale // c.denominator)
+                for key, c in vec.items() if c}
+        rows, pivots = self.rows, self.pivots
+        for key in [key for key in work if key in pivots]:
+            _eliminate(work, key, rows[pivots[key]])
+        if not work:
             return False
-        top = res[-1][2]
-        self._add_residue({key: c * (top // scale) for key, c, scale in res})
-        return True
-
-    def _add_residue(self, res) -> None:
-        """Append a nonzero residue, its keys in increasing order, as a row."""
-        row = primitive(res)
-        pivot = next(iter(row))
-        if row[pivot] < 0:
-            row = {key: -c for key, c in row.items()}
+        keys = sorted(work)
+        pivot = keys[0]
+        g = gcd(*work.values())
+        if work[pivot] < 0:
+            g = -g
+        row = {key: work[key] // g for key in keys}
         # keep existing rows reduced against the new pivot
-        for idx, other in enumerate(self.rows):
+        for idx, other in enumerate(rows):
             if pivot in other:
                 other = dict(other)
                 _eliminate(other, pivot, row)
-                self.rows[idx] = primitive(other)
-        self.pivots[pivot] = len(self.rows)
-        self.rows.append(row)
+                g = gcd(*other.values())
+                rows[idx] = {key: c // g for key, c in other.items()}
+        pivots[pivot] = len(rows)
+        rows.append(row)
+        return True
 
 
 def kernel_of_map(keys, image_of) -> list[SparseVec]:
@@ -173,7 +174,8 @@ def kernel_of_map(keys, image_of) -> list[SparseVec]:
     keys is an ordered list of input basis keys; image_of returns a dict
     (or SparseVec) over arbitrary output keys. Works by reducing images
     augmented with tracker coordinates that sort after every output key;
-    a residue with an output key joins the span without a second sweep.
+    a residue with an output key joins the span through insert, which
+    finds no pivot key in it to eliminate.
     """
     span = SpanBasis()
     kernel = []
@@ -184,5 +186,5 @@ def kernel_of_map(keys, image_of) -> list[SparseVec]:
         if all(k[0] == 1 for k in red):
             kernel.append(SparseVec({keys[i]: c for (_, i), c in red.items()}))
         else:
-            span._add_residue(red)
+            span.insert(red)
     return kernel

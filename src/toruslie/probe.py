@@ -31,7 +31,7 @@ from math import lcm
 from . import glmod, tensor
 from .indices import box, dot, inf_norm, inside, zero
 from .linalg import SparseVec, kernel_of_map
-from .rational import ONE, rat
+from .rational import ONE, rat, rational
 
 FILLS = "FillsWindow"
 PROPER = "ProperInvariant"
@@ -145,8 +145,13 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
 
     The frontier works on flat indices into a grid padded by the
     generator bound, so a generator step s + r is one integer addition
-    and never leaves the grid; box membership and fullness are bytearray
-    lookups. Worklist rows are primitive integer vectors and images come
+    and never leaves the grid. The grid's cells outside the ambient box
+    count as full from the start, so one scan of the fullness bytearray
+    per source and layer gives the live steps, as a list of generator
+    indices; a task's target index is added as the task is drawn. Nothing
+    per source outlives its layer but the number of its steps that leave
+    the box, which feeds drops; pruned counts the in-box steps into full
+    degrees. Worklist rows are primitive integer vectors and images come
     from the integer kernel, so each image is a nonzero multiple of the
     true one. That changes nothing: the span stores the same primitive
     integer row, and membership and the zero test ignore scale.
@@ -173,15 +178,13 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     offsets = [sum(a * st for a, st in zip(gen[0], strides)) for gen in kernel]
     size = (2 * pad + 1) ** n
     degree = [None] * size
-    inbox = bytearray(size)
     central = bytearray(size)
-    full = bytearray(size)
+    full = bytearray(b"\x01") * size  # out-of-box cells never take a row
     target = [0] * size
     central_dim = 0
     for s in box(n, ambient):
         t = flat(s)
         degree[t] = s
-        inbox[t] = 1
         target[t] = hull.rank_at(s) if hull is not None else vmod.dim
         full[t] = target[t] <= 0
         if inside(s, window.central):
@@ -226,8 +229,8 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     if central_rank >= central_dim:
         return result(FILLS)
 
-    # source index -> ([(target index, kernel index)] inside the box, drops)
-    neighbours = {}
+    # source index -> number of generator steps that leave the box
+    outside = {}
     while worklist:
         batch, worklist = worklist, []
         # pruning is decided against fullness as the layer is built
@@ -235,18 +238,17 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
         live_at = {}
         for item in batch:
             src = item[0]
-            nb = neighbours.get(src)
-            if nb is None:
-                steps = [(src + off, g) for g, off in enumerate(offsets)]
-                kept = [step for step in steps if inbox[step[0]]]
-                nb = neighbours[src] = (kept, len(steps) - len(kept))
+            out = outside.get(src)
+            if out is None:
+                out = outside[src] = sum(degree[src + off] is None for off in offsets)
             live = live_at.get(src)
             if live is None:
-                live = live_at[src] = [step for step in nb[0] if not full[step[0]]]
-            drops += nb[1]
-            pruned += len(nb[0]) - len(live)
+                live = live_at[src] = [g for g, off in enumerate(offsets)
+                                       if not full[src + off]]
+            drops += out
+            pruned += len(offsets) - out - len(live)
             layer.append((item, live))
-        tasks = ((t, g, item) for item, live in layer for t, g in live)
+        tasks = ((item[0] + offsets[g], g, item) for item, live in layer for g in live)
         while chunk := list(islice(tasks, RECHECK)):
             todo = [task for task in chunk if not full[task[0]]]
             apps += len(todo)
@@ -410,7 +412,8 @@ def coeff_extract(family: PolyFamily, target: dict):
 
     Lagrange interpolation per coordinate; exact over the rationals and
     independent of the admissible grid. target maps 1-based coordinates to
-    exponents; omitted active coordinates mean exponent 0.
+    exponents; omitted active coordinates mean exponent 0. The weighted sum
+    of the samples is taken in integers, with one rational per output term.
     """
     for coord in target:
         if coord not in family.active:
@@ -420,20 +423,30 @@ def coeff_extract(family: PolyFamily, target: dict):
         raise ValueError("target degree exceeds the declared bound")
     coeffs = _coeff_of_nodes(tuple(family.nodes))
     node_index = {t: i for i, t in enumerate(family.nodes)}
-    out = None
+    pieces = []
     for combo, value in family.values.items():
         w = ONE
         for exp, node in zip(exps, combo):
             w = w * coeffs[exp][node_index[node]]
             if not w:
                 break
-        if not w:
-            continue
-        piece = value.scaled(w)
-        out = piece if out is None else out + piece
-    if out is None:
+        if w:
+            pieces.append((w, value))
+    if not pieces:
         raise ValueError("empty sample grid")
-    return out
+    # with the weights over wden and the values over vden, each output
+    # coefficient is an integer sum over wden * vden, as in act_direct
+    wden = lcm(*[w.denominator for w, _ in pieces])
+    vden = lcm(*[c.denominator for _, value in pieces for c in value.terms.values()])
+    acc = {}
+    get = acc.get
+    for w, value in pieces:
+        a = w.numerator * (wden // w.denominator)
+        for key, c in value.terms.items():
+            acc[key] = get(key, 0) + a * c.numerator * (vden // c.denominator)
+    den = wden * vden
+    return tensor.TensorElement(pieces[0][1].ctx, ((key, rational(v, den))
+                                                   for key, v in acc.items() if v))
 
 
 # ------------------------------------------------------------ fingerprints

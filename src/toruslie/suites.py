@@ -755,7 +755,7 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
                                              beyond.central_dim))
 
     # level-one image is one line per admissible exponent
-    hull1 = tensor.derham_image_graded(1, twist, window.ambient, n)
+    hull1 = hull if k == 1 else tensor.derham_image_graded(1, twist, window.ambient, n)
     ok = True
     for s in central:
         shat = tensor.eigen_vector(s, twist)

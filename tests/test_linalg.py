@@ -7,8 +7,16 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, rat, tensor
-from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map, primitive
+from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map
 from toruslie.weyl import LaurentPoly, WeylOp
+
+
+def primitive(vec) -> dict:
+    """The integer vector with coprime entries on the line of nonzero vec."""
+    den = math.lcm(*(int(c.denominator) for c in vec.values()))
+    ints = {key: int(c * den) for key, c in vec.items()}
+    g = math.gcd(*ints.values())
+    return {key: c // g for key, c in ints.items()}
 
 
 def rand_vec(rng, keys, density=0.6):
@@ -165,6 +173,37 @@ def test_spanbasis_and_kernel_agree_with_sympy(data):
     for vec in kernel:
         for row in rows:
             assert sum(rat(row[j]) * c for j, c in vec.items()) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_insert_gives_primitive_rref_rows_from_rational_and_integer_input(data):
+    width = data.draw(st.integers(1, 6), "width")
+    vector = st.lists(SCALARS, min_size=width, max_size=width)
+    rows = data.draw(st.lists(vector, min_size=1, max_size=6), "rows")
+    rational, integral = SpanBasis(), SpanBasis()
+    for row in rows:
+        vec = sparse(row)
+        den = math.lcm(*(c.denominator for c in vec.values()))
+        m = den * data.draw(st.sampled_from([1, 2, 3, -1, -6]), "multiple")
+        ints = {key: int(c * m) for key, c in vec.items()}
+        vec_before, ints_before = dict(vec), dict(ints)
+        grew = rational.insert(vec)
+        assert integral.insert(ints) == grew
+        assert vec == vec_before and ints == ints_before
+    assert rational.rows == integral.rows
+    assert rational.pivots == integral.pivots
+    # each row is sympy's RREF row scaled to coprime integers
+    rref, pivcols = sympy.Matrix(rows).rref()
+    want = {}
+    for i, col in enumerate(pivcols):
+        entries = {j: rat(int(rref[i, j].p), int(rref[i, j].q))
+                   for j in range(width) if rref[i, j]}
+        want[col] = primitive(entries)
+    got = {pivot: rational.rows[idx] for pivot, idx in rational.pivots.items()}
+    assert got == want
+    assert all(row[pivot] > 0 and all(type(c) is int for c in row.values())
+               for pivot, row in got.items())
 
 
 # ------------------------------------------------ the one sparse accumulator

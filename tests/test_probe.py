@@ -1,14 +1,16 @@
 """Orbit-closure evidence engine, interpolation, and module fingerprints."""
 
+import hashlib
 import random
 import re
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import spanning_generators
-from toruslie.linalg import primitive
+from toruslie.indices import box
 from toruslie.suites import EVIDENCE, PASS, RunConfig, run_lattice, run_simplicity
 
 ZERO2 = (rat(0), rat(0))
@@ -122,6 +124,45 @@ def test_closure_matches_pinned_fingerprint(case):
     assert got == PINNED_CLOSURES[case]
 
 
+def span_sha256(span) -> str:
+    """sha256 of a graded span's rows, by degree, pivot and key."""
+    h = hashlib.sha256()
+    for s in sorted(span.spans):
+        for row in sorted(span.rows_at(s), key=min):
+            h.update(repr((s, sorted(row.items()))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _fill_closure(seed):
+    # the closure-fill benchmark's shape: one random term at each of 16
+    # distinct central degrees, n=3, sym:2, generic twist, default window
+    ctx = tensor.context((rat(1, 2), rat(1, 3), rat(1, 5)), glmod.symmetric(3, 2))
+    rng = random.Random(seed)
+    keys = ctx.vmod.keys
+    elem = tensor.TensorElement(ctx)
+    for s in rng.sample(list(box(3, 2)), 16):
+        elem.add_term(s, keys[rng.randrange(len(keys))],
+                      rat(rng.choice([-3, -2, -1, 1, 2, 3])))
+    return probe.closure([elem], spanning_generators(3, 2), probe.Window(2, 6), 3)
+
+
+# final span rows of each closure, which neither the counters nor the log
+# digest cover: an insert that kept every rank but changed a row fails here
+PINNED_SPANS = {
+    "trivial": "f57000b94e3c7d177dd91f0f57a2f3495ff708ac6caff4e902a69a4fad088bac",
+    "ext:1 hull": "cdbbf8d910fa4d6d4616bc0dbf7dd80c46160d000e9618f6ec8395e0966f9856",
+    "ext:1": "2ef4eb847aaff5f5dbabd7b897817b953bbc36caebc021f6a13cd4c9cd3c143c",
+    "natural": "e360387edcc75ed7f8d38bd3135e041a65459acf7e350514c8aed6a2d14012a6",
+    "n=3 sym:2 fill": "87dd6a8400d53616fed5bc425065e30e6e110645b1caf4ad0d81764f9e21c7fa",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SPANS))
+def test_closure_span_rows_match_pinned_hash(case):
+    res = _fill_closure(0) if case == "n=3 sym:2 fill" else _pinned_closure(case)
+    assert span_sha256(res.span) == PINNED_SPANS[case]
+
+
 MODULES = ("trivial", "natural", "ext:1", "ext:2", "sym:2", "adjoint")
 
 
@@ -139,8 +180,8 @@ def test_kernel_image_is_scaled_direct_action(data):
     s = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
     row = {key: rat(c) for key, c in data.draw(st.dictionaries(
         st.sampled_from(vmod.keys), small.filter(bool), min_size=1)).items()}
-    row = primitive(row)
-    assert all(isinstance(c, int) for c in row.values())
+    den = lcm(*(c.denominator for c in row.values()))
+    row = {key: int(c * den) for key, c in row.items()}
     ctx = tensor.context(twist, vmod)
     m = tensor.TensorElement(ctx, {(s, key): c for key, c in row.items()})
     factors = set()
@@ -233,6 +274,44 @@ def test_coeff_extract_rejects_bad_requests():
         probe.coeff_extract(fam, {1: 5})
     with pytest.raises(ValueError):
         probe.PolyFamily.sample(lambda r: m0, 2, (1,), degree_bound=6)
+
+
+def _coeff_extract_oracle(family, target):
+    """coeff_extract in Fraction arithmetic, one element sum per sample."""
+    coeffs = probe._coeff_of_nodes(tuple(family.nodes))
+    node_index = {t: i for i, t in enumerate(family.nodes)}
+    exps = [target.get(coord, 0) for coord in family.active]
+    out = None
+    for combo, value in family.values.items():
+        w = rat(1)
+        for exp, node in zip(exps, combo):
+            w = w * coeffs[exp][node_index[node]]
+        piece = value.scaled(w)
+        out = piece if out is None else out + piece
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coeff_extract_matches_fraction_oracle(data):
+    ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
+    active = data.draw(st.sampled_from([(1,), (2,), (1, 2)]), "active")
+    degree = data.draw(st.integers(0, 3), "degree")
+    nodes = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), unique=True,
+                               min_size=degree + 1, max_size=degree + 2), "nodes")
+    coeff = st.fractions(-4, 4, max_denominator=6)
+    term = st.tuples(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                     st.sampled_from(ctx.vmod.keys))
+    fam = probe.PolyFamily.sample(
+        lambda r: tensor.TensorElement(ctx, data.draw(
+            st.lists(st.tuples(term, coeff), max_size=4))),
+        2, active, degree, nodes=nodes)
+    exps = data.draw(st.lists(st.integers(0, degree), min_size=len(active),
+                              max_size=len(active)).filter(lambda e: sum(e) <= degree))
+    target = dict(zip(active, exps))
+    got = probe.coeff_extract(fam, target)
+    assert got == _coeff_extract_oracle(fam, target)
+    assert all(got.terms.values())
 
 
 def test_lattice_fingerprint_is_translation_invariant():
