@@ -7,8 +7,8 @@ window-truncated probe engine that turns module-theoretic claims into
 finite, replayable certificates.
 """
 
-from .fields import (VectorField, adjacent_field, bracket, euler_field,
-                     field_apply, pair_field, spanning_generators)
+from .fields import (VectorField, bracket, euler_field, field_apply, pair_field,
+                     spanning_generators)
 from .glmod import (FinModule, adjoint, exterior, module_from_name, natural,
                     rank_one, symmetric, trivial)
 from .linalg import SparseVec, SpanBasis, kernel_of_map
@@ -20,7 +20,7 @@ from .tensor import (Context, GradedSpan, TensorElement, act, act_direct,
                      act_shifted_field, basis_element, context,
                      derham_image_graded, derham_map, derham_map_shifted,
                      eigen_vector, from_shifted_form, image_probe,
-                     kernel_member, to_shifted_form)
+                     to_shifted_form)
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
 __version__ = "0.1.0"

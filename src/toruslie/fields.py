@@ -69,11 +69,6 @@ def pair_field(i: int, j: int, r) -> VectorField:
     return VectorField(u, r)
 
 
-def adjacent_field(i: int, r) -> VectorField:
-    """Pair field for the adjacent pair (i, i+1)."""
-    return pair_field(i, i + 1, r)
-
-
 def bracket(a: VectorField, b: VectorField) -> VectorField:
     """[D(u,r), D(v,s)] = D((u|s) v - (v|r) u, r+s)."""
     cu = dot(a.u, b.r)  # (u|s) with s = b.r

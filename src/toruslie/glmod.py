@@ -21,7 +21,7 @@ from .linalg import SparseVec
 from .rational import ZERO, rat, rational
 
 
-def _exterior_unit(n, k, i, j, key):
+def _exterior_unit(i, j, key):
     if i == j:
         return [(key, 1)] if j in key else []
     if j not in key or i in key:
@@ -34,7 +34,7 @@ def _exterior_unit(n, k, i, j, key):
     return [(new, sign)]
 
 
-def _symmetric_unit(n, m, i, j, key):
+def _symmetric_unit(i, j, key):
     mult = key.count(j)
     if not mult:
         return []
@@ -56,17 +56,10 @@ def _diag_to_adjoint(diag):
     return out
 
 
-def _adjoint_matrix(key, n):
-    # basis key -> matrix entries {(a,b): coeff}
-    i, j = key
-    if i != j:
-        return {(i, j): 1}
-    return {(i, i): 1, (i + 1, i + 1): -1}
-
-
-def _adjoint_unit(n, _, i, j, key):
-    mat = _adjoint_matrix(key, n)
-    # commutator [E_ij, mat]
+def _adjoint_unit(n, i, j, key):
+    # basis key -> matrix entries {(a,b): coeff}, then the commutator [E_ij, mat]
+    p, q = key
+    mat = {(p, q): 1} if p != q else {(p, p): 1, (p + 1, p + 1): -1}
     out = {}
     for (a, b), c in mat.items():
         if j == a:
@@ -82,14 +75,14 @@ def _adjoint_unit(n, _, i, j, key):
 class FinModule:
     """One of the concrete gl_n module kinds, with cached unit actions."""
 
-    def __init__(self, kind: tuple, n: int, keys, weight_fn, unit_fn, id_scalar):
+    def __init__(self, kind: tuple, n: int, keys, unit_fn, id_scalar):
         self.kind = kind
         self.n = n
         self.keys = tuple(keys)
-        self._weight_fn = weight_fn
         self._unit_fn = unit_fn
         self.id_scalar = id_scalar
         self._tables = {}
+        self._weights = None
 
     @property
     def dim(self) -> int:
@@ -108,8 +101,14 @@ class FinModule:
         return "FinModule(%s, n=%d, dim=%d)" % ("-".join(map(str, self.kind)), self.n, self.dim)
 
     def weight_of(self, key) -> tuple:
-        """Diagonal weight: the tuple of E_ii eigenvalues on the basis key."""
-        return self._weight_fn(key)
+        """Diagonal weight: the tuple of E_ii eigenvalues on the basis key,
+        read off the diagonal unit tables, where each E_ii maps a key to a
+        multiple of itself."""
+        if self._weights is None:
+            self._weights = {k: tuple(dict(self.unit_table(i, i)[k]).get(k, 0)
+                                      for i in range(1, self.n + 1))
+                             for k in self.keys}
+        return self._weights[key]
 
     def unit_table(self, i, j) -> dict:
         """key -> [(key2, integer coeff)] for the matrix unit E_ij."""
@@ -117,9 +116,7 @@ class FinModule:
             raise ValueError("matrix unit E_%d,%d out of range for n=%d" % (i, j, self.n))
         tab = self._tables.get((i, j))
         if tab is None:
-            tab = {key: self._unit_fn(self.n, self.kind[1] if len(self.kind) > 1 else None,
-                                      i, j, key)
-                   for key in self.keys}
+            tab = {key: self._unit_fn(i, j, key) for key in self.keys}
             self._tables[(i, j)] = tab
         return tab
 
@@ -148,57 +145,33 @@ class FinModule:
 
 def natural(n: int) -> FinModule:
     keys = [(i,) for i in range(1, n + 1)]
-
-    def weight(key):
-        return tuple(1 if k == key[0] else 0 for k in range(1, n + 1))
-
-    def unit(n_, _, i, j, key):
-        return [((i,), 1)] if key[0] == j else []
-
-    return FinModule(("natural",), n, keys, weight, unit, rational(1))
+    return FinModule(("natural",), n, keys,
+                     lambda i, j, key: [((i,), 1)] if key[0] == j else [], rational(1))
 
 
 def exterior(n: int, k: int) -> FinModule:
     if not 0 <= k <= n:
         raise ValueError("exterior power %d out of range 0..%d" % (k, n))
     keys = list(combinations(range(1, n + 1), k))
-
-    def weight(key):
-        return tuple(1 if i in key else 0 for i in range(1, n + 1))
-
-    return FinModule(("exterior", k), n, keys, weight, _exterior_unit, rational(k))
+    return FinModule(("exterior", k), n, keys, _exterior_unit, rational(k))
 
 
 def symmetric(n: int, m: int) -> FinModule:
     if m < 0:
         raise ValueError("symmetric power must be nonnegative")
     keys = list(combinations_with_replacement(range(1, n + 1), m))
-
-    def weight(key):
-        return tuple(key.count(i) for i in range(1, n + 1))
-
-    return FinModule(("symmetric", m), n, keys, weight, _symmetric_unit, rational(m))
+    return FinModule(("symmetric", m), n, keys, _symmetric_unit, rational(m))
 
 
 def adjoint(n: int) -> FinModule:
     keys = sorted([(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
                   + [(i, i) for i in range(1, n)])
-
-    def weight(key):
-        i, j = key
-        return tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(1, n + 1))
-
-    return FinModule(("adjoint",), n, keys, weight, _adjoint_unit, ZERO)
+    return FinModule(("adjoint",), n, keys,
+                     lambda i, j, key: _adjoint_unit(n, i, j, key), ZERO)
 
 
 def trivial(n: int) -> FinModule:
-    def weight(key):
-        return (0,) * n
-
-    def unit(n_, _, i, j, key):
-        return []
-
-    return FinModule(("trivial",), n, [()], weight, unit, ZERO)
+    return FinModule(("trivial",), n, [()], lambda i, j, key: [], ZERO)
 
 
 def module_from_name(name: str, n: int) -> FinModule:
@@ -246,12 +219,6 @@ def rank_one(r, u) -> dict:
 
 def offdiagonal_squares_vanish(module: FinModule) -> bool:
     """True iff E_ij^2 acts as zero for every off-diagonal unit (minuscule test)."""
-    for i in range(1, module.n + 1):
-        for j in range(1, module.n + 1):
-            if i == j:
-                continue
-            for key in module.keys:
-                once = module.unit_apply(i, j, SparseVec({key: rational(1)}))
-                if module.unit_apply(i, j, once):
-                    return False
-    return True
+    units = range(1, module.n + 1)
+    return not any(module.unit_apply(i, j, module.unit_apply(i, j, {key: 1}))
+                   for i in units for j in units if i != j for key in module.keys)

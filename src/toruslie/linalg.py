@@ -67,11 +67,6 @@ class SparseVec(dict):
     def __sub__(self, other):
         return self + other.scaled(-1)
 
-    def __str__(self):
-        if not self:
-            return "0"
-        return " + ".join("%s*%s" % (c, key) for key, c in sorted(self.items()))
-
 
 def _eliminate(work, key, row) -> int:
     """Set work to m*work - c*row, cancelling its entry at row's pivot key

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import lcm
 
 from . import glmod, tensor
@@ -207,7 +207,7 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
     def push(t, vec, entry):
         nonlocal central_rank, rows
         s = degree[t]
-        if not span.insert(s, vec):
+        if not span.mini(s).insert(vec):
             return False
         log.append("%s row=%d" % (entry, rows))
         rows += 1
@@ -318,7 +318,7 @@ def euler_span_scalar(twist, bound: int, n: int) -> tensor.GradedSpan:
     span = tensor.GradedSpan()
     for s in box(n, bound):
         if any(si != ti for si, ti in zip(s, twist)):
-            span.insert(s, SparseVec({(): ONE}))
+            span.mini(s).insert(SparseVec({(): ONE}))
     return span
 
 
@@ -340,85 +340,61 @@ def kernel_at(s, twist, vmod_k) -> list:
 # ----------------------------------------------- interpolation extraction
 
 
-def _invert_matrix(rows):
-    """Exact inverse of a small dense rational matrix (list of lists)."""
-    m = len(rows)
-    aug = [[rat(rows[i][j]) for j in range(m)] + [ONE if i == j else rat(0)
-           for j in range(m)] for i in range(m)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [a * inv for a in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
-
-
 @lru_cache(maxsize=8)
 def _coeff_of_nodes(nodes):
-    """Matrix C with C[a][b] = coefficient of t^a in the b-th Lagrange basis.
+    """Matrix C with C[a][b] = coefficient of t^a in the b-th Lagrange basis
+    polynomial prod_{j != b} (t - t_j) / (t_b - t_j).
 
     Memoised on the node tuple; every family of a run shares one of a few.
     """
     if len(set(nodes)) != len(nodes):
         raise ValueError("repeated sample points")
-    vand = [[rat(t) ** a for a in range(len(nodes))] for t in nodes]
-    return tuple(map(tuple, _invert_matrix(vand)))
+    nodes = [rat(t) for t in nodes]
+    cols = []
+    for b, tb in enumerate(nodes):
+        poly, den = [ONE], ONE  # ascending coefficients of the numerator
+        for tj in nodes[:b] + nodes[b + 1:]:
+            poly = [x - tj * y for x, y in zip([0] + poly, poly + [0])]
+            den *= tb - tj
+        cols.append([c / den for c in poly])
+    return tuple(zip(*cols))
 
 
 @dataclass
 class PolyFamily:
-    """Sampled polynomial family r -> element, on a product grid.
+    """Sampled polynomial family r -> element, on a product grid in Z^n.
 
-    active lists the 1-based exponent coordinates that vary; the others sit
-    at the base point. nodes are the per-coordinate sample values; the
-    declared total degree bound needs len(nodes) >= degree_bound + 1.
+    nodes are the per-coordinate sample values; the declared total degree
+    bound needs len(nodes) >= degree_bound + 1.
     """
 
     n: int
-    active: tuple
     nodes: tuple
-    base: tuple
     degree_bound: int
     values: dict
 
     @classmethod
-    def sample(cls, fn, n, active, degree_bound, nodes=(-2, -1, 0, 1, 2),
-               base=None):
-        active = tuple(active)
+    def sample(cls, fn, n, degree_bound, nodes=(-2, -1, 0, 1, 2)):
         nodes = tuple(nodes)
         if len(nodes) < degree_bound + 1:
             raise ValueError("need %d sample points for degree %d, got %d"
                              % (degree_bound + 1, degree_bound, len(nodes)))
-        if base is None:
-            base = tuple(range(1, n + 1))
-        values = {}
-        from itertools import product as iproduct
-        for combo in iproduct(nodes, repeat=len(active)):
-            r = list(base)
-            for coord, val in zip(active, combo):
-                r[coord - 1] = val
-            values[combo] = fn(tuple(r))
-        return cls(n, active, nodes, tuple(base), degree_bound, values)
+        return cls(n, nodes, degree_bound,
+                   {r: fn(r) for r in product(nodes, repeat=n)})
 
 
 def coeff_extract(family: PolyFamily, target: dict):
-    """Exact coefficient of the monomial prod r_i^{target[i]} (active coords).
+    """Exact coefficient of the monomial prod r_i^{target[i]}.
 
     Lagrange interpolation per coordinate; exact over the rationals and
     independent of the admissible grid. target maps 1-based coordinates to
-    exponents; omitted active coordinates mean exponent 0. The weighted sum
-    of the samples is taken in integers, with one rational per output term.
+    exponents; omitted coordinates mean exponent 0. The weighted sum of
+    the samples is taken in integers, with one rational per output term.
     """
     for coord in target:
-        if coord not in family.active:
-            raise ValueError("coordinate %d not active in the family" % coord)
-    exps = [target.get(coord, 0) for coord in family.active]
+        if not 1 <= coord <= family.n:
+            raise ValueError("coordinate %d out of range 1..%d" % (coord, family.n))
+    exps = [target.get(coord, 0) for coord in range(1, family.n + 1)]
     if sum(exps) > family.degree_bound:
         raise ValueError("target degree exceeds the declared bound")
     coeffs = _coeff_of_nodes(tuple(family.nodes))
@@ -454,11 +430,7 @@ def coeff_extract(family: PolyFamily, target: dict):
 
 def lattice_fingerprint(twist) -> tuple:
     """The twist modulo the integer lattice, coordinatewise in [0, 1)."""
-    out = []
-    for t in twist:
-        t = rat(t)
-        out.append(t - (t.numerator // t.denominator))
-    return tuple(out)
+    return tuple(rat(t) % 1 for t in twist)
 
 
 def iso_evidence(twist1, vmod1, twist2, vmod2):

@@ -21,8 +21,8 @@ import time
 from dataclasses import dataclass, field
 
 from . import glmod, probe, tensor
-from .fields import (VectorField, adjacent_field, bracket, double_action_check,
-                     euler_field, field_apply, pair_field, spanning_generators)
+from .fields import (VectorField, bracket, double_action_check, euler_field,
+                     field_apply, pair_field, spanning_generators)
 from .indices import add, box, dot, inside, sub, unit, zero
 from .linalg import SpanBasis, SparseVec, kernel_of_map
 from .rational import ONE, rat, rat_str
@@ -50,6 +50,8 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("need at least two variables")
+        if not 0 <= self.k <= self.n:
+            raise ValueError("exterior level k=%d out of range 0..%d" % (self.k, self.n))
         # window fields left as None take the rank's preset
         names = ("central", "gen_bound", "depth", "margin")
         if any(getattr(self, name) is None for name in names):
@@ -117,14 +119,8 @@ class SuiteResult:
             self.failures.append(line)
         return ok
 
-    def note(self, line: str) -> None:
-        self.log.append(line)
-
     def bump(self, key: str, by: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + by
-
-    def tally(self, key: str, value) -> None:
-        self.counters[key] = value
 
     @property
     def log_digest(self) -> str:
@@ -350,7 +346,7 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
         target = glmod.exterior(n, k)
         span = tensor.derham_image_graded(k, twist, B, n)
         rank = span.rank_in(central)
-        rec.tally("image_rank_k%d" % k, rank)
+        rec.counters["image_rank_k%d" % k] = rank
         expected = 0
         exact = True
         for s in central:
@@ -370,7 +366,7 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
                     exact = exact and tensor.derham_map(elem).is_zero
         rec.check("image_kernel_exactness", exact and rank == expected,
                   "k=%d rank=%d expected=%d" % (k, rank, expected))
-    rec.tally("dim", len(central))
+    rec.counters["dim"] = len(central)
     return rec
 
 
@@ -538,7 +534,7 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
                 if k < n:
                     elem = tensor.TensorElement(
                         ctx, {(s, key): c for key, c in vec.items()})
-                    if not tensor.kernel_member(elem):
+                    if not tensor.derham_map(elem).is_zero:
                         kernel_ok = False
 
             # honest chain kernel at this exponent, for the reverse inclusion;
@@ -599,9 +595,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             m = probe.random_element(rng, ctx, B)
             fam = probe.PolyFamily.sample(
                 lambda r: tensor.act_direct(
-                    adjacent_field(i + 1, sub(s, r)),
-                    tensor.act_direct(adjacent_field(i, r), m)),
-                n, active=tuple(range(1, n + 1)), degree_bound=4)
+                    pair_field(i + 1, i + 2, sub(s, r)),
+                    tensor.act_direct(pair_field(i, i + 1, r), m)),
+                n, degree_bound=4)
             got = probe.coeff_extract(fam, {i: 2})
             rec.check("square_coefficient_identity",
                       got == _square_coeff_expected(i, s, m),
@@ -625,21 +621,20 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             return tensor.act_direct(pair_field(1, 2, sub(s, r)),
                                      tensor.act_direct(pair_field(1, 2, r), m))
 
-        fam5 = probe.PolyFamily.sample(fam_fn, 2, (1, 2), 5, nodes=nodes6)
+        fam5 = probe.PolyFamily.sample(fam_fn, 2, 5, nodes=nodes6)
         quintic_zero = all(
             probe.coeff_extract(fam5, {1: a, 2: 5 - a}).is_zero
             for a in range(6))
         fam4 = probe.PolyFamily.sample(
-            lambda r: fam_fn(r) - _double_quad_part(1, 2, 1, 2, s, r, m),
-            2, (1, 2), 4)
+            lambda r: fam_fn(r) - _double_quad_part(1, 2, 1, 2, s, r, m), 2, 4)
         quartic_zero = all(
             probe.coeff_extract(fam4, {1: a, 2: 4 - a}).is_zero
             for a in range(5))
         rec.check("double_action_degree_bound", quintic_zero and quartic_zero,
                   "s=%s trial=%d" % (s, t))
 
-    rec.tally("max_rank", max_rank)
-    rec.tally("dim", len(central) * max(glmod.exterior(n, k).dim for k in ks))
+    rec.counters["max_rank"] = max_rank
+    rec.counters["dim"] = len(central) * max(glmod.exterior(n, k).dim for k in ks)
     return rec
 
 
@@ -668,8 +663,8 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
     rec.check("scalar_quotient_trivial", bad == 0,
               "failures=%d/%d" % (bad, len(central) * len(gens)))
     rank = hspan.rank_in(central)
-    rec.tally("max_rank", rank)
-    rec.tally("dim", len(central))
+    rec.counters["max_rank"] = rank
+    rec.counters["dim"] = len(central)
     if all(t.denominator == 1 for t in twist):
         # the Euler span misses only the line x^twist (x) 1, itself killed
         # by every generator, so the central codimension is 1 when that
@@ -738,7 +733,7 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
               "fills=%d/%d inside=%s covered=%s" % (
                   fills, len(results), contained, covered))
     if all(t.denominator == 1 for t in twist):
-        rec.note("maximality closure skipped for an integer twist")
+        rec.log.append("maximality closure skipped for an integer twist")
     else:
         # the kernel's window part plus one vector outside the kernel must
         # generate the full central window
@@ -746,7 +741,7 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
                  for s in central for vec in probe.kernel_at(s, twist, ctx.vmod)]
         for _ in range(64):
             cand = probe.random_element(rng, ctx, B)
-            if not tensor.kernel_member(cand):
+            if not tensor.derham_map(cand).is_zero:
                 seeds.append(cand)
                 break
         beyond = probe.closure(seeds, gens, window, cfg.depth)
@@ -771,8 +766,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
                                          res1.central_dim))
     rec.bump("closure_apps", res1.counters["apps"])
 
-    rec.tally("max_rank", max(r.central_rank for r in results))
-    rec.tally("dim", results[0].central_dim)
+    rec.counters["max_rank"] = max(r.central_rank for r in results)
+    rec.counters["dim"] = results[0].central_dim
     return rec
 
 
@@ -786,7 +781,7 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
     vmod = cfg.vmod
     if glmod.offdiagonal_squares_vanish(vmod):
         vmod = glmod.symmetric(n, 2)
-        rec.note("configured module is minuscule; probing sym:2 instead")
+        rec.log.append("configured module is minuscule; probing sym:2 instead")
 
     rec.check("minuscule_classifier",
               not glmod.offdiagonal_squares_vanish(vmod)
@@ -805,9 +800,9 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
         detail += " window-stable proper subspace at rank %d/%d" % (
             stuck[0].central_rank, stuck[0].central_dim)
     rec.check("nonminuscule_fills_window", fills == len(results), detail)
-    rec.tally("max_rank", max(r.central_rank for r in results))
-    rec.tally("dim", results[0].central_dim)
-    rec.tally("closure_apps", sum(r.counters["apps"] for r in results))
+    rec.counters["max_rank"] = max(r.central_rank for r in results)
+    rec.counters["dim"] = results[0].central_dim
+    rec.counters["closure_apps"] = sum(r.counters["apps"] for r in results)
     return rec
 
 
@@ -828,7 +823,7 @@ def run_iso(cfg: RunConfig) -> SuiteResult:
     for label, twist2, vmod2, want in cases:
         got = probe.iso_evidence(twist, sym2, twist2, vmod2)
         rec.check("fingerprints_distinguish", got == want, "%s: %s" % (label, got))
-    rec.tally("cases", len(cases))
+    rec.counters["cases"] = len(cases)
     return rec
 
 

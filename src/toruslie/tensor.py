@@ -109,14 +109,6 @@ class TensorElement:
         return (isinstance(other, TensorElement) and self.ctx == other.ctx
                 and self.terms == other.terms)
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (s, vkey), c in sorted(self.terms.items()):
-            bits.append("%s x^(%s) (x) %s" % (c, ",".join(str(e) for e in s), vkey or "1"))
-        return " + ".join(bits)
-
 
 def _wrap(ctx: Context, terms: SparseVec) -> TensorElement:
     """The element over ctx that takes terms as they are, without a copy."""
@@ -332,9 +324,6 @@ class GradedSpan:
         sp = self.spans.get(s)
         return sp.rank if sp is not None else 0
 
-    def insert(self, s, minivec) -> bool:
-        return self.mini(s).insert(minivec)
-
     def rank_in(self, degrees) -> int:
         return sum(self.rank_at(s) for s in degrees)
 
@@ -364,13 +353,8 @@ def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
             # distinct indices i give distinct keys, so no entry repeats
             vec = SparseVec((new, c) for _, new, c in glmod.wedge_by(shat, wkey))
             if vec:
-                span.insert(s, vec)
+                span.mini(s).insert(vec)
     return span
-
-
-def kernel_member(m: TensorElement) -> bool:
-    """Membership in the kernel of the de Rham map at the element's level."""
-    return derham_map(m).is_zero
 
 
 # -------------------------------------------------------------- image probe

@@ -24,22 +24,9 @@ class LaurentPoly(SparseVec):
 
     __slots__ = ()
 
-    @classmethod
-    def monomial(cls, r, coeff=1) -> "LaurentPoly":
-        c = rat(coeff)
-        return cls({tuple(r): c}) if c else cls()
-
     def __mul__(self, other):
         return LaurentPoly.make((add(r, s), a * b)
                                 for r, a in self.items() for s, b in other.items())
-
-    def __str__(self):
-        if not self:
-            return "0"
-        terms = []
-        for r, c in sorted(self.items()):
-            terms.append("%s x^(%s)" % (c, ",".join(str(a) for a in r)))
-        return " + ".join(terms)
 
 
 class WeylOp(SparseVec):
@@ -69,17 +56,6 @@ class WeylOp(SparseVec):
                     for key, c in _shifted_powers(a, s):
                         yield (base, tuple(e + f for e, f in zip(key, b))), c0 * c
         return WeylOp.make(terms())
-
-    def __str__(self):
-        if not self:
-            return "0"
-        terms = []
-        for (r, a), c in sorted(self.items()):
-            word = "x^(%s)" % ",".join(str(e) for e in r)
-            if any(a):
-                word += " d^(%s)" % ",".join(str(e) for e in a)
-            terms.append("%s %s" % (c, word))
-        return " + ".join(terms)
 
 
 def _shifted_powers(a, s):

@@ -93,6 +93,26 @@ def test_explicit_window_runs_as_given_or_exits(capsys):
     assert code == 0
     assert json.loads(out)["config"]["window"] == {
         "central": 1, "genBound": 2, "depth": 1, "margin": 2}
+    # n=5 has no preset window: an explicit one runs, a missing one exits
+    code, out, _ = run_main(
+        ["--n", "5", "--window", "1,1,1,1", "--suite", "iso"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["n"] == 5
+    code, out, err = run_main(["--n", "5", "--suite", "iso"], capsys)
+    assert code == 2
+    assert not out
+    assert "no default window for n=5" in err
+
+
+def test_k_out_of_range_is_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(suites.SUITES, "identities", ran.append)
+    for names in ("iso", "identities,minuscule"):
+        code, out, err = run_main(["--n", "2", "--k", "7", "--suite", names], capsys)
+        assert code == 2
+        assert not out
+        assert "exterior level k=7" in err and len(err.splitlines()) == 1
+    assert not ran  # k is checked before any suite runs
 
 
 def test_integer_twist_off_the_window_passes_lattice(capsys):

@@ -82,11 +82,31 @@ def test_exterior_wedge_signs():
     assert ext.unit_table(3, 1)[(1, 2)] == [((2, 3), -1)]
 
 
+def oracle_weight(vmod, key) -> tuple:
+    """Hand-written diagonal weight of a basis key, one rule per kind."""
+    n, kind = vmod.n, vmod.kind[0]
+    if kind == "natural":
+        return tuple(1 if k == key[0] else 0 for k in range(1, n + 1))
+    if kind == "exterior":
+        return tuple(1 if i in key else 0 for i in range(1, n + 1))
+    if kind == "symmetric":
+        return tuple(key.count(i) for i in range(1, n + 1))
+    if kind == "adjoint":
+        i, j = key
+        return tuple((1 if k == i else 0) - (1 if k == j else 0) for k in range(1, n + 1))
+    return (0,) * n
+
+
 def test_weights_match_character_multiset():
-    for vmod in (glmod.natural(2), glmod.exterior(3, 2), glmod.symmetric(2, 3),
-                 glmod.adjoint(2)):
-        assert sorted(vmod.weight_of(key) for key in vmod.keys) \
-            == sorted(vmod.character())
+    for n in (2, 3, 4, 5):
+        mods = [glmod.trivial(n), glmod.natural(n), glmod.adjoint(n)]
+        mods += [glmod.exterior(n, k) for k in range(n + 1)]
+        mods += [glmod.symmetric(n, m) for m in range(4)]
+        for vmod in mods:
+            for key in vmod.keys:
+                assert vmod.weight_of(key) == oracle_weight(vmod, key), (vmod, key)
+            assert vmod.character() == tuple(sorted(oracle_weight(vmod, key)
+                                                    for key in vmod.keys))
 
 
 def test_minuscule_classifier():

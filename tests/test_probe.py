@@ -249,7 +249,7 @@ def test_kernel_at_dimensions():
 def test_coeff_extract_constant_family_is_zero():
     ctx = tensor.context(GEN2, glmod.natural(2))
     m0 = tensor.basis_element(ctx, (1, 0), (1,), coeff=7)
-    fam = probe.PolyFamily.sample(lambda r: m0, 2, (1, 2), degree_bound=4)
+    fam = probe.PolyFamily.sample(lambda r: m0, 2, degree_bound=4)
     assert probe.coeff_extract(fam, {1: 1}).is_zero
     assert probe.coeff_extract(fam, {1: 2}).is_zero
     assert probe.coeff_extract(fam, {}) == m0
@@ -259,7 +259,7 @@ def test_coeff_extract_quadratic_family():
     ctx = tensor.context(GEN2, glmod.natural(2))
     m0 = tensor.basis_element(ctx, (0, 1), (2,), coeff=3)
     fam = probe.PolyFamily.sample(lambda r: m0.scaled(rat(r[0] * r[0])),
-                                  2, (1,), degree_bound=4)
+                                  2, degree_bound=4)
     assert probe.coeff_extract(fam, {1: 2}) == m0
     assert probe.coeff_extract(fam, {1: 1}).is_zero
 
@@ -267,20 +267,56 @@ def test_coeff_extract_quadratic_family():
 def test_coeff_extract_rejects_bad_requests():
     ctx = tensor.context(GEN2, glmod.natural(2))
     m0 = tensor.basis_element(ctx, (0, 0), (1,))
-    fam = probe.PolyFamily.sample(lambda r: m0, 2, (1,), degree_bound=4)
+    fam = probe.PolyFamily.sample(lambda r: m0, 2, degree_bound=4)
     with pytest.raises(ValueError):
-        probe.coeff_extract(fam, {2: 1})
+        probe.coeff_extract(fam, {3: 1})
     with pytest.raises(ValueError):
         probe.coeff_extract(fam, {1: 5})
     with pytest.raises(ValueError):
-        probe.PolyFamily.sample(lambda r: m0, 2, (1,), degree_bound=6)
+        probe.PolyFamily.sample(lambda r: m0, 2, degree_bound=6)
+    with pytest.raises(ValueError, match="repeated sample points"):
+        probe.coeff_extract(probe.PolyFamily.sample(
+            lambda r: m0, 2, degree_bound=2, nodes=(0, 1, 0)), {1: 1})
+
+
+def _invert_matrix(rows):
+    """Exact inverse of a small dense rational matrix (list of lists)."""
+    m = len(rows)
+    aug = [[rat(rows[i][j]) for j in range(m)] + [rat(1) if i == j else rat(0)
+           for j in range(m)] for i in range(m)]
+    for col in range(m):
+        piv = next((r for r in range(col, m) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = rat(1) / aug[col][col]
+        aug[col] = [a * inv for a in aug[col]]
+        for r in range(m):
+            if r != col and aug[r][col]:
+                c = aug[r][col]
+                aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
+
+
+def _coeff_of_nodes_oracle(nodes):
+    """C[a][b], the coefficient of t^a in the b-th Lagrange basis polynomial,
+    as the inverse of the Vandermonde matrix V[b][a] = t_b^a."""
+    vand = [[rat(t) ** a for a in range(len(nodes))] for t in nodes]
+    return tuple(map(tuple, _invert_matrix(vand)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nodes=st.lists(st.fractions(-6, 6, max_denominator=5), unique=True,
+                      min_size=1, max_size=7))
+def test_lagrange_weights_match_vandermonde_inverse(nodes):
+    assert probe._coeff_of_nodes(tuple(nodes)) == _coeff_of_nodes_oracle(nodes)
 
 
 def _coeff_extract_oracle(family, target):
     """coeff_extract in Fraction arithmetic, one element sum per sample."""
     coeffs = probe._coeff_of_nodes(tuple(family.nodes))
     node_index = {t: i for i, t in enumerate(family.nodes)}
-    exps = [target.get(coord, 0) for coord in family.active]
+    exps = [target.get(coord, 0) for coord in range(1, family.n + 1)]
     out = None
     for combo, value in family.values.items():
         w = rat(1)
@@ -295,7 +331,7 @@ def _coeff_extract_oracle(family, target):
 @given(data=st.data())
 def test_coeff_extract_matches_fraction_oracle(data):
     ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
-    active = data.draw(st.sampled_from([(1,), (2,), (1, 2)]), "active")
+    n = data.draw(st.integers(1, 2), "n")
     degree = data.draw(st.integers(0, 3), "degree")
     nodes = data.draw(st.lists(st.fractions(-3, 3, max_denominator=3), unique=True,
                                min_size=degree + 1, max_size=degree + 2), "nodes")
@@ -305,10 +341,10 @@ def test_coeff_extract_matches_fraction_oracle(data):
     fam = probe.PolyFamily.sample(
         lambda r: tensor.TensorElement(ctx, data.draw(
             st.lists(st.tuples(term, coeff), max_size=4))),
-        2, active, degree, nodes=nodes)
-    exps = data.draw(st.lists(st.integers(0, degree), min_size=len(active),
-                              max_size=len(active)).filter(lambda e: sum(e) <= degree))
-    target = dict(zip(active, exps))
+        n, degree, nodes=nodes)
+    exps = data.draw(st.lists(st.integers(0, degree), min_size=n,
+                              max_size=n).filter(lambda e: sum(e) <= degree))
+    target = dict(enumerate(exps, start=1))
     got = probe.coeff_extract(fam, target)
     assert got == _coeff_extract_oracle(fam, target)
     assert all(got.terms.values())

@@ -28,20 +28,49 @@ def unused_imports(tree) -> list:
 
 
 def unreached_definitions(trees) -> list:
-    """module.name for each def or class whose name no module reads, as a
-    Name or an Attribute; dunder methods are reached by the language."""
-    defined, read = {}, set()
+    """module.name for each def or class, and module.Class.name for each
+    method, that no module reads; dunder methods are reached by the
+    language. A read Class.attr, for a class of the package, reaches only
+    the definition Python finds on that class or its bases; any other
+    read of a name or an attribute reaches every definition of that name."""
+    owner, bases = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        owner[item] = node.name
+    defs, read, class_reads = [], set(), set()
     for fname, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, Path(fname).stem)
+                    defs.append((Path(fname).stem, owner.get(node), node.name))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return sorted("%s.%s" % (defined[name], name) for name in set(defined) - read)
+                if isinstance(node.value, ast.Name) and node.value.id in bases:
+                    class_reads.add((node.value.id, node.attr))
+                else:
+                    read.add(node.attr)
+    methods = {(cls, name) for _, cls, name in defs if cls}
+
+    def resolve(cls, name):
+        """The class that defines cls.name: cls itself or, depth first, a base."""
+        if (cls, name) in methods:
+            return cls
+        for base in bases.get(cls, ()):
+            found = resolve(base, name)
+            if found:
+                return found
+        return None
+
+    reached = {(resolve(cls, name), name) for cls, name in class_reads}
+    return sorted(".".join(filter(None, (module, cls, name)))
+                  for module, cls, name in defs
+                  if name not in read and (cls is None or (cls, name) not in reached))
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -52,3 +81,18 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_definition_is_reached_from_the_package():
     assert unreached_definitions(module_trees()) == []
+
+
+def test_class_qualified_reads_reach_that_class_only():
+    tree = ast.parse("""
+class Base:
+    def make(self): pass
+class A(Base):
+    def monomial(self): pass
+class B(Base):
+    def monomial(self): pass
+    def word(self): pass
+def use(b):
+    return B.monomial(), A.make(), b.word()
+""")
+    assert unreached_definitions({"m.py": tree}) == ["m.A.monomial", "m.use"]

@@ -77,6 +77,9 @@ def test_config_validation_errors():
         RunConfig(n=2, central=2, gen_bound=2, depth=3, margin=2)
     with pytest.raises(ValueError):
         RunConfig(n=2, module="octonion")
+    for k in (-1, 3):
+        with pytest.raises(ValueError, match="exterior level"):
+            RunConfig(n=2, k=k)
 
 
 def test_config_serialization_uses_fraction_strings():

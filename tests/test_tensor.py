@@ -81,7 +81,7 @@ def test_chain_map_known_values():
     m = tensor.basis_element(scalars, (1, 0), ())
     d = tensor.derham_map(m)
     assert d.terms == {((1, 0), (1,)): rat(1)}
-    assert not tensor.kernel_member(m)
+    assert not tensor.derham_map(m).is_zero
 
     sh = tensor.basis_element(scalars.with_style(tensor.STYLE_SHIFTED),
                               (1, 0), ())
@@ -171,8 +171,8 @@ def test_eigen_vector_subtracts_twist():
 def test_graded_span_insert_and_membership():
     ctx = tensor.context(GEN2, glmod.natural(2))
     span = tensor.GradedSpan()
-    assert span.insert((1, 0), SparseVec.make({(1,): rat(1)}))
-    assert not span.insert((1, 0), SparseVec.make({(1,): rat(3)}))
+    assert span.mini((1, 0)).insert(SparseVec.make({(1,): rat(1)}))
+    assert not span.mini((1, 0)).insert(SparseVec.make({(1,): rat(3)}))
     assert span.rank_at((1, 0)) == 1
     assert span.rank_at((0, 1)) == 0
     m = tensor.basis_element(ctx, (1, 0), (1,))
