@@ -15,7 +15,7 @@ from .linalg import SparseVec, SpanBasis, kernel_of_map
 from .probe import (ClosureResult, PolyFamily, Window, closure, coeff_extract,
                     generation_evidence, iso_evidence, random_element)
 from .rational import ONE, ZERO, parse_tuple, rat, rat_str
-from .suites import CHECKS, SUITES, RunConfig, SuiteResult, run_suites
+from .suites import SUITES, RunConfig, SuiteResult, run_suites
 from .tensor import (Context, GradedSpan, TensorElement, act, act_direct,
                      act_shifted_field, basis_element, context,
                      derham_image_graded, derham_map, derham_map_shifted,

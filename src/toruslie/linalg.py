@@ -6,7 +6,7 @@ of primitive integer rows, eliminating fraction-free with content removal
 (Bareiss, Math. Comp. 22, 1968): insertion, membership and rank build no
 rational, and reduce returns the exact rational residue. Because no row
 holds another row's pivot, an elimination never brings in a pivot key, so
-an insert eliminates each pivot key of its vector once, in any order.
+reducing a vector eliminates each of its pivot keys once, in any order.
 """
 
 from __future__ import annotations
@@ -49,12 +49,6 @@ class SparseVec(dict):
                     else:
                         del self[key]
 
-    def add_scaled(self, c, other) -> None:
-        """In place self += c * other, other a dict or (key, coeff) pairs."""
-        if c:
-            self.add_pairs((key, a * c) for key, a in
-                           (other.items() if isinstance(other, dict) else other))
-
     def scaled(self, c):
         c = rat(c)
         return type(self)((key, a * c) for key, a in self.items()) if c else type(self)()
@@ -91,14 +85,13 @@ class SpanBasis:
     """Incremental reduced row echelon span of primitive integer rows.
 
     A row's pivot is its smallest key, where its entry is positive, and no
-    row contains another row's pivot, so reduction by minimal keys takes
-    one sweep. A residue is the unique vector of its coset with no pivot
-    key, up to scale, so the order of eliminations does not matter: insert
-    eliminates the vector's pivot keys once each and stores the residue
-    divided by its content, with a positive pivot and increasing keys.
-    Each row is therefore the pivot-1 row scaled to coprime integers, and
-    the rows depend only on the span. An insert replaces, never mutates,
-    the dict of a row it updates.
+    row contains another row's pivot. A residue is the unique vector of its
+    coset with no pivot key, so one pass that eliminates each pivot key of
+    a vector once, in any order, reaches it: reduce, contains and insert
+    share that pass. insert stores the residue divided by its content, with
+    a positive pivot and increasing keys. Each row is therefore the pivot-1
+    row scaled to coprime integers, and the rows depend only on the span.
+    An insert replaces, never mutates, the dict of a row it updates.
     """
 
     def __init__(self):
@@ -109,42 +102,31 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _sweep(self, vec, first=False) -> list:
-        """Residue entries (key, c, scale) of vec in key order, each being
-        c / scale, in integer arithmetic. With first, stop at the first."""
-        scale = lcm(*[c.denominator for c in vec.values()])
-        work = {key: c.numerator * (scale // c.denominator)
-                for key, c in vec.items() if c}
-        out = []
-        while work:
-            key = min(work)
-            idx = self.pivots.get(key)
-            if idx is not None:
-                scale *= _eliminate(work, key, self.rows[idx])
-                continue
-            out.append((key, work.pop(key), scale))
-            if first:
-                break
-        return out
-
-    def reduce(self, vec) -> SparseVec:
-        """Exact rational residue of vec modulo the span (fully reduced)."""
-        return SparseVec((key, rational(c, scale))
-                         for key, c, scale in self._sweep(vec))
-
-    def contains(self, vec) -> bool:
-        return not self._sweep(vec, first=True)
-
-    def insert(self, vec) -> bool:
-        """Add vec to the span; True iff the rank grew. vec is not modified."""
+    def _residue(self, vec) -> tuple:
+        """(work, scale): the residue of vec modulo the span, in integers,
+        is work[key] / scale at each key of work."""
         scale = lcm(*[c.denominator for c in vec.values()])
         work = {key: c.numerator * (scale // c.denominator)
                 for key, c in vec.items() if c}
         rows, pivots = self.rows, self.pivots
         for key in [key for key in work if key in pivots]:
-            _eliminate(work, key, rows[pivots[key]])
+            scale *= _eliminate(work, key, rows[pivots[key]])
+        return work, scale
+
+    def reduce(self, vec) -> SparseVec:
+        """Exact rational residue of vec modulo the span (fully reduced)."""
+        work, scale = self._residue(vec)
+        return SparseVec((key, rational(work[key], scale)) for key in sorted(work))
+
+    def contains(self, vec) -> bool:
+        return not self._residue(vec)[0]
+
+    def insert(self, vec) -> bool:
+        """Add vec to the span; True iff the rank grew. vec is not modified."""
+        work = self._residue(vec)[0]
         if not work:
             return False
+        rows, pivots = self.rows, self.pivots
         keys = sorted(work)
         pivot = keys[0]
         g = gcd(*work.values())

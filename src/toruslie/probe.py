@@ -204,12 +204,13 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
         return ClosureResult(verdict, central_rank, central_dim, span,
                              counters, log)
 
-    def push(t, vec, entry):
+    def push(t, vec, entry, *args):
+        """Insert vec at flat index t; log entry % args only if it grew."""
         nonlocal central_rank, rows
         s = degree[t]
         if not span.mini(s).insert(vec):
             return False
-        log.append("%s row=%d" % (entry, rows))
+        log.append((entry + " row=%d") % (*args, rows))
         rows += 1
         worklist.append((t, s, span.rows_at(s)[-1]))
         if span.rank_at(s) >= target[t]:
@@ -225,7 +226,7 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
         for s in sorted(comps):
             if not inside(s, ambient):
                 raise ValueError("seed component at %s outside the ambient box" % (s,))
-            push(flat(s), comps[s], "seed=%d deg=%s" % (idx, s))
+            push(flat(s), comps[s], "seed=%d deg=%s", idx, s)
     if central_rank >= central_dim:
         return result(FILLS)
 
@@ -256,7 +257,7 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
                 return result(INCONCLUSIVE)
             for t, g, (_, s, row) in todo:
                 img = _apply_gen(kernel[g], s, row)
-                if img and push(t, img, "img gen=%d from deg=%s" % (g, s)) \
+                if img and push(t, img, "img gen=%d from deg=%s", g, s) \
                         and central_rank >= central_dim:
                     return result(FILLS)
 
@@ -266,8 +267,8 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
 # ------------------------------------------------------------- randomness
 
 
-def _random_terms(rng, ctx, bound: int, max_terms: int) -> tensor.TensorElement:
-    """1..max_terms random window terms, coefficients in +-{1..3}.
+def _random_terms(rng, ctx, bound: int) -> tensor.TensorElement:
+    """1..4 random window terms, coefficients in +-{1..3}.
 
     Each term draws its exponent, then its key, then its coefficient."""
     keys = ctx.vmod.keys
@@ -275,22 +276,22 @@ def _random_terms(rng, ctx, bound: int, max_terms: int) -> tensor.TensorElement:
         ((tuple(rng.randint(-bound, bound) for _ in range(ctx.n)),
           keys[rng.randrange(len(keys))]),
          rat(rng.choice([-3, -2, -1, 1, 2, 3])))
-        for _ in range(rng.randint(1, max_terms))])
+        for _ in range(rng.randint(1, 4))])
 
 
-def random_element(rng, ctx, bound: int, max_terms: int = 4) -> tensor.TensorElement:
-    """Random nonzero window element of at most max_terms terms."""
-    out = _random_terms(rng, ctx, bound, max_terms)
+def random_element(rng, ctx, bound: int) -> tensor.TensorElement:
+    """Random nonzero window element of at most four terms."""
+    out = _random_terms(rng, ctx, bound)
     if out.is_zero:
         out.add_term(zero(ctx.n), ctx.vmod.keys[0], ONE)
     return out
 
 
-def random_image_element(rng, ctx_k, bound: int, max_terms: int = 4):
+def random_image_element(rng, ctx_k, bound: int):
     """Random element of the level-k de Rham image supported in the window."""
     src = ctx_k.with_vmod(glmod.exterior(ctx_k.n, ctx_k.vmod.kind[1] - 1))
     for _ in range(64):
-        img = tensor.derham_map(_random_terms(rng, src, bound, max_terms))
+        img = tensor.derham_map(_random_terms(rng, src, bound))
         if not img.is_zero:
             return img
     raise RuntimeError("could not sample a nonzero image element")

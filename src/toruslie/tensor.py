@@ -20,16 +20,17 @@ annihilates exactly the image underpin the verification suites.
 
 The direct action and the image probe, which the minuscule suite calls
 tens of thousands of times, run in integer arithmetic: they clear the
-denominators of the element, the field direction and the twist once per
-call, sum integer coefficients per output term, and build one rational
-per surviving term. Their results equal the termwise rational formulas.
+denominators of the element and the field direction once per call and
+those of the twist once per context, sum integer coefficients per output
+term, and build one rational per surviving term. Their results equal
+the termwise rational formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import comb, lcm
 
 from . import glmod
 from .fields import VectorField
@@ -58,6 +59,11 @@ class Context:
     @property
     def n(self) -> int:
         return self.vmod.n
+
+    @cached_property
+    def cleared_twist(self) -> tuple:
+        """_cleared(twist), worked out once per context."""
+        return _cleared(self.twist)
 
     def with_vmod(self, vmod) -> "Context":
         return Context(self.twist, vmod, self.style)
@@ -138,7 +144,7 @@ def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
     du_den, du = _cleared(X.u)
     vmod = ctx.vmod
     r = X.r
-    tw_den, dtwist = _cleared(ctx.twist)
+    tw_den, dtwist = ctx.cleared_twist
     dut = dot(du, dtwist)
     du = [c * tw_den for c in du]
     ru = {(i, j): ri * duj for i, ri in enumerate(r, start=1) if ri
@@ -187,45 +193,35 @@ def act_monomial(r, m: TensorElement) -> TensorElement:
                                  for (s, vkey), c in m.terms.items()))
 
 
-def act_shifted(j: int, r, m: TensorElement) -> TensorElement:
-    """Monomial-field action in the shifted style, indexed by (j, r).
+def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
+    """A general field D(u, rho) = sum_j u_j x^rho d_j in the shifted style.
 
-    The acting field is x^{r-e_j} d_j; the shift keeps each summand's
-    exponent aligned with the matrix-unit column it multiplies.
+    With r = rho + e_j, the summand x^{r-e_j} d_j acts by
+    (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w; the shift
+    keeps each summand's exponent aligned with the matrix-unit column it
+    multiplies.
     """
     ctx = m.ctx
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("shifted action on a %s-style element" % ctx.style)
-    r = tuple(r)
-    n = ctx.n
-    if not 1 <= j <= n:
-        raise ValueError("index %d out of range" % j)
-    vmod, twist = ctx.vmod, ctx.twist
-    ej = unit(j, n)
+    n, vmod, twist = ctx.n, ctx.vmod, ctx.twist
 
     def terms():
-        for (s, vkey), c in m.terms.items():
-            c1 = c * (s[j - 1] - twist[j - 1])
-            if c1:
-                yield (add(s, sub(r, ej)), vkey), c1
-            for i in range(1, n + 1):
-                ri = r[i - 1]
-                if not ri:
-                    continue
-                t = add(s, sub(r, unit(i, n)))
-                for vkey2, b in vmod.unit_table(i, j)[vkey]:
-                    yield (t, vkey2), c * (ri * b)
+        for j, uj in enumerate(X.u, start=1):
+            if not uj:
+                continue
+            r = add(X.r, unit(j, n))
+            for (s, vkey), a in m.terms.items():
+                c = a * uj
+                c1 = c * (s[j - 1] - twist[j - 1])
+                if c1:
+                    yield (add(s, X.r), vkey), c1
+                for i, ri in enumerate(r, start=1):
+                    if ri:
+                        t = add(s, sub(r, unit(i, n)))
+                        for vkey2, b in vmod.unit_table(i, j)[vkey]:
+                            yield (t, vkey2), c * (ri * b)
     return TensorElement(ctx, terms())
-
-
-def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
-    """A general field D(u, rho) = sum_j u_j x^rho d_j in the shifted style."""
-    out = TensorElement(m.ctx)
-    n = m.ctx.n
-    for j, uj in enumerate(X.u, start=1):
-        if uj:
-            out.terms.add_scaled(uj, act_shifted(j, add(X.r, unit(j, n)), m).terms)
-    return out
 
 
 def act(X: VectorField, m: TensorElement) -> TensorElement:
@@ -300,6 +296,12 @@ def from_shifted_form(m: TensorElement) -> TensorElement:
 def eigen_vector(s, twist) -> list:
     """Euler eigenvalue vector of x^s: (s_1 - t_1, ..., s_n - t_n)."""
     return [si - ti for si, ti in zip(s, twist)]
+
+
+def image_rank(k: int, s, twist) -> int:
+    """Rank of the level-k de Rham image at exponent s, 1 <= k <= n:
+    C(n-1, k-1) when the eigenvalue vector of x^s is nonzero, else 0."""
+    return comb(len(s) - 1, k - 1) if any(eigen_vector(s, twist)) else 0
 
 
 class GradedSpan:
@@ -382,7 +384,7 @@ def image_probe(i: int, s, m: TensorElement) -> TensorElement:
                          % (i, n - 2))
     s = tuple(s)
     table = _probe_table(i, ctx.vmod)
-    den, dtwist = _cleared(ctx.twist)
+    den, dtwist = ctx.cleared_twist
     scale, coeffs = _cleared(m.terms.values())
     acc = {}
     get = acc.get

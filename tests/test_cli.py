@@ -115,6 +115,19 @@ def test_k_out_of_range_is_usage_error(monkeypatch, capsys):
     assert not ran  # k is checked before any suite runs
 
 
+def test_simplicity_runs_at_the_top_exterior_power(capsys):
+    # at k = n the kernel is the whole module, so maximality is skipped
+    for argv in (["--n", "2", "--lambda", "1/3,1/2", "--k", "2",
+                  "--suite", "iso,simplicity", "--window", "1,1,1,1"],
+                 ["--n", "3", "--lambda", "1/2,1/3,1/5", "--k", "3",
+                  "--suite", "simplicity"]):
+        code, out, err = run_main(argv, capsys)
+        assert code == 0, err
+        entry = json.loads(out)["suites"][-1]
+        assert entry["name"] == "simplicity"
+        assert entry["status"] == "evidence-pass"
+
+
 def test_integer_twist_off_the_window_passes_lattice(capsys):
     # (5,5) is congruent to (0,0); its fixed line lies outside the window
     code, out, err = run_main(

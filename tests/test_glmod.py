@@ -49,14 +49,13 @@ def test_unit_commutator_relation_on_every_kind():
             i, j, k, l = (rng.randint(1, n) for _ in range(4))
             vec = SparseVec.make({key: rat(rng.randint(-3, 3))
                                   for key in vmod.keys})
-            lhs = apply_unit(vmod, i, j, apply_unit(vmod, k, l, vec))
-            lhs.add_scaled(rat(-1),
-                           apply_unit(vmod, k, l, apply_unit(vmod, i, j, vec)))
+            lhs = (apply_unit(vmod, i, j, apply_unit(vmod, k, l, vec))
+                   - apply_unit(vmod, k, l, apply_unit(vmod, i, j, vec)))
             rhs = SparseVec()
             if j == k:
-                rhs.add_scaled(rat(1), apply_unit(vmod, i, l, vec))
+                rhs = rhs + apply_unit(vmod, i, l, vec)
             if l == i:
-                rhs.add_scaled(rat(-1), apply_unit(vmod, k, j, vec))
+                rhs = rhs - apply_unit(vmod, k, j, vec)
             assert lhs == rhs
 
 
@@ -150,5 +149,5 @@ def test_matrix_apply_agrees_with_unit_tables():
         direct = vmod.matrix_apply(table, vec)
         via_units = SparseVec()
         for (i, j), c in table.items():
-            via_units.add_scaled(c, apply_unit(vmod, i, j, vec))
+            via_units = via_units + apply_unit(vmod, i, j, vec).scaled(c)
         assert SparseVec.make(direct) == via_units

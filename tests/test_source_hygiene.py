@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no function, class or method is defined that no module reads."""
+and no function, class, method or module-level public name is defined that
+no module reads."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,32 @@ def unreached_definitions(trees) -> list:
                   if name not in read and (cls is None or (cls, name) not in reached))
 
 
+def unread_module_names(trees) -> list:
+    """module.NAME for each public name a module assigns at its top level,
+    or in a branch of a top-level if or try, that no module reads."""
+    bound, read = [], set()
+    for fname, tree in trees.items():
+        todo = list(tree.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.If, ast.Try)):
+                todo += node.body + node.orelse + getattr(node, "finalbody", [])
+                for handler in getattr(node, "handlers", []):
+                    todo += handler.body
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound += [(Path(fname).stem, target.id) for target in targets
+                          if isinstance(target, ast.Name)
+                          and not target.id.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted({"%s.%s" % (module, name) for module, name in bound
+                   if name not in read})
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {name: unused_imports(tree) for name, tree in module_trees().items()}
     assert len(found) >= 10
@@ -81,6 +108,25 @@ def test_no_module_imports_a_name_it_never_uses():
 
 def test_every_definition_is_reached_from_the_package():
     assert unreached_definitions(module_trees()) == []
+
+
+def test_every_module_level_public_name_is_read_from_the_package():
+    assert unread_module_names(module_trees()) == []
+
+
+def test_module_level_names_in_branches_are_scanned():
+    tree = ast.parse("""
+try:
+    from fast import mpq as rational
+except ImportError:
+    rational = float
+if rational:
+    TABLE: dict = {}
+KEPT = _PRIVATE = 1
+def use():
+    return mod.KEPT
+""")
+    assert unread_module_names({"m.py": tree}) == ["m.TABLE"]
 
 
 def test_class_qualified_reads_reach_that_class_only():

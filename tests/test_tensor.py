@@ -38,10 +38,10 @@ def test_shifted_action_known_values():
     ctx = tensor.context((rat(1, 2), rat(0)), glmod.natural(2),
                          tensor.STYLE_SHIFTED)
     m = tensor.basis_element(ctx, (0, 0), (1,))
-    out = tensor.act_shifted(1, (1, 0), m)
+    out = tensor.act_shifted_field(VectorField((1, 0), (0, 0)), m)
     assert out == tensor.TensorElement(ctx, {((0, 0), (1,)): rat(1, 2)})
     m2 = tensor.basis_element(ctx, (2, 3), (1,))
-    out2 = tensor.act_shifted(2, (0, -1), m2)
+    out2 = tensor.act_shifted_field(VectorField((0, 1), (0, -2)), m2)
     assert out2 == tensor.TensorElement(ctx, {((2, 1), (1,)): rat(3)})
 
 
