@@ -363,16 +363,18 @@ def _coeff_of_nodes(nodes):
 
 @dataclass
 class PolyFamily:
-    """Sampled polynomial family r -> element, on a product grid in Z^n.
+    """Polynomial family r -> element, sampled on a product grid in Z^n.
 
     nodes are the per-coordinate sample values; the declared total degree
-    bound needs len(nodes) >= degree_bound + 1.
+    bound needs len(nodes) >= degree_bound + 1. values is a memo that at(r)
+    fills: fn runs once per node, and only at the nodes asked for.
     """
 
     n: int
     nodes: tuple
     degree_bound: int
-    values: dict
+    fn: object
+    values: dict = field(default_factory=dict)
 
     @classmethod
     def sample(cls, fn, n, degree_bound, nodes=(-2, -1, 0, 1, 2)):
@@ -380,8 +382,12 @@ class PolyFamily:
         if len(nodes) < degree_bound + 1:
             raise ValueError("need %d sample points for degree %d, got %d"
                              % (degree_bound + 1, degree_bound, len(nodes)))
-        return cls(n, nodes, degree_bound,
-                   {r: fn(r) for r in product(nodes, repeat=n)})
+        return cls(n, nodes, degree_bound, fn)
+
+    def at(self, r):
+        if r not in self.values:
+            self.values[r] = self.fn(r)
+        return self.values[r]
 
 
 def coeff_extract(family: PolyFamily, target: dict):
@@ -389,7 +395,9 @@ def coeff_extract(family: PolyFamily, target: dict):
 
     Lagrange interpolation per coordinate; exact over the rationals and
     independent of the admissible grid. target maps 1-based coordinates to
-    exponents; omitted coordinates mean exponent 0. The weighted sum of
+    exponents; omitted coordinates mean exponent 0. Only the grid nodes
+    with a nonzero product weight are evaluated: an exponent-0 coordinate
+    whose nodes include 0 has a single such node. The weighted sum of
     the samples is taken in integers, with one rational per output term.
     """
     for coord in target:
@@ -401,14 +409,14 @@ def coeff_extract(family: PolyFamily, target: dict):
     coeffs = _coeff_of_nodes(tuple(family.nodes))
     node_index = {t: i for i, t in enumerate(family.nodes)}
     pieces = []
-    for combo, value in family.values.items():
+    for combo in product(family.nodes, repeat=family.n):
         w = ONE
         for exp, node in zip(exps, combo):
             w = w * coeffs[exp][node_index[node]]
             if not w:
                 break
         if w:
-            pieces.append((w, value))
+            pieces.append((w, family.at(combo)))
     if not pieces:
         raise ValueError("empty sample grid")
     # with the weights over wden and the values over vden, each output

@@ -456,13 +456,14 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     ks = [cfg.k] if cfg.k else list(range(1, n + 1))
     central = list(box(n, B))
     max_rank = 0
+    hulls = {}
 
     for k in ks:
         vmod = glmod.exterior(n, k)
         ctx = tensor.context(twist, vmod)
         # each degree of the image span is built on its own, so the
         # central part of this hull is the image span of the central box
-        hull = tensor.derham_image_graded(k, twist, B + cfg.gen_bound, n)
+        hull = hulls[k] = tensor.derham_image_graded(k, twist, B + cfg.gen_bound, n)
 
         rank = hull.rank_in(central)
         max_rank = max(max_rank, rank)
@@ -564,7 +565,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
         for k in range(1, n):
             vmodk = glmod.exterior(n, k)
             ctxk = tensor.context(twist, vmodk)
-            hullk = tensor.derham_image_graded(k, twist, 1, n)
+            # RunConfig keeps B and R at least 1, so a main-loop hull covers
+            # box(n, 1), with the same rows there as a bound-1 build
+            hullk = hulls.get(k) or tensor.derham_image_graded(k, twist, 1, n)
             for t in box(n, 1):
                 minik = hullk.mini(t)
                 for vkey in vmodk.keys:
@@ -618,8 +621,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
         quintic_zero = all(
             probe.coeff_extract(fam5, {1: a, 2: 5 - a}).is_zero
             for a in range(6))
+        # fam4's nodes are a subset of fam5's, so it reads fam5's memo
         fam4 = probe.PolyFamily.sample(
-            lambda r: fam_fn(r) - _double_quad_part(1, 2, 1, 2, s, r, m), 2, 4)
+            lambda r: fam5.at(r) - _double_quad_part(1, 2, 1, 2, s, r, m), 2, 4)
         quartic_zero = all(
             probe.coeff_extract(fam4, {1: a, 2: 4 - a}).is_zero
             for a in range(5))

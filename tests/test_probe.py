@@ -3,15 +3,18 @@
 import hashlib
 import random
 import re
+from collections import Counter
+from itertools import product
 from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
-from toruslie.fields import spanning_generators
-from toruslie.indices import box
-from toruslie.suites import EVIDENCE, PASS, RunConfig, run_lattice, run_simplicity
+from toruslie.fields import pair_field, spanning_generators
+from toruslie.indices import box, sub
+from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
+                             run_lattice, run_simplicity)
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
@@ -313,16 +316,17 @@ def test_lagrange_weights_match_vandermonde_inverse(nodes):
 
 
 def _coeff_extract_oracle(family, target):
-    """coeff_extract in Fraction arithmetic, one element sum per sample."""
+    """coeff_extract in Fraction arithmetic, one element sum per node of
+    the full grid, zero weights included."""
     coeffs = probe._coeff_of_nodes(tuple(family.nodes))
     node_index = {t: i for i, t in enumerate(family.nodes)}
     exps = [target.get(coord, 0) for coord in range(1, family.n + 1)]
     out = None
-    for combo, value in family.values.items():
+    for combo in product(family.nodes, repeat=family.n):
         w = rat(1)
         for exp, node in zip(exps, combo):
             w = w * coeffs[exp][node_index[node]]
-        piece = value.scaled(w)
+        piece = family.at(combo).scaled(w)
         out = piece if out is None else out + piece
     return out
 
@@ -338,16 +342,81 @@ def test_coeff_extract_matches_fraction_oracle(data):
     coeff = st.fractions(-4, 4, max_denominator=6)
     term = st.tuples(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
                      st.sampled_from(ctx.vmod.keys))
-    fam = probe.PolyFamily.sample(
-        lambda r: tensor.TensorElement(ctx, data.draw(
-            st.lists(st.tuples(term, coeff), max_size=4))),
-        n, degree, nodes=nodes)
+    # the grid values are drawn up front, so fn is a pure lookup however
+    # many nodes coeff_extract evaluates, and in whatever order
+    table = {r: tensor.TensorElement(ctx, data.draw(
+                 st.lists(st.tuples(term, coeff), max_size=4)))
+             for r in product(nodes, repeat=n)}
+    fam = probe.PolyFamily.sample(table.__getitem__, n, degree, nodes=nodes)
     exps = data.draw(st.lists(st.integers(0, degree), min_size=n,
                               max_size=n).filter(lambda e: sum(e) <= degree))
     target = dict(enumerate(exps, start=1))
     got = probe.coeff_extract(fam, target)
     assert got == _coeff_extract_oracle(fam, target)
     assert all(got.terms.values())
+
+
+def test_square_coefficient_evaluates_only_its_axis():
+    # for {2: 2} the weight of a node is C[0][b1] C[2][b2] C[0][b3], and
+    # C[0][b] = L_b(0) is nonzero only at the node 0
+    ctx = tensor.context((rat(1, 2), rat(1, 3), rat(1, 5)), glmod.exterior(3, 2))
+    m0 = tensor.basis_element(ctx, (0, 1, 0), (1, 2))
+    m1 = tensor.basis_element(ctx, (1, 0, -1), (1, 3), coeff=rat(2, 3))
+    calls = []
+
+    def fn(r):
+        calls.append(r)
+        return (m0.scaled(rat(r[1] ** 2 + r[0] * r[1] - 3 * r[2]))
+                + m1.scaled(rat(r[1] ** 2 * r[2] + r[0] ** 2 + 5)))
+
+    fam = probe.PolyFamily.sample(fn, 3, degree_bound=4)
+    got = probe.coeff_extract(fam, {2: 2})
+    assert calls == [(0, t, 0) for t in fam.nodes]
+    assert got == m0
+    assert got == _coeff_extract_oracle(fam, {2: 2})
+    assert len(calls) == len(set(calls)) == 125
+
+
+def test_quintic_targets_evaluate_each_node_once():
+    ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
+    m0 = tensor.basis_element(ctx, (1, -1), (1, 2), coeff=rat(3, 4))
+    calls = Counter()
+
+    def fn(r):
+        calls[r] += 1
+        return m0.scaled(rat(r[0] ** 3 * r[1] ** 2 - r[0] * r[1] + 2))
+
+    fam = probe.PolyFamily.sample(fn, 2, 5, nodes=(-3, -2, -1, 0, 1, 2))
+    got = [probe.coeff_extract(fam, {1: a, 2: 5 - a}) for a in range(6)]
+    assert got == [m0 if a == 3 else tensor.TensorElement(ctx, ()) for a in range(6)]
+    assert set(calls.values()) == {1}
+    assert set(calls) <= set(product(fam.nodes, repeat=2))
+
+
+def test_quartic_family_over_the_quintic_memo_matches_a_fresh_one():
+    # the double_action_degree_bound families of the minuscule suite
+    ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
+    rng = random.Random(7)
+    for _ in range(3):
+        s = (rng.randint(-2, 2), rng.randint(-2, 2))
+        m = probe.random_element(rng, ctx, 1)
+
+        def fam_fn(r, s=s, m=m):
+            return tensor.act_direct(pair_field(1, 2, sub(s, r)),
+                                     tensor.act_direct(pair_field(1, 2, r), m))
+
+        def quad(r, s=s, m=m):
+            return _double_quad_part(1, 2, 1, 2, s, r, m)
+
+        fam5 = probe.PolyFamily.sample(fam_fn, 2, 5, nodes=(-3, -2, -1, 0, 1, 2))
+        probe.coeff_extract(fam5, {1: 2, 2: 3})
+        memo = probe.PolyFamily.sample(lambda r: fam5.at(r) - quad(r), 2, 4)
+        fresh = probe.PolyFamily.sample(lambda r: fam_fn(r) - quad(r), 2, 4)
+        targets = [{1: a, 2: b} for a in range(5) for b in range(5 - a)]
+        assert ([probe.coeff_extract(memo, t) for t in targets]
+                == [probe.coeff_extract(fresh, t) for t in targets])
+        assert all(memo.at(r) == fresh.at(r)
+                   for r in product(memo.nodes, repeat=2))
 
 
 def test_lattice_fingerprint_is_translation_invariant():

@@ -29,6 +29,10 @@ REFERENCE = [
                   "--window", "1,2,1,2"],
                  "e85ea315dc6a778ec01613f3affc8e346aff510fca704524731fd146507df437",
                  id="n3-integer-minuscule"),
+    # n > 3 takes the sampled image_probe branch and a 5-node r_i^2 grid
+    pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "minuscule"],
+                 "6b64ea11b0fc10e4b70b05a220f90cc8b161ec1bdf0eb7899e6e6358b0658cd9",
+                 id="n4-generic-minuscule"),
 ]
 
 
