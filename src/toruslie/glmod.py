@@ -9,8 +9,7 @@ Five concrete kinds with exact integer structure constants:
                 the diagonal differences E_ii - E_{i+1,i+1}, i < n
 - trivial:      one basis key ()
 
-Matrix units act through unit_apply; the identity matrix acts by the
-module's id_scalar (its trace on the natural module scale).
+Matrix units act through unit_apply.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from .linalg import SparseVec
-from .rational import ZERO, rat, rational
+from .rational import rat
 
 
 def _exterior_unit(i, j, key):
@@ -75,12 +74,11 @@ def _adjoint_unit(n, i, j, key):
 class FinModule:
     """One of the concrete gl_n module kinds, with cached unit actions."""
 
-    def __init__(self, kind: tuple, n: int, keys, unit_fn, id_scalar):
+    def __init__(self, kind: tuple, n: int, keys, unit_fn):
         self.kind = kind
         self.n = n
         self.keys = tuple(keys)
         self._unit_fn = unit_fn
-        self.id_scalar = id_scalar
         self._tables = {}
         self._weights = None
 
@@ -90,12 +88,10 @@ class FinModule:
 
     def __eq__(self, other):
         return (isinstance(other, FinModule)
-                and self.kind == other.kind
-                and self.n == other.n
-                and self.id_scalar == other.id_scalar)
+                and self.kind == other.kind and self.n == other.n)
 
     def __hash__(self):
-        return hash((self.kind, self.n, self.id_scalar))
+        return hash((self.kind, self.n))
 
     def __repr__(self):
         return "FinModule(%s, n=%d, dim=%d)" % ("-".join(map(str, self.kind)), self.n, self.dim)
@@ -123,15 +119,8 @@ class FinModule:
     def unit_apply(self, i, j, vec) -> SparseVec:
         """E_ij applied to a sparse vector over the module's keys."""
         tab = self.unit_table(i, j)
-        out = SparseVec()
-        for key, c in vec.items():
-            for key2, a in tab[key]:
-                b = out.get(key2, 0) + c * a
-                if b:
-                    out[key2] = b
-                elif key2 in out:
-                    del out[key2]
-        return out
+        return SparseVec.make((key2, c * a) for key, c in vec.items()
+                              for key2, a in tab[key])
 
     def matrix_apply(self, entries, vec) -> SparseVec:
         """A general matrix sum_{ij} entries[(i,j)] E_ij applied to vec."""
@@ -139,39 +128,39 @@ class FinModule:
                               for key, c in self.unit_apply(i, j, vec).items())
 
     def character(self) -> tuple:
-        """Sorted multiset of diagonal weights; equal for isomorphic kinds."""
+        """Sorted multiset of diagonal weights: the gl_n character."""
         return tuple(sorted(self.weight_of(key) for key in self.keys))
 
 
 def natural(n: int) -> FinModule:
     keys = [(i,) for i in range(1, n + 1)]
     return FinModule(("natural",), n, keys,
-                     lambda i, j, key: [((i,), 1)] if key[0] == j else [], rational(1))
+                     lambda i, j, key: [((i,), 1)] if key[0] == j else [])
 
 
 def exterior(n: int, k: int) -> FinModule:
     if not 0 <= k <= n:
         raise ValueError("exterior power %d out of range 0..%d" % (k, n))
     keys = list(combinations(range(1, n + 1), k))
-    return FinModule(("exterior", k), n, keys, _exterior_unit, rational(k))
+    return FinModule(("exterior", k), n, keys, _exterior_unit)
 
 
 def symmetric(n: int, m: int) -> FinModule:
     if m < 0:
         raise ValueError("symmetric power must be nonnegative")
     keys = list(combinations_with_replacement(range(1, n + 1), m))
-    return FinModule(("symmetric", m), n, keys, _symmetric_unit, rational(m))
+    return FinModule(("symmetric", m), n, keys, _symmetric_unit)
 
 
 def adjoint(n: int) -> FinModule:
     keys = sorted([(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
                   + [(i, i) for i in range(1, n)])
     return FinModule(("adjoint",), n, keys,
-                     lambda i, j, key: _adjoint_unit(n, i, j, key), ZERO)
+                     lambda i, j, key: _adjoint_unit(n, i, j, key))
 
 
 def trivial(n: int) -> FinModule:
-    return FinModule(("trivial",), n, [()], lambda i, j, key: [], ZERO)
+    return FinModule(("trivial",), n, [()], lambda i, j, key: [])
 
 
 def module_from_name(name: str, n: int) -> FinModule:

@@ -442,15 +442,23 @@ def lattice_fingerprint(twist) -> tuple:
     return tuple(rat(t) % 1 for t in twist)
 
 
+def sl_character(vmod) -> tuple:
+    """vmod.character() with each weight moved along (1, ..., 1) to sum 0."""
+    return tuple(sorted(tuple(x - rat(sum(w), vmod.n) for x in w)
+                        for w in vmod.character()))
+
+
 def iso_evidence(twist1, vmod1, twist2, vmod2):
     """The fingerprint that separates two tensor modules, or None.
 
-    Same eigenvalue lattice (twists congruent mod Z^n) and same finite
-    module character are necessary for isomorphism; a mismatch in either,
-    "eigenvalue-lattice" or "character", is an exact distinction.
+    Same eigenvalue lattice (twists congruent mod Z^n) and same sl_n
+    character of V are necessary for isomorphism; a mismatch in either,
+    "eigenvalue-lattice" or "character", is an exact distinction. Fields
+    of divergence zero act on V only through traceless matrices r u^T,
+    so V counts only as an sl_n-module.
     """
     if lattice_fingerprint(twist1) != lattice_fingerprint(twist2):
         return "eigenvalue-lattice"
-    if vmod1.character() != vmod2.character():
+    if sl_character(vmod1) != sl_character(vmod2):
         return "character"
     return None

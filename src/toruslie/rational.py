@@ -2,20 +2,15 @@
 
 Every coefficient in this package is an exact rational, canonical by
 construction: lowest terms, positive denominator, zero has a single
-representation. gmpy2's mpq is used when available (C-speed arithmetic,
-which the window closures need); fractions.Fraction is a drop-in fallback.
+representation. The scalar type is fractions.Fraction; the hot loops
+(closures, the direct action, the image probe, coefficient extraction)
+do their arithmetic in integers and build one rational per output term.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import Fraction as rational
 
-try:
-    from gmpy2 import mpq as rational
-except ImportError:
-    rational = Fraction
-
-ZERO = rational(0)
 ONE = rational(1)
 
 

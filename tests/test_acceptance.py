@@ -118,7 +118,10 @@ def test_criterion_8_isomorphism_fingerprints():
     started = time.perf_counter()
     sym2, adj = glmod.symmetric(2, 2), glmod.adjoint(2)
     assert probe.iso_evidence(GEN[2], sym2, GEN[2], sym2) is None
-    assert probe.iso_evidence(GEN[2], sym2, GEN[2], adj) == "character"
+    # at n=2 both are the 3-dimensional irreducible sl_2-module
+    assert probe.iso_evidence(GEN[2], sym2, GEN[2], adj) is None
+    assert probe.iso_evidence(GEN[2], sym2, GEN[2], glmod.symmetric(2, 3)) \
+        == "character"
     assert probe.iso_evidence(GEN[2], sym2, (rat(1, 4), rat(1, 2)), sym2) \
         == "eigenvalue-lattice"
     res = run_iso(RunConfig(n=2, twist=GEN[2]))

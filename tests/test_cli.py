@@ -3,6 +3,8 @@
 import json
 import time
 
+import pytest
+
 from toruslie import cli, suites
 
 
@@ -53,6 +55,16 @@ def test_csv_has_one_row_per_suite(capsys):
     assert len(lines) == 4
     assert lines[0].startswith("name,status,")
     assert lines[1].split(",")[0] == "iso"
+
+
+@pytest.mark.parametrize("lam", ["--lambda=5/4,1/2", "--lambda=-3/4,1/2",
+                                 "--lambda=9/4,1/3,1/5"])
+def test_iso_moves_a_twist_congruent_to_a_quarter(lam, capsys):
+    # the moved-twist case must leave the lattice class of 1/4 mod Z
+    n = str(lam.count(",") + 1)
+    code, out, _ = run_main(["--n", n, lam, "--suite", "iso"], capsys)
+    assert code == 0, out
+    assert json.loads(out)["suites"][0]["status"] == "pass"
 
 
 def test_unknown_suite_is_usage_error(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import pair_field, spanning_generators
 from toruslie.indices import box, sub
+from toruslie.linalg import SparseVec
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
                              run_lattice, run_simplicity)
 
@@ -62,6 +63,19 @@ def test_closure_rejects_small_margin():
     seed = tensor.basis_element(ctx, (0, 0), (1,))
     with pytest.raises(ValueError, match="margin violation"):
         probe.closure([seed], gens, probe.Window(2, 3), 3)
+
+
+def test_closure_out_of_budget_is_inconclusive_and_deterministic():
+    gens = spanning_generators(2, 2)
+    ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
+    seed = tensor.basis_element(ctx, (0, 0), (1, 1))
+    runs = [probe.closure([seed], gens, probe.Window(2, 6), 3, max_apps=50)
+            for _ in range(2)]
+    assert [r.verdict for r in runs] == [probe.INCONCLUSIVE] * 2
+    assert runs[0].central_rank < runs[0].central_dim == 75
+    assert runs[0].log_digest == runs[1].log_digest
+    # the same seed fills the window at the default budget
+    assert probe.closure([seed], gens, probe.Window(2, 6), 3).verdict == probe.FILLS
 
 
 def test_closure_deterministic_across_workers():
@@ -430,11 +444,66 @@ def test_iso_fingerprint_cases():
     sym2 = glmod.symmetric(2, 2)
     adj = glmod.adjoint(2)
     assert probe.iso_evidence(GEN2, sym2, GEN2, sym2) is None
-    assert probe.iso_evidence(GEN2, sym2, GEN2, adj) == "character"
+    # at n=2 both are the 3-dimensional irreducible sl_2-module
+    assert probe.iso_evidence(GEN2, sym2, GEN2, adj) is None
+    assert probe.iso_evidence(GEN2, sym2, GEN2, glmod.symmetric(2, 3)) == "character"
     assert probe.iso_evidence(GEN2, sym2, (rat(1, 4), rat(1, 2)), sym2) \
         == "eigenvalue-lattice"
     # an integer shift keeps the lattice class
     assert probe.iso_evidence(GEN2, sym2, (rat(4, 3), rat(3, 2)), sym2) is None
+
+
+def test_iso_agrees_with_equal_divergence_zero_actions():
+    # trivial and ext:n differ by the determinant, which no traceless r u^T
+    # sees. V is one-dimensional, so X maps each x^s (x) w to a multiple of
+    # x^{s+r} (x) w, and equal images of a sum with nonzero coefficients
+    # over box(n, 1) mean equal images of every basis element
+    for n in (2, 3, 4):
+        twist = tuple(rat(1, j + 2) for j in range(n))
+        triv, top = glmod.trivial(n), glmod.exterior(n, n)
+        sums = [tensor.TensorElement(tensor.context(twist, vmod),
+                                     {(s, vmod.keys[0]): rat(c + 1)
+                                      for c, s in enumerate(box(n, 1))})
+                for vmod in (triv, top)]
+        for X in spanning_generators(n, 1):
+            images = [{s: c for (s, _), c in tensor.act_direct(X, m).terms.items()}
+                      for m in sums]
+            assert images[0] == images[1], X
+        assert probe.iso_evidence(twist, triv, twist, top) is None
+
+
+# x_1^2 -> -2 E_12, x_1 x_2 -> E_11 - E_22, x_2^2 -> 2 E_21: a key
+# bijection with nonzero scales, so an invertible map sym:2 -> adjoint at n=2
+SYM2_TO_ADJOINT = {(1, 1): ((1, 2), -2), (1, 2): ((1, 1), 1), (2, 2): ((2, 1), 2)}
+
+
+def _sym2_to_adjoint(vec) -> SparseVec:
+    return SparseVec.make((SYM2_TO_ADJOINT[key][0], SYM2_TO_ADJOINT[key][1] * c)
+                          for key, c in vec.items())
+
+
+def test_sym2_and_adjoint_are_isomorphic_sl2_modules():
+    sym2, adj = glmod.symmetric(2, 2), glmod.adjoint(2)
+    assert sorted(key for key, _ in SYM2_TO_ADJOINT.values()) == sorted(adj.keys)
+    assert sorted(SYM2_TO_ADJOINT) == sorted(sym2.keys)
+    for x in ({(1, 2): 1}, {(2, 1): 1}, {(1, 1): 1, (2, 2): -1}):  # E, F, H
+        for key in sym2.keys:
+            assert _sym2_to_adjoint(sym2.matrix_apply(x, {key: 1})) \
+                == adj.matrix_apply(x, _sym2_to_adjoint({key: 1}))
+    # as gl_2-modules they differ: the identity acts by 2 and by 0
+    ident = {(1, 1): 1, (2, 2): 1}
+    assert sym2.matrix_apply(ident, {(1, 2): 1}) == {(1, 2): 2}
+    assert adj.matrix_apply(ident, {(1, 1): 1}) == {}
+    # so id (x) T intertwines the divergence-zero actions on the tensor modules
+    ctx_s, ctx_a = (tensor.context(GEN2, vmod) for vmod in (sym2, adj))
+
+    def lift(m):
+        return tensor.TensorElement(ctx_a, (
+            ((s, key2), c2) for (s, key), c in m.terms.items()
+            for key2, c2 in _sym2_to_adjoint({key: c}).items()))
+    m = probe.random_element(random.Random(4), ctx_s, 2)
+    for X in spanning_generators(2, 1):
+        assert lift(tensor.act_direct(X, m)) == tensor.act_direct(X, lift(m))
 
 
 def test_generation_evidence_counts():

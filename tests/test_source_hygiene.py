@@ -1,16 +1,20 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no function, class, method or module-level public name is defined that
-no module reads."""
+no function, class, method or module-level public name is defined that
+no module reads, and the package binds no name that no reader imports
+from it."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "toruslie"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toruslie"
 
 
 def module_trees() -> dict:
     """Module file name -> parsed tree, for every module but __init__.py,
-    which imports names only to re-export them."""
+    whose imports serve readers outside the package (see
+    package_names_no_reader_imports)."""
     return {path.name: ast.parse(path.read_text())
             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
 
@@ -100,6 +104,24 @@ def unread_module_names(trees) -> list:
                    if name not in read})
 
 
+def package_names_no_reader_imports(init_source, reader_texts) -> list:
+    """Non-dunder names __init__.py binds at its top level that no
+    `from toruslie import ...` in the reader texts reads."""
+    bound = set()
+    for node in ast.parse(init_source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    read = set()
+    for text in reader_texts:
+        for match in re.finditer(r"^\s*from toruslie import (\([^)]*\)|.*)$", text, re.M):
+            read |= {name.split()[0] for name in match.group(1).strip("()").split(",")
+                     if name.strip()}
+    return sorted(name for name in bound - read
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {name: unused_imports(tree) for name, tree in module_trees().items()}
     assert len(found) >= 10
@@ -112,6 +134,20 @@ def test_every_definition_is_reached_from_the_package():
 
 def test_every_module_level_public_name_is_read_from_the_package():
     assert unread_module_names(module_trees()) == []
+
+
+def test_package_binds_only_names_its_readers_import():
+    readers = [path.read_text() for folder in ("tests", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    readers.append((ROOT / "README.md").read_text())
+    assert package_names_no_reader_imports((SRC / "__init__.py").read_text(),
+                                           readers) == []
+
+
+def test_package_names_are_matched_against_reader_imports():
+    init = "from .a import (kept, Dropped)\nfrom .b import used as alias\n__all__ = []\n"
+    readers = ["from toruslie import (kept,\n    other)", "  from toruslie import alias  # x"]
+    assert package_names_no_reader_imports(init, readers) == ["Dropped"]
 
 
 def test_module_level_names_in_branches_are_scanned():

@@ -208,9 +208,6 @@ def fraction_act_direct(X: VectorField, m: TensorElement) -> TensorElement:
     ctx = m.ctx
     if ctx.style != STYLE_DIRECT:
         raise ValueError("direct action on a %s-style element" % ctx.style)
-    trace = dot(X.u, X.r)
-    if trace and ctx.vmod.id_scalar is None:
-        raise ValueError("field with (u|r) != 0 needs an identity scalar on V")
     vmod = ctx.vmod
     twist = ctx.twist
     ru = glmod.rank_one(X.r, X.u)
