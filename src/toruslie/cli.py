@@ -85,8 +85,25 @@ def emit_csv(results, timings: bool) -> str:
     return buf.getvalue()
 
 
+def _attach_lambda(argv) -> list:
+    """argv with `--lambda V` as `--lambda=V` when V starts with '-'.
+
+    argparse takes a value such as -1/2,1/3 for a flag and stops with a
+    usage block, so the space form of a negative first coordinate is
+    joined to its flag before parsing.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--lambda" and tok.startswith("-"):
+            out[-1] = "--lambda=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _attach_lambda(sys.argv[1:] if argv is None else argv))
     names = [s.strip() for s in args.suite.split(",") if s.strip()] \
         if args.suite else list(SUITES)
     try:

@@ -126,8 +126,10 @@ def _apply_gen(gen, s, row) -> dict:
 #: Tasks are re-checked against fullness once per chunk of this many, not
 #: per task. `apps` counts a chunk's live tasks as the chunk starts, so it
 #: includes images into degrees that fill mid-chunk, and those left
-#: unapplied when the window fills. The counters and log digests depend
-#: on this value, so it stays at the chunk size they were pinned at.
+#: unapplied when the window fills. A chunk that would pass max_apps has
+#: only its first live tasks up to the budget applied, so apps never
+#: exceeds max_apps. The counters and log digests depend on this value,
+#: so it stays at the chunk size they were pinned at.
 RECHECK = 256
 
 
@@ -252,14 +254,17 @@ def closure(seeds, gens, window: Window, depth: int, hull=None,
         tasks = ((item[0] + offsets[g], g, item) for item, live in layer for g in live)
         while chunk := list(islice(tasks, RECHECK)):
             todo = [task for task in chunk if not full[task[0]]]
+            over = apps + len(todo) > max_apps
+            if over:
+                todo = todo[:max_apps - apps]
             apps += len(todo)
-            if apps > max_apps:
-                return result(INCONCLUSIVE)
             for t, g, (_, s, row) in todo:
                 img = _apply_gen(kernel[g], s, row)
                 if img and push(t, img, "img gen=%d from deg=%s", g, s) \
                         and central_rank >= central_dim:
                     return result(FILLS)
+            if over:
+                return result(INCONCLUSIVE)
 
     return result(FILLS if central_rank >= central_dim else PROPER)
 

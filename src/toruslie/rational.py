@@ -18,9 +18,12 @@ def rat(value=0, den=None):
     """Coerce ints, rationals, or 'p/q' strings to the scalar type.
 
     A zero denominator raises ValueError, like any other malformed value.
+    A rational comes back as it is: rationals are immutable.
     """
     if den is not None:
         return _ratio(value, den)
+    if type(value) is rational:
+        return value
     if isinstance(value, str):
         txt = value.strip()
         if "/" in txt:

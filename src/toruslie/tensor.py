@@ -18,12 +18,11 @@ is spanned by the vectors x^s (x) (shat wedge w) with shat the eigenvalue
 vector of x^s; these spans, their kernels, and a quadratic probe that
 annihilates exactly the image underpin the verification suites.
 
-The direct action and the image probe, which the minuscule suite calls
-tens of thousands of times, run in integer arithmetic: they clear the
-denominators of the element and the field direction once per call and
-those of the twist once per context, sum integer coefficients per output
-term, and build one rational per surviving term. Their results equal
-the termwise rational formulas.
+The direct action, the image probe and the de Rham maps run in integer
+arithmetic: they clear the denominators of the element and the field
+direction once per call and those of the twist once per context, sum
+integer coefficients per output term, and build one rational per
+surviving term. Their results equal the termwise rational formulas.
 """
 
 from __future__ import annotations
@@ -243,32 +242,43 @@ def _exterior_level(ctx: Context) -> int:
 
 def derham_map(m: TensorElement) -> TensorElement:
     """d: p (x) w -> sum_i (d_i p) (x) (e_i wedge w), exterior k -> k+1."""
-    ctx = m.ctx
-    k = _exterior_level(ctx)
-    n = ctx.n
-    if ctx.style != STYLE_DIRECT:
-        raise ValueError("the unshifted de Rham map needs a direct-style element")
-    if k >= n:
-        raise ValueError("de Rham map undefined above the top exterior power")
-    out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
-    return TensorElement(out_ctx, (
-        ((s, new), c * e) for (s, vkey), c in m.terms.items()
-        for _, new, e in glmod.wedge_by(eigen_vector(s, ctx.twist), vkey)))
+    return _wedge_by_eigenvalues(
+        m, STYLE_DIRECT, "the unshifted de Rham map needs a direct-style element")
 
 
 def derham_map_shifted(m: TensorElement) -> TensorElement:
     """Shifted-style variant: p (x) w -> sum_i (x^{-e_i} d_i p) (x) (e_i wedge w)."""
+    return _wedge_by_eigenvalues(
+        m, STYLE_SHIFTED, "shifted de Rham map needs a shifted-style element")
+
+
+def _wedge_by_eigenvalues(m: TensorElement, style: str, wrong_style: str) -> TensorElement:
+    """Both de Rham maps, in integer arithmetic.
+
+    With M and D the common denominators of m's coefficients and of the
+    twist, the integer vector D*s - D*twist is D times the eigenvalue
+    vector of x^s; wedging with it gives each output coefficient as an
+    integer sum over M*D. The shifted style moves the i-th summand's
+    exponent by -e_i.
+    """
     ctx = m.ctx
     k = _exterior_level(ctx)
     n = ctx.n
-    if ctx.style != STYLE_SHIFTED:
-        raise ValueError("shifted de Rham map needs a shifted-style element")
+    if ctx.style != style:
+        raise ValueError(wrong_style)
     if k >= n:
         raise ValueError("de Rham map undefined above the top exterior power")
-    out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
-    return TensorElement(out_ctx, (
-        ((sub(s, unit(i, n)), new), c * e) for (s, vkey), c in m.terms.items()
-        for i, new, e in glmod.wedge_by(eigen_vector(s, ctx.twist), vkey)))
+    shifted = style == STYLE_SHIFTED
+    tw_den, dtwist = ctx.cleared_twist
+    scale, coeffs = _cleared(m.terms.values())
+    acc = {}
+    get = acc.get
+    for (s, vkey), a in zip(m.terms, coeffs):
+        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
+        for i, new, e in glmod.wedge_by(deig, vkey):
+            key = (sub(s, unit(i, n)) if shifted else s, new)
+            acc[key] = get(key, 0) + a * e
+    return _from_integers(ctx.with_vmod(glmod.exterior(n, k + 1)), acc, scale * tw_den)
 
 
 def to_shifted_form(m: TensorElement) -> TensorElement:

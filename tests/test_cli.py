@@ -67,6 +67,16 @@ def test_iso_moves_a_twist_congruent_to_a_quarter(lam, capsys):
     assert json.loads(out)["suites"][0]["status"] == "pass"
 
 
+def test_negative_lambda_space_form_runs_like_the_equals_form(capsys):
+    base = ["--n", "2", "--suite", "iso,lattice"]
+    spaced = run_main(base + ["--lambda", "-1/2,1/3"], capsys)
+    joined = run_main(base + ["--lambda=-1/2,1/3"], capsys)
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 0, err
+    assert json.loads(out)["config"]["lambda"] == ["-1/2", "1/3"]
+
+
 def test_unknown_suite_is_usage_error(monkeypatch, capsys):
     ran = []
     monkeypatch.setitem(suites.SUITES, "iso", ran.append)

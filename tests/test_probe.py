@@ -73,6 +73,7 @@ def test_closure_out_of_budget_is_inconclusive_and_deterministic():
             for _ in range(2)]
     assert [r.verdict for r in runs] == [probe.INCONCLUSIVE] * 2
     assert runs[0].central_rank < runs[0].central_dim == 75
+    assert runs[0].counters["apps"] <= 50
     assert runs[0].log_digest == runs[1].log_digest
     # the same seed fills the window at the default budget
     assert probe.closure([seed], gens, probe.Window(2, 6), 3).verdict == probe.FILLS

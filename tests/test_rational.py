@@ -2,7 +2,7 @@
 
 import pytest
 
-from toruslie.rational import parse_tuple, rat, rat_str
+from toruslie.rational import parse_tuple, rat, rat_str, rational
 
 
 def test_rat_parses_to_canonical_form():
@@ -10,6 +10,13 @@ def test_rat_parses_to_canonical_form():
     assert rat_str(rat(" -6/4 ")) == "-3/2"
     assert rat_str(rat("7")) == "7"
     assert parse_tuple("1/3, 0,") == (rat(1, 3), rat(0))
+
+
+def test_rat_returns_a_rational_as_it_is():
+    x = rational(3, 7)
+    assert rat(x) is x
+    assert rat(True) == 1 and type(rat(True)) is rational
+    assert rat(x, 2) == rational(3, 14)
 
 
 def test_rat_rejects_malformed_values_with_value_error():

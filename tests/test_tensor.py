@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, bracket, pair_field, spanning_generators
-from toruslie.indices import add, box, dot, sub, unit
+from toruslie.indices import add, box, dot, sub, unit, zero
 from toruslie.linalg import SparseVec
 from toruslie.rational import rational
 from toruslie.tensor import (STYLE_DIRECT, STYLE_SHIFTED, TensorElement,
@@ -198,9 +198,10 @@ def test_graded_action_keeps_image_invariant():
 
 # ------------------------------------------- Fraction oracles, differential
 #
-# The two functions below are the per-term Fraction implementations that
-# tensor.act_direct and tensor.image_probe replaced, kept verbatim as an
-# independent path: the integer-scaled versions must give equal elements.
+# The functions below are the per-term Fraction implementations that
+# tensor.act_direct, tensor.image_probe and the two de Rham maps replaced,
+# kept verbatim as an independent path: the integer-scaled versions must
+# give equal elements.
 
 
 def fraction_act_direct(X: VectorField, m: TensorElement) -> TensorElement:
@@ -262,6 +263,36 @@ def fraction_image_probe(i: int, s, m: TensorElement) -> TensorElement:
                 for vkey2, b2 in vmod.unit_table(l, i + 2)[vkey1]:
                     out.add_term(base, vkey2, cl * b2)
     return out
+
+
+def fraction_derham_map(m: TensorElement) -> TensorElement:
+    """d: p (x) w -> sum_i (d_i p) (x) (e_i wedge w), exterior k -> k+1."""
+    ctx = m.ctx
+    k = _exterior_level(ctx)
+    n = ctx.n
+    if ctx.style != STYLE_DIRECT:
+        raise ValueError("the unshifted de Rham map needs a direct-style element")
+    if k >= n:
+        raise ValueError("de Rham map undefined above the top exterior power")
+    out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
+    return TensorElement(out_ctx, (
+        ((s, new), c * e) for (s, vkey), c in m.terms.items()
+        for _, new, e in glmod.wedge_by(eigen_vector(s, ctx.twist), vkey)))
+
+
+def fraction_derham_map_shifted(m: TensorElement) -> TensorElement:
+    """Shifted-style variant: p (x) w -> sum_i (x^{-e_i} d_i p) (x) (e_i wedge w)."""
+    ctx = m.ctx
+    k = _exterior_level(ctx)
+    n = ctx.n
+    if ctx.style != STYLE_SHIFTED:
+        raise ValueError("shifted de Rham map needs a shifted-style element")
+    if k >= n:
+        raise ValueError("de Rham map undefined above the top exterior power")
+    out_ctx = ctx.with_vmod(glmod.exterior(n, k + 1))
+    return TensorElement(out_ctx, (
+        ((sub(s, unit(i, n)), new), c * e) for (s, vkey), c in m.terms.items()
+        for i, new, e in glmod.wedge_by(eigen_vector(s, ctx.twist), vkey)))
 
 
 SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -332,6 +363,21 @@ def test_image_probe_matches_fraction_oracle(data):
     m = data.draw(elements(ctx), "element")
     assert outcome(tensor.image_probe, i, s, m) \
         == outcome(fraction_image_probe, i, s, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_image_probe_is_the_core_probe_shifted(data):
+    # run_minuscule decides the probe's vanishing at every shift from the
+    # s = 0 probe alone, which needs exactly this factorization
+    n = data.draw(st.sampled_from((3, 4)), "n")
+    vmod = glmod.module_from_name(data.draw(st.sampled_from(module_names(n))), n)
+    ctx = tensor.context(data.draw(twists(n), "twist"), vmod)
+    i = data.draw(st.integers(1, n - 2), "i")
+    s = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n), "s"))
+    m = data.draw(elements(ctx), "element")
+    assert tensor.image_probe(i, s, m) \
+        == tensor.act_monomial(s, tensor.image_probe(i, zero(n), m))
 
 
 def test_direct_action_rejects_shifted_elements_like_the_oracle():
@@ -415,10 +461,16 @@ def test_derham_maps_match_per_index_oracles(data):
     k = data.draw(st.integers(0, n), "k")    # k = n is out of range
     ctx = tensor.context(data.draw(twists(n), "twist"), glmod.exterior(n, k))
     m = data.draw(elements(ctx), "element")
-    assert outcome(tensor.derham_map, m) == outcome(oracle_derham_map, m)
     ms = data.draw(elements(ctx.with_style(STYLE_SHIFTED)), "shifted element")
-    assert outcome(tensor.derham_map_shifted, ms) \
-        == outcome(oracle_derham_map_shifted, ms)
+    # each map also meets both elements, one of them of the wrong style
+    for fn, oracles in ((tensor.derham_map, (oracle_derham_map, fraction_derham_map)),
+                        (tensor.derham_map_shifted,
+                         (oracle_derham_map_shifted, fraction_derham_map_shifted))):
+        for elem in (m, ms):
+            got = outcome(fn, elem)
+            assert all(got == outcome(oracle, elem) for oracle in oracles)
+            if isinstance(got, TensorElement):
+                assert all(isinstance(c, rational) for c in got.terms.values())
 
 
 def permutation_sign(seq) -> int:
