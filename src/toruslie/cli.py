@@ -12,10 +12,16 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from .rational import parse_tuple
 from .suites import FAIL, SUITES, RunConfig, run_suites
+
+
+def _usage_error(message):
+    """argparse's own errors as ValueError, which main prints as one line."""
+    raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report format (default json)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock times (breaks byte determinism)")
+    p.error = _usage_error
     return p
 
 
@@ -85,28 +92,26 @@ def emit_csv(results, timings: bool) -> str:
     return buf.getvalue()
 
 
-def _attach_lambda(argv) -> list:
-    """argv with `--lambda V` as `--lambda=V` when V starts with '-'.
-
-    argparse takes a value such as -1/2,1/3 for a flag and stops with a
-    usage block, so the space form of a negative first coordinate is
-    joined to its flag before parsing.
-    """
+def _attach_values(argv) -> list:
+    """argv with `--flag -V` as `--flag=-V`, for any long flag, abbreviated
+    or not, when -V starts with a digit, '.' or '/': argparse would read a
+    value such as -1/2,1/3 or -1,2,1,2 as a flag of its own."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--lambda" and tok.startswith("-"):
-            out[-1] = "--lambda=" + tok
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and re.match(r"-[\d./]", tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(
-        _attach_lambda(sys.argv[1:] if argv is None else argv))
-    names = [s.strip() for s in args.suite.split(",") if s.strip()] \
-        if args.suite else list(SUITES)
     try:
+        args = build_parser().parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv))
+        names = [s.strip() for s in args.suite.split(",") if s.strip()] \
+            if args.suite else list(SUITES)
         cfg = config_from_args(args)
         results = run_suites(cfg, names)
     except ValueError as exc:

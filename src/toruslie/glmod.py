@@ -17,7 +17,6 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 from .linalg import SparseVec
-from .rational import rat
 
 
 def _exterior_unit(i, j, key):
@@ -194,16 +193,9 @@ def wedge_by(vec, key) -> list:
 
 
 def rank_one(r, u) -> dict:
-    """Entries of the rank-one matrix r u^T: (i,j) -> r_i * u_j."""
-    out = {}
-    for i, ri in enumerate(r, start=1):
-        if not ri:
-            continue
-        for j, uj in enumerate(u, start=1):
-            c = ri * uj
-            if c:
-                out[(i, j)] = rat(c)
-    return out
+    """Entries of the rank-one matrix r u^T: (i,j) -> r_i * u_j, zeros left out."""
+    return {(i, j): ri * uj for i, ri in enumerate(r, start=1) if ri
+            for j, uj in enumerate(u, start=1) if uj}
 
 
 def offdiagonal_squares_vanish(module: FinModule) -> bool:

@@ -3,8 +3,9 @@
 Every coefficient in this package is an exact rational, canonical by
 construction: lowest terms, positive denominator, zero has a single
 representation. The scalar type is fractions.Fraction; the hot loops
-(closures, the direct action, the image probe, coefficient extraction)
-do their arithmetic in integers and build one rational per output term.
+(closures, coefficient extraction, and the one loop of tensor.py behind
+both field actions, both de Rham maps and the image probe) do their
+arithmetic in integers and build one rational per output term.
 """
 
 from __future__ import annotations

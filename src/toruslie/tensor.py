@@ -18,11 +18,14 @@ is spanned by the vectors x^s (x) (shat wedge w) with shat the eigenvalue
 vector of x^s; these spans, their kernels, and a quadratic probe that
 annihilates exactly the image underpin the verification suites.
 
-The direct action, the image probe and the de Rham maps run in integer
-arithmetic: they clear the denominators of the element and the field
-direction once per call and those of the twist once per context, sum
-integer coefficients per output term, and build one rational per
-surviving term. Their results equal the termwise rational formulas.
+All five maps on P (x) V (both field actions, both de Rham maps and the
+image probe) run through one integer loop, _integer_map. Each sends
+x^s (x) w to a sum of (linear form in s - twist + constant) times
+x^{s+shift} (x) w', and supplies only those entries per key w, as integers;
+the loop clears the denominators of the element once per call and those
+of the twist once per context, sums integer coefficients per output term,
+and builds one rational per surviving term. The results equal the
+termwise rational formulas.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from math import comb, lcm
 
 from . import glmod
 from .fields import VectorField
-from .indices import add, box, dot, sub, unit
+from .indices import add, box, sub, unit, zero
 from .linalg import SpanBasis, SparseVec
 from .rational import rat, rational
 
@@ -130,41 +133,25 @@ def basis_element(ctx: Context, s, vkey, coeff=1) -> TensorElement:
 
 
 def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
-    """Vector-field action in the direct style, in integer arithmetic.
+    """Vector-field action in the direct style.
 
-    With M, Du and Dt the common denominators of m's coefficients, of u
-    and of the twist, and D = Du * Dt, the integers D*u and D*(u|twist)
-    give each output coefficient as an integer sum over M*D, which turns
-    into one rational per output term.
+    On x^s (x) key, D(u, r) gives (u|s - twist) x^{s+r} (x) key plus
+    x^{s+r} (x) (r u^T) key; with Du clearing u, both are integer entries
+    over Du, from the rank-one matrix r (Du*u)^T.
     """
     ctx = m.ctx
     if ctx.style != STYLE_DIRECT:
         raise ValueError("direct action on a %s-style element" % ctx.style)
     du_den, du = _cleared(X.u)
-    vmod = ctx.vmod
     r = X.r
-    tw_den, dtwist = ctx.cleared_twist
-    dut = dot(du, dtwist)
-    du = [c * tw_den for c in du]
-    ru = {(i, j): ri * duj for i, ri in enumerate(r, start=1) if ri
-          for j, duj in enumerate(du, start=1) if duj}
-    tables = {}
-    scale, coeffs = _cleared(m.terms.values())
-    acc = {}
-    get = acc.get
-    for (s, vkey), a in zip(m.terms, coeffs):
-        t = add(s, r)
-        c1 = dot(du, s) - dut
-        if c1:
-            key = (t, vkey)
-            acc[key] = get(key, 0) + a * c1
-        table = tables.get(vkey)
-        if table is None:
-            table = tables[vkey] = vmod.matrix_apply(ru, {vkey: 1}).items()
-        for vkey2, b in table:
-            key = (t, vkey2)
-            acc[key] = get(key, 0) + a * b
-    return _from_integers(ctx, acc, scale * du_den * tw_den)
+    lin = _sparse(du)
+    ru = glmod.rank_one(r, du)
+    matrix_apply = ctx.vmod.matrix_apply
+
+    def entries(vkey):
+        return [(r, vkey, lin, 0)] + [(r, vkey2, (), b) for vkey2, b
+                                      in matrix_apply(ru, {vkey: 1}).items()]
+    return _integer_map(m, ctx, entries, du_den)
 
 
 def _cleared(values):
@@ -180,9 +167,45 @@ def _cleared(values):
     return den, [c.numerator * (den // c.denominator) for c in values]
 
 
-def _from_integers(ctx: Context, acc: dict, den) -> TensorElement:
-    """The element with coefficient v / den at each key of acc."""
-    return _wrap(ctx, SparseVec({key: rational(v, den) for key, v in acc.items() if v}))
+def _sparse(vec) -> tuple:
+    """The nonzero entries of an integer vector as (0-based index, value)."""
+    return tuple((j, c) for j, c in enumerate(vec) if c)
+
+
+def _integer_map(m: TensorElement, out_ctx: Context, table, den) -> TensorElement:
+    """The one integer loop behind every map on P (x) V.
+
+    table(key) lists entries (shift, key2, lin, c): the map sends x^s (x) key
+    to the sum over entries of (lin . eig(s) + c) / den * x^{s+shift} (x) key2,
+    eig(s) = s - twist the Euler eigenvalue vector, lin a sparse tuple of
+    (0-based coordinate, integer) pairs and c an integer. With M and D the
+    common denominators of m's coefficients and of the twist, D*eig(s) is
+    an integer vector, worked out once per term, so each output coefficient
+    is an integer sum over M*D*den that turns into one rational. table is
+    called once per key of m and call.
+    """
+    tw_den, dtwist = m.ctx.cleared_twist
+    scale, coeffs = _cleared(m.terms.values())
+    tables = {}
+    acc = {}
+    get = acc.get
+    for (s, vkey), a in zip(m.terms, coeffs):
+        entries = tables.get(vkey)
+        if entries is None:
+            entries = tables[vkey] = table(vkey)
+        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
+        shift = None
+        for shift2, vkey2, lin, c in entries:
+            v = c * tw_den
+            for j, x in lin:
+                v += x * deig[j]
+            if v:
+                if shift2 is not shift:  # entries share their shift tuples
+                    shift, t = shift2, add(s, shift2)
+                key = (t, vkey2)
+                acc[key] = get(key, 0) + a * v
+    den *= scale * tw_den
+    return _wrap(out_ctx, SparseVec({key: rational(v, den) for key, v in acc.items() if v}))
 
 
 def act_monomial(r, m: TensorElement) -> TensorElement:
@@ -198,29 +221,26 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     With r = rho + e_j, the summand x^{r-e_j} d_j acts by
     (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w; the shift
     keeps each summand's exponent aligned with the matrix-unit column it
-    multiplies.
+    multiplies. With Du clearing u, the entries are integers over Du.
     """
     ctx = m.ctx
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("shifted action on a %s-style element" % ctx.style)
-    n, vmod, twist = ctx.n, ctx.vmod, ctx.twist
+    n, vmod, rho = ctx.n, ctx.vmod, X.r
+    du_den, du = _cleared(X.u)
+    lin = _sparse(du)
 
-    def terms():
-        for j, uj in enumerate(X.u, start=1):
-            if not uj:
-                continue
-            r = add(X.r, unit(j, n))
-            for (s, vkey), a in m.terms.items():
-                c = a * uj
-                c1 = c * (s[j - 1] - twist[j - 1])
-                if c1:
-                    yield (add(s, X.r), vkey), c1
-                for i, ri in enumerate(r, start=1):
-                    if ri:
-                        t = add(s, sub(r, unit(i, n)))
-                        for vkey2, b in vmod.unit_table(i, j)[vkey]:
-                            yield (t, vkey2), c * (ri * b)
-    return TensorElement(ctx, terms())
+    def entries(vkey):
+        out = [(rho, vkey, lin, 0)]
+        for j, duj in lin:
+            r = add(rho, unit(j + 1, n))
+            for i, ri in enumerate(r, start=1):
+                if ri:
+                    shift = sub(r, unit(i, n))
+                    out += [(shift, vkey2, (), duj * ri * b)
+                            for vkey2, b in vmod.unit_table(i, j + 1)[vkey]]
+        return out
+    return _integer_map(m, ctx, entries, du_den)
 
 
 def act(X: VectorField, m: TensorElement) -> TensorElement:
@@ -253,14 +273,9 @@ def derham_map_shifted(m: TensorElement) -> TensorElement:
 
 
 def _wedge_by_eigenvalues(m: TensorElement, style: str, wrong_style: str) -> TensorElement:
-    """Both de Rham maps, in integer arithmetic.
-
-    With M and D the common denominators of m's coefficients and of the
-    twist, the integer vector D*s - D*twist is D times the eigenvalue
-    vector of x^s; wedging with it gives each output coefficient as an
-    integer sum over M*D. The shifted style moves the i-th summand's
-    exponent by -e_i.
-    """
+    """Both de Rham maps: x^s (x) key -> sum_i eig_i(s) x^s (x) (e_i wedge key),
+    each entry read off glmod.wedge_by on the key. The shifted style moves
+    the i-th summand's exponent by -e_i."""
     ctx = m.ctx
     k = _exterior_level(ctx)
     n = ctx.n
@@ -268,17 +283,13 @@ def _wedge_by_eigenvalues(m: TensorElement, style: str, wrong_style: str) -> Ten
         raise ValueError(wrong_style)
     if k >= n:
         raise ValueError("de Rham map undefined above the top exterior power")
-    shifted = style == STYLE_SHIFTED
-    tw_den, dtwist = ctx.cleared_twist
-    scale, coeffs = _cleared(m.terms.values())
-    acc = {}
-    get = acc.get
-    for (s, vkey), a in zip(m.terms, coeffs):
-        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
-        for i, new, e in glmod.wedge_by(deig, vkey):
-            key = (sub(s, unit(i, n)) if shifted else s, new)
-            acc[key] = get(key, 0) + a * e
-    return _from_integers(ctx.with_vmod(glmod.exterior(n, k + 1)), acc, scale * tw_den)
+    shifts = [zero(n)] * n if style == STYLE_DIRECT \
+        else [sub(zero(n), unit(i, n)) for i in range(1, n + 1)]
+
+    def entries(vkey):
+        return [(shifts[i - 1], new, ((i - 1, sign),), 0)
+                for i, new, sign in glmod.wedge_by((1,) * n, vkey)]
+    return _integer_map(m, ctx.with_vmod(glmod.exterior(n, k + 1)), entries, 1)
 
 
 def to_shifted_form(m: TensorElement) -> TensorElement:
@@ -383,9 +394,7 @@ def image_probe(i: int, s, m: TensorElement) -> TensorElement:
 
     Every summand carries the same x^s factor, so the map is the exponent
     shift by s applied to the s = 0 probe. On x^t (x) w the three summands
-    are sum_l eig_l(t) vec_l with integer vectors vec from _probe_table;
-    the coefficients are summed as integers over M*D, M clearing m's
-    denominators and D the twist's.
+    are sum_l eig_l(t) vec_l with integer vectors vec from _probe_table.
     """
     ctx = m.ctx
     n = ctx.n
@@ -394,25 +403,14 @@ def image_probe(i: int, s, m: TensorElement) -> TensorElement:
                          % (i, n - 2))
     s = tuple(s)
     table = _probe_table(i, ctx.vmod)
-    den, dtwist = ctx.cleared_twist
-    scale, coeffs = _cleared(m.terms.values())
-    acc = {}
-    get = acc.get
-    for (t, vkey), a in zip(m.terms, coeffs):
-        base = add(t, s)
-        deig = [den * ti - dti for ti, dti in zip(t, dtwist)]
-        for vkey2, vec in table[vkey]:
-            v = dot(deig, vec)
-            if v:
-                key = (base, vkey2)
-                acc[key] = get(key, 0) + a * v
-    return _from_integers(ctx, acc, scale * den)
+    return _integer_map(m, ctx, lambda vkey: [(s, vkey2, lin, 0)
+                                              for vkey2, lin in table[vkey]], 1)
 
 
 @lru_cache(maxsize=16)
 def _probe_table(i: int, vmod) -> dict:
-    """key -> [(key2, vec)]: the probe on x^t (x) key is
-    sum_key2 (sum_l eig_l(t) vec_l) x^t (x) key2, vec an integer n-vector."""
+    """key -> [(key2, lin)]: the probe on x^t (x) key is
+    sum_key2 (lin . eig(t)) x^t (x) key2, lin a sparse integer vector."""
     n = vmod.n
     table = {}
     for vkey in vmod.keys:
@@ -428,6 +426,6 @@ def _probe_table(i: int, vmod) -> dict:
             for l in range(1, n + 1):
                 for vkey2, b2 in vmod.unit_table(l, i + 2)[vkey1]:
                     put(vkey2, l, b1 * b2)
-        table[vkey] = [(vkey2, tuple(vec)) for vkey2, vec in acc.items()
+        table[vkey] = [(vkey2, _sparse(vec)) for vkey2, vec in acc.items()
                        if any(vec)]
     return table

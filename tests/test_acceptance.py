@@ -7,8 +7,6 @@ pytest -s; pytest -v shows the per-criterion outcome either way).
 import json
 import time
 
-import pytest
-
 from toruslie import probe, rat
 from toruslie.cli import emit_json
 from toruslie.suites import (EVIDENCE, FAIL, PASS, RunConfig, run_suites,

@@ -104,6 +104,22 @@ def test_bad_lambda_is_usage_error(capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_space_form_values_and_argparse_errors_are_one_line(capsys):
+    for argv in (["--window", "-1,2,1,2"], ["--lamb", "-1/2,1/3,1/5"],
+                 ["--format", "xml"], ["--bogus"], ["--n", "x"], ["--lambda"]):
+        code, out, err = run_main(["--n", "2", "--suite", "iso"] + argv, capsys)
+        assert code == 2, argv
+        assert not out
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    spaced = run_main(["--n", "2", "--window", "-1,2,1,2"], capsys)
+    joined = run_main(["--n", "2", "--window=-1,2,1,2"], capsys)
+    assert spaced == joined
+    assert "at least 1" in spaced[2]
+    # an abbreviated flag takes a negative value in the space form too
+    assert run_main(["--n", "2", "--lamb", "-1/2,1/3", "--suite", "iso"], capsys) \
+        == run_main(["--n", "2", "--lambda=-1/2,1/3", "--suite", "iso"], capsys)
+
+
 def test_explicit_window_runs_as_given_or_exits(capsys):
     code, out, err = run_main(
         ["--n", "2", "--window", "0,2,0,0", "--suite", "iso"], capsys)

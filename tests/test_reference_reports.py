@@ -33,6 +33,17 @@ REFERENCE = [
     pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "minuscule"],
                  "6b64ea11b0fc10e4b70b05a220f90cc8b161ec1bdf0eb7899e6e6358b0658cd9",
                  id="n4-generic-minuscule"),
+    # the exact suites: act_direct, act_shifted_field and both de Rham maps
+    pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5",
+                  "--suite", "identities,axioms,derham"],
+                 "173b4dd20a7b2978f79b9dd83145a3c3f1ea56119cf1662f85d0277ae76647d9",
+                 id="n3-generic-exact"),
+    pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "axioms,derham"],
+                 "c4b7fa64cd729cf28631cfe4b1c083b70b13ab4b597b2e8c9f76f7cbc02ed54d",
+                 id="n4-generic-exact"),
+    pytest.param(["--n", "3", "--lambda", "0,0,0", "--suite", "axioms,derham"],
+                 "ad4702f6db587a1be62477eece87d2c05c1f95eebbde97a7903df5d8587c323c",
+                 id="n3-integer-exact"),
 ]
 
 

@@ -1,7 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no function, class, method or module-level public name is defined that
-no module reads, and the package binds no name that no reader imports
-from it."""
+"""Source hygiene: no module of the package or of its tests imports a
+name it never uses, no function, class, method or module-level public
+name is defined that no module reads, and the package binds no name that
+no reader imports from it."""
 
 import ast
 import re
@@ -125,6 +125,10 @@ def package_names_no_reader_imports(init_source, reader_texts) -> list:
 def test_no_module_imports_a_name_it_never_uses():
     found = {name: unused_imports(tree) for name, tree in module_trees().items()}
     assert len(found) >= 10
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert len(tests) >= 10
+    found.update({"tests/" + path.name: unused_imports(ast.parse(path.read_text()))
+                  for path in tests})
     assert {name: names for name, names in found.items() if names} == {}
 
 

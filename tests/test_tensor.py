@@ -199,9 +199,9 @@ def test_graded_action_keeps_image_invariant():
 # ------------------------------------------- Fraction oracles, differential
 #
 # The functions below are the per-term Fraction implementations that
-# tensor.act_direct, tensor.image_probe and the two de Rham maps replaced,
-# kept verbatim as an independent path: the integer-scaled versions must
-# give equal elements.
+# tensor.act_direct, tensor.act_shifted_field, tensor.image_probe and the
+# two de Rham maps replaced, kept verbatim as an independent path: the
+# integer-scaled versions must give equal elements.
 
 
 def fraction_act_direct(X: VectorField, m: TensorElement) -> TensorElement:
@@ -222,6 +222,37 @@ def fraction_act_direct(X: VectorField, m: TensorElement) -> TensorElement:
             for vkey2, b in vmod.unit_table(i, j)[vkey]:
                 out.add_term(t, vkey2, c * a * b)
     return out
+
+
+def fraction_act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
+    """A general field D(u, rho) = sum_j u_j x^rho d_j in the shifted style.
+
+    With r = rho + e_j, the summand x^{r-e_j} d_j acts by
+    (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w; the shift
+    keeps each summand's exponent aligned with the matrix-unit column it
+    multiplies.
+    """
+    ctx = m.ctx
+    if ctx.style != STYLE_SHIFTED:
+        raise ValueError("shifted action on a %s-style element" % ctx.style)
+    n, vmod, twist = ctx.n, ctx.vmod, ctx.twist
+
+    def terms():
+        for j, uj in enumerate(X.u, start=1):
+            if not uj:
+                continue
+            r = add(X.r, unit(j, n))
+            for (s, vkey), a in m.terms.items():
+                c = a * uj
+                c1 = c * (s[j - 1] - twist[j - 1])
+                if c1:
+                    yield (add(s, X.r), vkey), c1
+                for i, ri in enumerate(r, start=1):
+                    if ri:
+                        t = add(s, sub(r, unit(i, n)))
+                        for vkey2, b in vmod.unit_table(i, j)[vkey]:
+                            yield (t, vkey2), c * (ri * b)
+    return TensorElement(ctx, terms())
 
 
 def fraction_image_probe(i: int, s, m: TensorElement) -> TensorElement:
@@ -348,6 +379,22 @@ def test_act_direct_matches_fraction_oracle(data):
     m = data.draw(elements(ctx), "element")
     got = outcome(tensor.act_direct, X, m)
     assert got == outcome(fraction_act_direct, X, m)
+    if isinstance(got, TensorElement):
+        assert all(isinstance(c, rational) for c in got.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_act_shifted_field_matches_fraction_oracle(data):
+    n = data.draw(st.sampled_from((2, 3)), "n")
+    name = data.draw(st.sampled_from(module_names(n) + ["trivial", "natural", "adjoint"]))
+    # a direct-style element is the wrong style: both must raise alike
+    style = data.draw(st.sampled_from((STYLE_SHIFTED, STYLE_DIRECT)), "style")
+    ctx = tensor.context(data.draw(twists(n), "twist"), glmod.module_from_name(name, n), style)
+    X = data.draw(fields(n), "field")
+    m = data.draw(elements(ctx), "element")
+    got = outcome(tensor.act_shifted_field, X, m)
+    assert got == outcome(fraction_act_shifted_field, X, m)
     if isinstance(got, TensorElement):
         assert all(isinstance(c, rational) for c in got.terms.values())
 
