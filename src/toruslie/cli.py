@@ -110,8 +110,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(
             _attach_values(sys.argv[1:] if argv is None else argv))
-        names = [s.strip() for s in args.suite.split(",") if s.strip()] \
-            if args.suite else list(SUITES)
+        names = list(SUITES) if args.suite is None else \
+            [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not names:
+            raise ValueError("--suite %r names no suite (known: %s)"
+                             % (args.suite, ", ".join(SUITES)))
         cfg = config_from_args(args)
         results = run_suites(cfg, names)
     except ValueError as exc:

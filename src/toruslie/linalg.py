@@ -7,6 +7,9 @@ of primitive integer rows, eliminating fraction-free with content removal
 rational, and reduce returns the exact rational residue. Because no row
 holds another row's pivot, an elimination never brings in a pivot key, so
 reducing a vector eliminates each of its pivot keys once, in any order.
+Membership needs no elimination at all: a vector lies in the span exactly
+when its pivot coordinates, as the coefficients of the rows, reproduce it,
+which is one integer equation per non-pivot key that a row holds.
 """
 
 from __future__ import annotations
@@ -87,16 +90,18 @@ class SpanBasis:
     A row's pivot is its smallest key, where its entry is positive, and no
     row contains another row's pivot. A residue is the unique vector of its
     coset with no pivot key, so one pass that eliminates each pivot key of
-    a vector once, in any order, reaches it: reduce, contains and insert
-    share that pass. insert stores the residue divided by its content, with
-    a positive pivot and increasing keys. Each row is therefore the pivot-1
-    row scaled to coprime integers, and the rows depend only on the span.
-    An insert replaces, never mutates, the dict of a row it updates.
+    a vector once, in any order, reaches it: reduce and insert share that
+    pass. insert stores the residue divided by its content, with a positive
+    pivot and increasing keys. Each row is therefore the pivot-1 row scaled
+    to coprime integers, and the rows depend only on the span. An insert
+    replaces, never mutates, the dict of a row it updates. contains reads
+    the span's equations instead, built once per rank.
     """
 
     def __init__(self):
         self.rows: list[dict] = []
         self.pivots: dict = {}
+        self._equations = None
 
     @property
     def rank(self) -> int:
@@ -118,8 +123,43 @@ class SpanBasis:
         work, scale = self._residue(vec)
         return SparseVec((key, rational(work[key], scale)) for key in sorted(work))
 
+    def equations(self) -> tuple:
+        """(L, eqs): integer equations that cut out the span.
+
+        L is the lcm of the pivot entries, and eqs maps each non-pivot key q
+        that some row holds to the pairs (p, (L / row_p[p]) * row_p[q]) over
+        the rows p that hold it. A vector v lies in the span exactly when
+        L * v[q] == sum(c * v[p]) for every q, and v is zero on every key
+        that no row holds: the span's element with pivot coordinates v[p]
+        is sum(v[p] / row_p[p] * row_p). contains keeps the result until the
+        rank grows; a caller that reads each span once leaves no copy.
+        """
+        rows, pivots = self.rows, self.pivots
+        L = lcm(*[rows[idx][p] for p, idx in pivots.items()])
+        eqs = {}
+        for p, idx in pivots.items():
+            row = rows[idx]
+            m = L // row[p]
+            for q, a in row.items():
+                if q != p:
+                    eqs.setdefault(q, []).append((p, m * a))
+        return L, {q: tuple(pairs) for q, pairs in eqs.items()}
+
     def contains(self, vec) -> bool:
-        return not self._residue(vec)[0]
+        if self._equations is None:
+            self._equations = self.equations()
+        L, eqs = self._equations
+        pivots = self.pivots
+        scale = lcm(*[c.denominator for c in vec.values()])
+        work = {}
+        for key, c in vec.items():
+            if c:
+                if key not in pivots and key not in eqs:
+                    return False
+                work[key] = c.numerator * (scale // c.denominator)
+        get = work.get
+        return all(L * get(q, 0) == sum([c * get(p, 0) for p, c in pairs])
+                   for q, pairs in eqs.items())
 
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew. vec is not modified."""
@@ -142,6 +182,7 @@ class SpanBasis:
                 rows[idx] = {key: c // g for key, c in other.items()}
         pivots[pivot] = len(rows)
         rows.append(row)
+        self._equations = None
         return True
 
 

@@ -16,9 +16,10 @@ ONE = rational(1)
 
 
 def rat(value=0, den=None):
-    """Coerce ints, rationals, or 'p/q' strings to the scalar type.
+    """Coerce ints, rationals, or 'p' and 'p/q' strings to the scalar type.
 
-    A zero denominator raises ValueError, like any other malformed value.
+    A zero denominator raises ValueError, like any other malformed value;
+    the message of a malformed string names it and the accepted forms.
     A rational comes back as it is: rationals are immutable.
     """
     if den is not None:
@@ -26,11 +27,13 @@ def rat(value=0, den=None):
     if type(value) is rational:
         return value
     if isinstance(value, str):
-        txt = value.strip()
-        if "/" in txt:
-            num, d = txt.split("/", 1)
-            return _ratio(int(num), int(d))
-        return rational(int(txt))
+        num, slash, d = value.partition("/")
+        try:
+            num, d = int(num), int(d) if slash else None
+        except ValueError:
+            raise ValueError("invalid rational %r: expected p or p/q with "
+                             "integers p and q" % value) from None
+        return rational(num) if d is None else _ratio(num, d)
     return rational(value)
 
 

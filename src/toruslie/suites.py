@@ -463,17 +463,8 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             rec.check("image_proper_in_window", 0 < rank < dim,
                       "k=%d rank=%d dim=%d" % (k, rank, dim))
 
-        kernel = probe.gen_kernel(gens, vmod, twist)
-        stable = True
-        apps = 0
-        for s in central:
-            for row in hull.rows_at(s):
-                for gen in kernel:
-                    t = add(s, gen[0])
-                    img = probe._apply_gen(gen, s, row)
-                    apps += 1
-                    if img and not hull.mini(t).contains(img):
-                        stable = False
+        stable, apps = probe._invariance_sweep(
+            probe.gen_kernel(gens, vmod, twist), hull, central, vmod.keys)
         rec.check("image_invariant_under_fields", stable, "k=%d" % k)
         rec.bump("invariance_apps", apps)
 

@@ -104,6 +104,28 @@ def test_bad_lambda_is_usage_error(capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_suite_list_naming_no_suite_is_usage_error(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setitem(suites.SUITES, "iso", ran.append)
+    for names in (",,", "", " , "):
+        code, out, err = run_main(["--n", "2", "--suite", names], capsys)
+        assert code == 2, names
+        assert not out
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert "names no suite" in err
+    assert not ran
+
+
+def test_non_rational_lambda_entry_is_named(capsys):
+    for twist in ("0.5,0", "nan", "1e400", "1/2/3,1", "1/,0"):
+        code, out, err = run_main(
+            ["--n", "2", "--lambda", twist, "--suite", "iso"], capsys)
+        assert code == 2, twist
+        assert not out
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert repr(twist.split(",")[0]) in err and "p/q" in err, err
+
+
 def test_space_form_values_and_argparse_errors_are_one_line(capsys):
     for argv in (["--window", "-1,2,1,2"], ["--lamb", "-1/2,1/3,1/5"],
                  ["--format", "xml"], ["--bogus"], ["--n", "x"], ["--lambda"]):

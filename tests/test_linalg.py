@@ -140,6 +140,12 @@ def qq_rank(rows):
     return sympy.Matrix(rows).rank() if rows else 0
 
 
+def integral(vec) -> dict:
+    """vec times the lcm of its denominators, as a dict of ints."""
+    den = math.lcm(*(c.denominator for c in vec.values()))
+    return {key: int(c * den) for key, c in vec.items()}
+
+
 def dense(vec, width):
     return [vec.get(j, 0) for j in range(width)]
 
@@ -152,10 +158,21 @@ def test_spanbasis_and_kernel_agree_with_sympy(data):
     rows = data.draw(st.lists(vector, min_size=1, max_size=6), "rows")
     probes = data.draw(st.lists(vector, min_size=1, max_size=3), "probes")
     span = SpanBasis()
-    for row in rows:
+    for i, row in enumerate(rows):
         span.insert(sparse(row))
-    rank = qq_rank(rows)
-    assert span.rank == rank
+        # membership after every insert: a memo of the equations that an
+        # insert failed to reset would miss the newest row
+        seen = rows[:i + 1]
+        rank = qq_rank(seen)
+        assert span.rank == rank
+        members = seen + [[sum(col) for col in zip(*seen)]]
+        for v, member in [(v, True) for v in members] + \
+                [(v, qq_rank(seen + [v]) == rank) for v in probes]:
+            vec = sparse(v)
+            assert span.contains(vec) == member
+            assert span.contains(integral(vec)) == member
+            assert (not span.reduce(vec)) == member
+            assert (not span.reduce(integral(vec))) == member
     for v in probes:
         red = span.reduce(sparse(v))
         assert not set(red) & set(span.pivots)

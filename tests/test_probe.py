@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import pair_field, spanning_generators
-from toruslie.indices import box, sub
-from toruslie.linalg import SparseVec
+from toruslie.indices import add, box, sub
+from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
                              run_lattice, run_simplicity)
 
@@ -212,6 +212,81 @@ def test_kernel_image_is_scaled_direct_action(data):
         factors.update(img[key] / c for (_, key), c in direct.items())
     assert len(factors) <= 1
     assert all(f > 0 and f.denominator == 1 for f in factors)
+
+
+# ------------------------------------------- the minuscule invariance sweep
+
+
+def brute_force_invariance(kernel, hull, degrees):
+    """The sweep as one generator application and one membership test per
+    (degree, row, generator): the loop run_minuscule ran before the dense
+    sweep replaced it."""
+    stable = True
+    apps = 0
+    for s in degrees:
+        for row in hull.rows_at(s):
+            for gen in kernel:
+                t = add(s, gen[0])
+                img = probe._apply_gen(gen, s, row)
+                apps += 1
+                if img and not hull.mini(t).contains(img):
+                    stable = False
+    return stable, apps
+
+
+def _sweep_case(n, twist, k):
+    """run_minuscule's inputs at the benchmark's n=3 window (B=1, R=2) and
+    at n=4's default window (B=1, R=1)."""
+    B, R = (1, 2) if n == 3 else (1, 1)
+    vmod = glmod.exterior(n, k)
+    kernel = probe.gen_kernel(spanning_generators(n, R), vmod, twist)
+    hull = tensor.derham_image_graded(k, twist, B + R, n)
+    return kernel, hull, list(box(n, B)), vmod.keys
+
+
+SWEEP_TWISTS = {3: [(rat(1, 2), rat(1, 3), rat(1, 5)), (rat(0),) * 3],
+                4: [(rat(1, 2), rat(1, 3), rat(1, 5), rat(1, 7)), (rat(0),) * 4]}
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_invariance_sweep_matches_the_per_application_loop(n):
+    for twist in SWEEP_TWISTS[n]:
+        for k in range(1, n + 1):
+            kernel, hull, degrees, keys = _sweep_case(n, twist, k)
+            got = probe._invariance_sweep(kernel, hull, degrees, keys)
+            assert got == brute_force_invariance(kernel, hull, degrees), (twist, k)
+            assert got[0] and got[1] > 0
+
+
+def test_invariance_sweep_sees_a_missing_hull_row():
+    n = 3
+    for twist in SWEEP_TWISTS[n]:
+        for k in range(1, n + 1):
+            kernel, hull, degrees, keys = _sweep_case(n, twist, k)
+            # drop the last row at a central degree, the target of many
+            # (degree, generator) pairs, where the eigenvalue is nonzero
+            t = (1,) + (0,) * (n - 1)
+            assert hull.rank_at(t)
+            smaller = SpanBasis()
+            for row in hull.rows_at(t)[:-1]:
+                smaller.insert(row)
+            hull.spans[t] = smaller
+            got = probe._invariance_sweep(kernel, hull, degrees, keys)
+            assert got == brute_force_invariance(kernel, hull, degrees), (twist, k)
+            assert not got[0]
+
+
+def test_invariance_sweep_sees_a_flipped_twist_term():
+    n = 3
+    for twist in SWEEP_TWISTS[n]:
+        for k in range(1, n + 1):
+            kernel, hull, degrees, keys = _sweep_case(n, twist, k)
+            flipped = [(r, du, -dut, table) for r, du, dut, table in kernel]
+            got = probe._invariance_sweep(flipped, hull, degrees, keys)
+            assert got == brute_force_invariance(flipped, hull, degrees), (twist, k)
+            # D(u|twist) vanishes at twist 0, and the top power's image
+            # holds every degree with a nonzero eigenvalue
+            assert got[0] == (not any(twist) or k == n), (twist, k)
 
 
 def test_closure_log_is_replayable_shape():

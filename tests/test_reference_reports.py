@@ -33,6 +33,10 @@ REFERENCE = [
     pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "minuscule"],
                  "6b64ea11b0fc10e4b70b05a220f90cc8b161ec1bdf0eb7899e6e6358b0658cd9",
                  id="n4-generic-minuscule"),
+    # the default twist 0 is integral: the invariance sweep meets tau = 0
+    pytest.param(["--n", "4", "--suite", "minuscule"],
+                 "9cdc927ccd62f40768c3dbcaecbb5ae1765b48cba07d9e735df7d20072f7377e",
+                 id="n4-integer-minuscule"),
     # the exact suites: act_direct, act_shifted_field and both de Rham maps
     pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5",
                   "--suite", "identities,axioms,derham"],
