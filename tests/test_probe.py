@@ -219,7 +219,7 @@ def test_kernel_image_is_scaled_direct_action(data):
 
 def brute_force_invariance(kernel, hull, degrees):
     """The sweep as one generator application and one membership test per
-    (degree, row, generator): the loop run_minuscule ran before the dense
+    (degree, row, generator): the loop run_minuscule ran before the integer
     sweep replaced it."""
     stable = True
     apps = 0
