@@ -15,6 +15,7 @@ import json
 import re
 import sys
 
+from .glmod import module_from_name
 from .rational import parse_tuple
 from .suites import FAIL, SUITES, RunConfig, run_suites
 
@@ -59,10 +60,17 @@ def config_from_args(args) -> RunConfig:
     twist = parse_tuple(args.twist) if args.twist else None
     window = (None, None, None, None)
     if args.window is not None:
-        parts = [int(x) for x in args.window.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--window needs B,R,L,M")
-        window = tuple(parts)
+        try:
+            window = tuple(int(x) for x in args.window.split(","))
+        except ValueError:
+            window = ()
+        if len(window) != 4:
+            raise ValueError("--window %r: expected B,R,L,M, four integers"
+                             % args.window)
+    try:
+        module_from_name(args.module, args.n)
+    except ValueError as exc:
+        raise ValueError("--module: %s" % exc) from None
     return RunConfig(n=args.n, module=args.module, twist=twist, k=args.k,
                      central=window[0], gen_bound=window[1],
                      depth=window[2], margin=window[3], seed=args.seed)

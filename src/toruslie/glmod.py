@@ -163,19 +163,22 @@ def trivial(n: int) -> FinModule:
 
 
 def module_from_name(name: str, n: int) -> FinModule:
-    """Parse 'trivial' | 'natural' | 'ext:k' | 'sym:m' | 'adjoint'."""
+    """Parse 'trivial' | 'natural' | 'ext:k' | 'sym:m' | 'adjoint', with
+    integers k and m."""
     name = name.strip().lower()
-    if name == "trivial":
-        return trivial(n)
-    if name == "natural":
-        return natural(n)
-    if name == "adjoint":
-        return adjoint(n)
-    if name.startswith("ext:"):
-        return exterior(n, int(name[4:]))
-    if name.startswith("sym:"):
-        return symmetric(n, int(name[4:]))
-    raise ValueError("unknown module kind: %r" % name)
+    build = {"trivial": trivial, "natural": natural, "adjoint": adjoint}.get(name)
+    if build:
+        return build(n)
+    kind, _, power = name.partition(":")
+    build = {"ext": exterior, "sym": symmetric}.get(kind)
+    try:
+        power = int(power)
+    except ValueError:
+        build = None
+    if build is None:
+        raise ValueError("unknown module %r: expected trivial, natural, ext:k, "
+                         "sym:m or adjoint, with integers k and m" % name)
+    return build(n, power)
 
 
 def wedge_by(vec, key) -> list:

@@ -94,21 +94,18 @@ def gen_kernel(gens, vmod, twist) -> list:
 
 @lru_cache(maxsize=8)
 def _gen_kernel(gens, vmod, twist) -> list:
-    exact = []
-    for X in gens:
-        if not any(X.r):
-            continue  # zero-shift fields act as scalars on graded rows
-        entries = glmod.rank_one(X.r, X.u)
-        table = {key: vmod.matrix_apply(entries, {key: 1}) for key in vmod.keys}
-        exact.append((X.r, X.u, dot(X.u, twist), table))
-    den = 1
-    for _, u, ut, table in exact:
-        for c in (*u, ut, *(a for acts in table.values() for a in acts.values())):
-            den = lcm(den, int(c.denominator))
-    return [(r, tuple(int(c * den) for c in u), int(ut * den),
-             {key: [(key2, int(a * den)) for key2, a in acts.items()]
-              for key, acts in table.items()})
-            for r, u, ut, table in exact]
+    # zero-shift fields act as scalars on graded rows; D clears every u and
+    # every (u|twist), so the tables of r (D*u)^T hold integers
+    shifted = [(X.r, X.u, dot(X.u, twist)) for X in gens if any(X.r)]
+    den = lcm(*(c.denominator for _, u, ut in shifted for c in (*u, ut)))
+    out = []
+    for r, u, ut in shifted:
+        du = tuple(int(c * den) for c in u)
+        entries = glmod.rank_one(r, du)
+        table = {key: list(vmod.matrix_apply(entries, {key: 1}).items())
+                 for key in vmod.keys}
+        out.append((r, du, int(ut * den), table))
+    return out
 
 
 def _apply_gen(gen, s, row) -> dict:
@@ -132,6 +129,9 @@ def _invariance_sweep(kernel, hull, degrees, keys) -> tuple:
 
     The same predicate as _apply_gen followed by hull.mini(s + r).contains,
     decided in integer arithmetic on lists indexed by the key order keys.
+    Two suites ask it: minuscule, of the de Rham image hull of each ext:k,
+    and lattice, of the Euler span on trivial V and of the image hull of
+    the top power.
     Each generator's rank-one table is read once into position-indexed
     rows; on ext:2 at n=4 it holds a quarter of a dense matrix's entries,
     so its nonzero entries are applied one by one. Each target degree's

@@ -350,16 +350,6 @@ class GradedSpan:
     def rank_in(self, degrees) -> int:
         return sum(self.rank_at(s) for s in degrees)
 
-    def contains_element(self, m: TensorElement) -> bool:
-        split = {}
-        for (s, vkey), c in m.terms.items():
-            split.setdefault(s, SparseVec())[vkey] = c
-        for s, vec in split.items():
-            sp = self.spans.get(s)
-            if sp is None or not sp.contains(vec):
-                return False
-        return True
-
     def rows_at(self, s):
         sp = self.spans.get(s)
         return sp.rows if sp is not None else []

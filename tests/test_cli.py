@@ -126,6 +126,18 @@ def test_non_rational_lambda_entry_is_named(capsys):
         assert repr(twist.split(",")[0]) in err and "p/q" in err, err
 
 
+def test_malformed_module_and_window_name_the_flag(capsys):
+    for argv, form in ((["--module", "sym:x"], "sym:m"),
+                       (["--module", "spin:7"], "sym:m"),
+                       (["--window", "a,b,c,d"], "B,R,L,M"),
+                       (["--window", "1,2,1"], "B,R,L,M")):
+        code, out, err = run_main(["--n", "2", "--suite", "iso"] + argv, capsys)
+        assert code == 2, argv
+        assert not out
+        assert err.startswith("error: %s" % argv[0]) and len(err.splitlines()) == 1, err
+        assert form in err and repr(argv[1]) in err, err
+
+
 def test_space_form_values_and_argparse_errors_are_one_line(capsys):
     for argv in (["--window", "-1,2,1,2"], ["--lamb", "-1/2,1/3,1/5"],
                  ["--format", "xml"], ["--bogus"], ["--n", "x"], ["--lambda"]):

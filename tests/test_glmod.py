@@ -124,8 +124,9 @@ def test_module_from_name():
     assert glmod.module_from_name("sym:3", 2).kind == ("symmetric", 3)
     assert glmod.module_from_name("adjoint", 2).kind == ("adjoint",)
     assert glmod.module_from_name("trivial", 4).kind == ("trivial",)
-    with pytest.raises(ValueError):
-        glmod.module_from_name("spin:7", 3)
+    for name in ("spin:7", "sym:x", "ext:"):
+        with pytest.raises(ValueError, match="ext:k, sym:m"):
+            glmod.module_from_name(name, 3)
     with pytest.raises(ValueError):
         glmod.exterior(3, 5)
 

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
-from toruslie.fields import pair_field, spanning_generators
-from toruslie.indices import add, box, sub
+from toruslie.fields import VectorField, pair_field, spanning_generators
+from toruslie.indices import add, box, dot, sub
 from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
                              run_lattice, run_simplicity)
@@ -194,7 +194,15 @@ def test_kernel_image_is_scaled_direct_action(data):
     small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     twist = tuple(rat(q) for q in data.draw(st.lists(small, min_size=n, max_size=n)))
     shifted = [X for X in spanning_generators(n, 2) if any(X.r)]
-    gens = data.draw(st.lists(st.sampled_from(shifted), min_size=1, max_size=3))
+    gens = data.draw(st.lists(st.sampled_from(shifted), max_size=3))
+    # divergence-zero fields with Fraction directions: w moved orthogonal
+    # to a nonzero shift r, so D must clear both u and (u|twist)
+    for _ in range(data.draw(st.integers(0 if gens else 1, 2), "fraction fields")):
+        r = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                            .filter(any)))
+        w = data.draw(st.lists(small, min_size=n, max_size=n))
+        c = dot(w, r) / dot(r, r)
+        gens.append(VectorField([a - c * b for a, b in zip(w, r)], r))
     s = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
     row = {key: rat(c) for key, c in data.draw(st.dictionaries(
         st.sampled_from(vmod.keys), small.filter(bool), min_size=1)).items()}
@@ -324,7 +332,11 @@ def test_random_image_element_lies_in_image():
     span = tensor.derham_image_graded(1, GEN2, 3, 2)
     for _ in range(10):
         m = probe.random_image_element(rng, ctx, 2)
-        assert span.contains_element(m)
+        # each degree of m lies in the span's part at that degree
+        parts = {}
+        for (s, key), c in m.terms.items():
+            parts.setdefault(s, {})[key] = c
+        assert all(span.mini(s).contains(vec) for s, vec in parts.items())
 
 
 def test_kernel_at_dimensions():
@@ -613,3 +625,15 @@ def test_lattice_scalar_reports():
     assert rep2.status == EVIDENCE, rep2.failures[:5]
     assert "ok generic_twist_generates" in rep2.log
     assert rep2.counters["max_rank"] == rep2.counters["dim"] == 25
+
+
+def test_lattice_sees_a_flipped_twist_term(monkeypatch):
+    # at a nonzero integer twist inside the window, x^(s+r) = x^twist is
+    # the one degree the Euler span and the top image lack; a kernel whose
+    # D(u|twist) has the wrong sign sends x^s there by (u|s + twist) != 0
+    real = probe.gen_kernel
+    monkeypatch.setattr(probe, "gen_kernel", lambda gens, vmod, twist: [
+        (r, du, -dut, table) for r, du, dut, table in real(gens, vmod, twist)])
+    rep = run_lattice(RunConfig(n=2, twist=(1, -2)))
+    failed = {line.split()[1] for line in rep.failures}
+    assert {"scalar_quotient_trivial", "top_level_matches_scalar"} <= failed

@@ -48,6 +48,20 @@ REFERENCE = [
     pytest.param(["--n", "3", "--lambda", "0,0,0", "--suite", "axioms,derham"],
                  "ad4702f6db587a1be62477eece87d2c05c1f95eebbde97a7903df5d8587c323c",
                  id="n3-integer-exact"),
+    # lattice: the Euler span and the top image, swept for invariance, at
+    # generic, zero and nonzero integer twists
+    pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5", "--suite", "lattice"],
+                 "8f1cdc5b0bf5c9cc751152db986a22fb8faebe23718d226fb991ef0de4607095",
+                 id="n3-generic-lattice"),
+    pytest.param(["--n", "3", "--lambda", "0,0,0", "--suite", "lattice"],
+                 "f5f0da53e5a3f4028d9850ddb83d156679f23253d0042a1c6df72f271c677ac5",
+                 id="n3-integer-lattice"),
+    pytest.param(["--n", "4", "--suite", "lattice"],
+                 "e44be4cfba09f0aebb7f7d83df9574d845cdf6a42a7aa7295b1e264918c87bd3",
+                 id="n4-integer-lattice"),
+    pytest.param(["--n", "2", "--lambda", "1,-2", "--suite", "lattice"],
+                 "8eb7fe78cee8db0876bc56369f25bd29e671e94293160eabd73d6a3f69f2a23b",
+                 id="n2-shifted-integer-lattice"),
 ]
 
 
