@@ -3,13 +3,12 @@
 A vector is a finite map from hashable, comparable keys to nonzero rational
 or integer coefficients. SpanBasis keeps a reduced row echelon spanning set
 of primitive integer rows, eliminating fraction-free with content removal
-(Bareiss, Math. Comp. 22, 1968): insertion, membership and rank build no
-rational, and reduce returns the exact rational residue. Because no row
-holds another row's pivot, an elimination never brings in a pivot key, so
-reducing a vector eliminates each of its pivot keys once, in any order.
-Membership needs no elimination at all: a vector lies in the span exactly
-when its pivot coordinates, as the coefficients of the rows, reproduce it,
-which is one integer equation per non-pivot key that a row holds.
+(Bareiss, Math. Comp. 22, 1968). insert, reduce and contains share one
+elimination, which builds no rational: a vector lies in the span exactly
+when its residue is zero, and reduce returns that residue as rationals.
+Because no row holds another row's pivot, an elimination never brings in
+a pivot key, so reducing a vector eliminates each of its pivot keys once,
+in any order.
 """
 
 from __future__ import annotations
@@ -94,14 +93,13 @@ class SpanBasis:
     pass. insert stores the residue divided by its content, with a positive
     pivot and increasing keys. Each row is therefore the pivot-1 row scaled
     to coprime integers, and the rows depend only on the span. An insert
-    replaces, never mutates, the dict of a row it updates. contains reads
-    the span's equations instead, built once per rank.
+    replaces, never mutates, the dict of a row it updates, and contains asks
+    whether the residue is zero. rows and pivots are the whole state.
     """
 
     def __init__(self):
         self.rows: list[dict] = []
         self.pivots: dict = {}
-        self._equations = None
 
     @property
     def rank(self) -> int:
@@ -123,43 +121,32 @@ class SpanBasis:
         work, scale = self._residue(vec)
         return SparseVec((key, rational(work[key], scale)) for key in sorted(work))
 
-    def equations(self) -> tuple:
-        """(L, eqs): integer equations that cut out the span.
+    def contains(self, vec) -> bool:
+        return not self._residue(vec)[0]
 
-        L is the lcm of the pivot entries, and eqs maps each non-pivot key q
-        that some row holds to the pairs (p, (L / row_p[p]) * row_p[q]) over
-        the rows p that hold it. A vector v lies in the span exactly when
-        L * v[q] == sum(c * v[p]) for every q, and v is zero on every key
-        that no row holds: the span's element with pivot coordinates v[p]
-        is sum(v[p] / row_p[p] * row_p). contains keeps the result until the
-        rank grows; a caller that reads each span once leaves no copy.
+    def equations(self, index) -> list:
+        """Dense integer rows that cut out the span, over the positions
+        that index gives the keys; index holds every key of every row.
+
+        With L the lcm of the pivot entries, each key q of index that is
+        not a pivot gives the row L * e_q - sum((L / row_p[p]) * row_p[q]
+        * e_p) over the rows p that hold q, and a key that no row holds
+        gives the unit row e_q. A vector v over the keys of index lies in
+        the span exactly when every row vanishes on it: the span's element
+        with pivot coordinates v[p] is sum(v[p] / row_p[p] * row_p).
         """
         rows, pivots = self.rows, self.pivots
         L = lcm(*[rows[idx][p] for p, idx in pivots.items()])
-        eqs = {}
+        eqs = {q: [0] * len(index) for q in index if q not in pivots}
         for p, idx in pivots.items():
             row = rows[idx]
             m = L // row[p]
             for q, a in row.items():
                 if q != p:
-                    eqs.setdefault(q, []).append((p, m * a))
-        return L, {q: tuple(pairs) for q, pairs in eqs.items()}
-
-    def contains(self, vec) -> bool:
-        if self._equations is None:
-            self._equations = self.equations()
-        L, eqs = self._equations
-        pivots = self.pivots
-        scale = lcm(*[c.denominator for c in vec.values()])
-        work = {}
-        for key, c in vec.items():
-            if c:
-                if key not in pivots and key not in eqs:
-                    return False
-                work[key] = c.numerator * (scale // c.denominator)
-        get = work.get
-        return all(L * get(q, 0) == sum([c * get(p, 0) for p, c in pairs])
-                   for q, pairs in eqs.items())
+                    eqs[q][index[p]] = -m * a
+        for q, eq in eqs.items():
+            eq[index[q]] = L if any(eq) else 1
+        return list(eqs.values())
 
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew. vec is not modified."""
@@ -182,7 +169,6 @@ class SpanBasis:
                 rows[idx] = {key: c // g for key, c in other.items()}
         pivots[pivot] = len(rows)
         rows.append(row)
-        self._equations = None
         return True
 
 

@@ -135,31 +135,17 @@ def _invariance_sweep(kernel, hull, degrees, keys) -> tuple:
     Each generator's rank-one table is read once into position-indexed
     rows; on ext:2 at n=4 it holds a quarter of a dense matrix's entries,
     so its nonzero entries are applied one by one. Each target degree's
-    span gives its equations once, as dense rows: one per non-pivot key,
-    and a degree the hull lacks has rank 0, so there every key gives a
-    unit row.
+    span gives its equations once, through SpanBasis.equations(index): one
+    dense row per non-pivot key, and a degree the hull lacks has rank 0,
+    so there every key gives a unit row.
     An image lies in the span exactly when every equation vanishes on it.
     The sweep stops at the first image outside the hull, but apps counts
     every triple.
     """
     index = {key: i for i, key in enumerate(keys)}
-    dim = len(keys)
     gens = [(r, du, dut, [[(index[key2], a) for key2, a in table[key]] for key in keys])
             for r, du, dut, table in kernel]
     eq_rows = {}
-
-    def dense_equations(t):
-        span = hull.spans.get(t) or SpanBasis()
-        L, eqs = span.equations()
-        rows = []
-        for q in keys:
-            if q not in span.pivots:
-                row = [0] * dim
-                row[index[q]] = L
-                for p, c in eqs.get(q, ()):
-                    row[index[p]] = -c
-                rows.append(row)
-        return rows
 
     apps = len(gens) * sum(len(hull.rows_at(s)) for s in degrees)
     plus, mul = operator.add, operator.mul
@@ -174,7 +160,8 @@ def _invariance_sweep(kernel, hull, degrees, keys) -> tuple:
             t = tuple(map(plus, s, r))
             eqs = eq_rows.get(t)
             if eqs is None:
-                eqs = eq_rows[t] = dense_equations(t)
+                span = hull.spans.get(t) or SpanBasis()
+                eqs = eq_rows[t] = span.equations(index)
             if not eqs:
                 continue
             c1 = sum(map(mul, du, s)) - dut
@@ -396,11 +383,7 @@ def euler_span_scalar(twist, bound: int, n: int) -> tensor.GradedSpan:
 
 def kernel_at(s, twist, vmod_k) -> list:
     """Basis of the de Rham kernel at one exponent (wedge by the eigenvalue)."""
-    n = vmod_k.n
-    k = vmod_k.kind[1]
     shat = tensor.eigen_vector(s, twist)
-    if k >= n:
-        return [SparseVec({key: ONE}) for key in vmod_k.keys]
 
     def image_of(key):
         # distinct indices i give distinct keys, so no entry repeats

@@ -630,7 +630,7 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
     # maps x^s (x) key to 0: (u|s - twist) = 0, and the matrix part is 0 on
     # trivial V and tr(r u^T) = (u|r) = 0 on the top power. Zero-shift
     # fields, which the kernel leaves out, act on a row as a scalar.
-    hspan = probe.euler_span_scalar(twist, window.ambient, n)
+    hspan = probe.euler_span_scalar(twist, B + cfg.gen_bound, n)
     central = list(box(n, B))
     stable, apps = probe._invariance_sweep(
         probe.gen_kernel(gens, ctx.vmod, twist), hspan, central, ctx.vmod.keys)

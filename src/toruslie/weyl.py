@@ -24,10 +24,6 @@ class LaurentPoly(SparseVec):
 
     __slots__ = ()
 
-    def __mul__(self, other):
-        return LaurentPoly.make((add(r, s), a * b)
-                                for r, a in self.items() for s, b in other.items())
-
 
 class WeylOp(SparseVec):
     """(r, a) -> coefficient for the normal-ordered word x^r d^a."""

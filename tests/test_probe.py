@@ -349,6 +349,14 @@ def test_kernel_at_dimensions():
     vecs = probe.kernel_at((0, 0, 0), (rat(0), rat(0), rat(0)),
                            glmod.exterior(3, 2))
     assert len(vecs) == 3
+    # the top power: no index lies outside its one key, so wedging by any
+    # eigenvalue gives 0 and the kernel is the unit basis
+    for n in (2, 3, 4):
+        top = glmod.exterior(n, n)
+        units = [SparseVec({key: rat(1)}) for key in top.keys]
+        for twist in ((rat(0),) * n, (rat(1, 2), rat(1, 3), rat(1, 5), rat(1, 7))[:n]):
+            for s in ((0,) * n, (1,) + (0,) * (n - 1)):
+                assert probe.kernel_at(s, twist, top) == units
 
 
 def test_coeff_extract_constant_family_is_zero():

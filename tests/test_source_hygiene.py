@@ -1,9 +1,11 @@
 """Source hygiene: no module of the package or of its tests imports a
 name it never uses, no function, class, method or module-level public
 name is defined that no module reads, and the package binds no name that
-no reader imports from it."""
+no reader imports from it; and every function the benchmark traces
+exists under the name it traces."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -122,6 +124,18 @@ def package_names_no_reader_imports(init_source, reader_texts) -> list:
                   if not (name.startswith("__") and name.endswith("__")))
 
 
+def benchmark_trace_targets() -> dict:
+    """metric prefix -> (module, attribute) of every TIMED and COUNTED entry
+    of perfbench/tracing.py, read from its source."""
+    targets = {}
+    for node in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in ("TIMED", "COUNTED")
+                for t in node.targets):
+            targets.update(ast.literal_eval(node.value))
+    return targets
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {name: unused_imports(tree) for name, tree in module_trees().items()}
     assert len(found) >= 10
@@ -146,6 +160,23 @@ def test_package_binds_only_names_its_readers_import():
     readers.append((ROOT / "README.md").read_text())
     assert package_names_no_reader_imports((SRC / "__init__.py").read_text(),
                                            readers) == []
+
+
+def test_every_benchmark_trace_target_exists():
+    # the tracer skips a target it cannot find with only a warning, and
+    # that layer's metrics then drop out of the bench files unnoticed;
+    # like the tracer, a method must be defined on the class it names
+    targets = benchmark_trace_targets()
+    assert len(targets) >= 20
+    missing = []
+    for name, (module, attr) in sorted(targets.items()):
+        owner = importlib.import_module(module)
+        *path, last = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part, None)
+        if owner is None or last not in vars(owner):
+            missing.append(name)
+    assert missing == []
 
 
 def test_package_names_are_matched_against_reader_imports():
