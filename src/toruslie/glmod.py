@@ -122,9 +122,16 @@ class FinModule:
                               for key2, a in tab[key])
 
     def matrix_apply(self, entries, vec) -> SparseVec:
-        """A general matrix sum_{ij} entries[(i,j)] E_ij applied to vec."""
-        return SparseVec.make((key, m * c) for (i, j), m in entries.items() if m
-                              for key, c in self.unit_apply(i, j, vec).items())
+        """A general matrix sum_{ij} entries[(i,j)] E_ij applied to vec,
+        summed over the unit tables into one SparseVec."""
+        out = SparseVec()
+        for (i, j), m in entries.items():
+            if m:
+                tab = self.unit_table(i, j)
+                for key, c in vec.items():
+                    mc = m * c
+                    out.add_pairs((key2, mc * a) for key2, a in tab[key])
+        return out
 
     def character(self) -> tuple:
         """Sorted multiset of diagonal weights: the gl_n character."""

@@ -25,7 +25,9 @@ x^{s+shift} (x) w', and supplies only those entries per key w, as integers;
 the loop clears the denominators of the element once per call and those
 of the twist once per context, sums integer coefficients per output term,
 and builds one rational per surviving term. The results equal the
-termwise rational formulas.
+termwise rational formulas. The de Rham maps read their entries, and their
+target module, from a table built once per module and style; the field
+actions build their shift tuples and unit tables once per call.
 """
 
 from __future__ import annotations
@@ -229,16 +231,17 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     n, vmod, rho = ctx.n, ctx.vmod, X.r
     du_den, du = _cleared(X.u)
     lin = _sparse(du)
+    # (shift, integer factor, unit table) per summand, built once per call
+    units = []
+    for j, duj in lin:
+        r = add(rho, unit(j + 1, n))
+        units += [(sub(r, unit(i, n)), duj * ri, vmod.unit_table(i, j + 1))
+                  for i, ri in enumerate(r, start=1) if ri]
 
     def entries(vkey):
         out = [(rho, vkey, lin, 0)]
-        for j, duj in lin:
-            r = add(rho, unit(j + 1, n))
-            for i, ri in enumerate(r, start=1):
-                if ri:
-                    shift = sub(r, unit(i, n))
-                    out += [(shift, vkey2, (), duj * ri * b)
-                            for vkey2, b in vmod.unit_table(i, j + 1)[vkey]]
+        for shift, c, tab in units:
+            out += [(shift, vkey2, (), c * b) for vkey2, b in tab[vkey]]
         return out
     return _integer_map(m, ctx, entries, du_den)
 
@@ -274,22 +277,30 @@ def derham_map_shifted(m: TensorElement) -> TensorElement:
 
 def _wedge_by_eigenvalues(m: TensorElement, style: str, wrong_style: str) -> TensorElement:
     """Both de Rham maps: x^s (x) key -> sum_i eig_i(s) x^s (x) (e_i wedge key),
-    each entry read off glmod.wedge_by on the key. The shifted style moves
-    the i-th summand's exponent by -e_i."""
+    with entries from _derham_table."""
     ctx = m.ctx
     k = _exterior_level(ctx)
-    n = ctx.n
     if ctx.style != style:
         raise ValueError(wrong_style)
-    if k >= n:
+    if k >= ctx.n:
         raise ValueError("de Rham map undefined above the top exterior power")
+    target, table = _derham_table(ctx.vmod, style)
+    return _integer_map(m, ctx.with_vmod(target), table.__getitem__, 1)
+
+
+@lru_cache(maxsize=32)
+def _derham_table(vmod, style: str) -> tuple:
+    """(exterior k+1, key -> entries) for the de Rham map of style on the
+    exterior-k module vmod, each entry read off glmod.wedge_by on the key.
+    The shifted style moves the i-th summand's exponent by -e_i. The target
+    module is built once here, so its unit and weight tables persist."""
+    n = vmod.n
     shifts = [zero(n)] * n if style == STYLE_DIRECT \
         else [sub(zero(n), unit(i, n)) for i in range(1, n + 1)]
-
-    def entries(vkey):
-        return [(shifts[i - 1], new, ((i - 1, sign),), 0)
-                for i, new, sign in glmod.wedge_by((1,) * n, vkey)]
-    return _integer_map(m, ctx.with_vmod(glmod.exterior(n, k + 1)), entries, 1)
+    table = {vkey: [(shifts[i - 1], new, ((i - 1, sign),), 0)
+                    for i, new, sign in glmod.wedge_by((1,) * n, vkey)]
+             for vkey in vmod.keys}
+    return glmod.exterior(n, vmod.kind[1] + 1), table
 
 
 def to_shifted_form(m: TensorElement) -> TensorElement:

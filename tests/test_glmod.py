@@ -139,16 +139,26 @@ def test_rank_one_outer_product_entries():
 
 
 def test_matrix_apply_agrees_with_unit_tables():
+    # every module kind, with integer vectors (as act_direct and
+    # probe._gen_kernel pass) and Fraction ones (as _double_quad_part does)
     rng = random.Random(7)
-    vmod = glmod.symmetric(2, 2)
-    for _ in range(20):
-        r = tuple(rat(rng.randint(-2, 2)) for _ in range(2))
-        u = tuple(rat(rng.randint(-2, 2)) for _ in range(2))
-        table = glmod.rank_one(r, u)
-        vec = SparseVec.make({key: rat(rng.randint(-3, 3))
-                              for key in vmod.keys})
-        direct = vmod.matrix_apply(table, vec)
-        via_units = SparseVec()
-        for (i, j), c in table.items():
-            via_units = via_units + apply_unit(vmod, i, j, vec).scaled(c)
-        assert SparseVec.make(direct) == via_units
+    for n in (2, 3, 4):
+        names = ["trivial", "natural", "sym:2", "adjoint"]
+        names += ["ext:%d" % k for k in range(n + 1)]
+        for vmod in map(lambda name: glmod.module_from_name(name, n), names):
+            for trial in range(12):
+                r = tuple(rng.randint(-2, 2) for _ in range(n))
+                u = tuple(rng.randint(-2, 2) for _ in range(n))
+                table = glmod.rank_one(r, u)
+                if trial % 2:
+                    table = {ij: rat(c, 3) for ij, c in table.items()}
+                    coeff = lambda: rat(rng.randint(-3, 3), rng.randint(1, 4))
+                else:
+                    coeff = lambda: rng.randint(-3, 3)
+                vec = {key: coeff() for key in vmod.keys}
+                direct = vmod.matrix_apply(table, vec)
+                via_units = SparseVec()
+                for (i, j), c in table.items():
+                    via_units = via_units + apply_unit(vmod, i, j, vec).scaled(c)
+                assert isinstance(direct, SparseVec) and all(direct.values())
+                assert direct == via_units, (vmod, table, vec)

@@ -132,6 +132,34 @@ def test_chain_map_intertwines_general_fields():
             == tensor.act(X, tensor.derham_map(m))
 
 
+def test_derham_maps_build_no_module_on_a_warm_context(monkeypatch):
+    builds = []
+    init = glmod.FinModule.__init__
+
+    def counted(self, *args):
+        builds.append(args[0])
+        init(self, *args)
+
+    rng = random.Random(20)
+    for n in (2, 3, 4):
+        twist = tuple(rat(1, j + 2) for j in range(n))
+        for k in range(n):
+            ctx = tensor.context(twist, glmod.exterior(n, k))
+            target = glmod.exterior(n, k + 1)
+            for fn, style_ctx in ((tensor.derham_map, ctx),
+                                  (tensor.derham_map_shifted,
+                                   ctx.with_style(STYLE_SHIFTED))):
+                fn(probe.random_element(rng, style_ctx, 2))   # warm up
+                elems = [probe.random_element(rng, style_ctx, 2)
+                         for _ in range(50)]
+                monkeypatch.setattr(glmod.FinModule, "__init__", counted)
+                outs = [fn(m) for m in elems]
+                monkeypatch.setattr(glmod.FinModule, "__init__", init)
+                assert builds == [], (n, k, fn.__name__)
+                assert all(out.ctx.vmod == target and
+                           out.ctx == style_ctx.with_vmod(target) for out in outs)
+
+
 def test_derham_image_and_graded_ranks():
     scalars = tensor.context(ZERO2, glmod.exterior(2, 0))
     img = tensor.derham_map(tensor.basis_element(scalars, (1, 0), ()))
