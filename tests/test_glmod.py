@@ -145,7 +145,7 @@ def test_matrix_apply_agrees_with_unit_tables():
     for n in (2, 3, 4):
         names = ["trivial", "natural", "sym:2", "adjoint"]
         names += ["ext:%d" % k for k in range(n + 1)]
-        for vmod in map(lambda name: glmod.module_from_name(name, n), names):
+        for vmod in [glmod.module_from_name(name, n) for name in names]:
             for trial in range(12):
                 r = tuple(rng.randint(-2, 2) for _ in range(n))
                 u = tuple(rng.randint(-2, 2) for _ in range(n))

@@ -156,8 +156,8 @@ def test_derham_maps_build_no_module_on_a_warm_context(monkeypatch):
                 outs = [fn(m) for m in elems]
                 monkeypatch.setattr(glmod.FinModule, "__init__", init)
                 assert builds == [], (n, k, fn.__name__)
-                assert all(out.ctx.vmod == target and
-                           out.ctx == style_ctx.with_vmod(target) for out in outs)
+                # the target module, at the element's twist and style
+                assert all(out.ctx == style_ctx.with_vmod(target) for out in outs)
 
 
 def test_derham_image_and_graded_ranks():
