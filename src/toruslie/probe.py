@@ -129,9 +129,8 @@ def _invariance_sweep(kernel, hull, degrees, keys) -> tuple:
 
     The same predicate as _apply_gen followed by hull.mini(s + r).contains,
     decided in integer arithmetic on lists indexed by the key order keys.
-    Two suites ask it: minuscule, of the de Rham image hull of each ext:k,
-    and lattice, of the Euler span on trivial V and of the image hull of
-    the top power.
+    Its one caller is minuscule, which asks it of the de Rham image hull
+    of each ext:k.
     Each generator's rank-one table is read once into position-indexed
     rows; on ext:2 at n=4 it holds a quarter of a dense matrix's entries,
     so its nonzero entries are applied one by one. Each target degree's
@@ -369,16 +368,6 @@ def generation_evidence(ctx, gens, window: Window, depth: int, trials: int,
             seed = random_element(rng, ctx, window.central)
         results.append(closure([seed], gens, window, depth, hull=hull))
     return results
-
-
-def euler_span_scalar(twist, bound: int, n: int) -> tensor.GradedSpan:
-    """Graded window span of all Euler images inside P (x) trivial."""
-    twist = tuple(rat(t) for t in twist)
-    span = tensor.GradedSpan()
-    for s in box(n, bound):
-        if any(si != ti for si, ti in zip(s, twist)):
-            span.mini(s).insert(SparseVec({(): ONE}))
-    return span
 
 
 def kernel_at(s, twist, vmod_k) -> list:

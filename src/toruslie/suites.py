@@ -18,6 +18,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, combinations_with_replacement
 
 from . import glmod, probe, tensor
 from .fields import (VectorField, bracket, double_action_check, euler_field,
@@ -34,7 +35,7 @@ EVIDENCE = "evidence-pass"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a report depends on; echoed verbatim into the output."""
+    """Everything a report depends on; echoed into the output as stored."""
 
     n: int
     module: str = "natural"
@@ -71,6 +72,7 @@ class RunConfig:
         if len(twist) != self.n:
             raise ValueError("twist length %d != n=%d" % (len(twist), self.n))
         object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "module", self.module.strip().lower())
         glmod.module_from_name(self.module, self.n)  # validates the name
 
     @property
@@ -615,59 +617,66 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------------ lattice
 
 
+def _scalar_coefficient(X: VectorField, s, twist, weight):
+    """The multiple of x^{s+r} (x) v that X = D(u, r) makes of x^s (x) v, dim V = 1."""
+    return dot(X.u, sub(s, twist)) + sum(a * b * w for a, b, w in zip(X.r, X.u, weight))
+
+
+def _scalar_mismatch(twist, vmod, pairs: bool) -> str:
+    """The first field X and degree s at which act_direct on the 1-dimensional
+    vmod differs from _scalar_coefficient, or "". X runs over the pair fields
+    or the D(e_j, r), and (r, s) over {x in Z^{2n}_{>=0} : sum(x) <= 2}, the
+    sums of two picks from 0, e_1, ..., e_2n. That set is unisolvent for total
+    degree 2 (Chung & Yao, SIAM J. Numer. Anal. 14, 1977): where both sides
+    have degree <= 2 in (r, s), they agree everywhere."""
+    n = len(twist)
+    ctx = tensor.context(twist, vmod)
+    (key,) = vmod.keys
+    for picks in combinations_with_replacement(range(2 * n + 1), 2):
+        x = tuple(picks.count(a) for a in range(1, 2 * n + 1))
+        r, s = x[:n], x[n:]
+        for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
+                if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:
+            want = _scalar_coefficient(X, s, twist, vmod.weight_of(key))
+            if tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
+                    != tensor.basis_element(ctx, add(s, r), key, want):
+                return "%r at s=%s" % (X, s)
+    return ""
+
+
 def run_lattice(cfg: RunConfig) -> SuiteResult:
+    """P (x) V at every degree, for the 1-dimensional V = trivial and ext:n.
+
+    On both, D(u, r) with (u|r) = 0 sends x^s to (u|tau) x^{s+r}, where
+    tau = s - twist: r u^T acts on ext:n by its trace (u|r).
+    1. The Euler fields D(e_j, 0) act by tau_j, so they separate degrees.
+    2. The pair field p_ij(r) = D(r_j e_i - r_i e_j, r) moves x^s by the
+       minor r_j tau_i - r_i tau_j. These minors all vanish exactly when r
+       is parallel to tau. The p_ij(r) span the fields of exponent r.
+    3. If twist is not in Z^n, any two degrees are joined in one move, or in
+       two through some s + q with q not parallel to tau (the second move is
+       parallel to its tau only if it ends at twist). The module is simple.
+    4. If twist is in Z^n, no move leaves x^twist (tau = 0) and none enters
+       it (tau = -r at twist - r). So x^twist spans a fixed line, and the
+       rest, joined by paths of step 3 that avoid it, is a simple submodule
+       of codimension 1 with a trivial quotient.
+    _scalar_mismatch reads act_direct. Its coefficient has degree 1 in (r, s)
+    for D(e_j, r), and 2 for the pair fields, whose direction is linear in r.
+    The middle check reads the pair fields on trivial V, the outer two the
+    D(e_j, r) on trivial V and on ext:n. dim counts the central degrees,
+    max_rank those off the fixed line.
+    """
     rec = SuiteResult("lattice")
-    rng = _rng(cfg, "lattice")
     n, twist, B = cfg.n, cfg.twist, cfg.central
-    gens = spanning_generators(n, cfg.gen_bound)
-    window = cfg.window
-    ctx = tensor.context(twist, glmod.trivial(n))
-
-    # exact: every generator image of a central basis vector lands in the
-    # Euler-image span, so the quotient by it carries the zero action. The
-    # sweep reads span rows; on 1-dimensional V (here and at the top power
-    # below) they are the basis vectors x^s (x) key up to scale, at every
-    # central s but s = twist, where the span has no row. There D(u, r)
-    # maps x^s (x) key to 0: (u|s - twist) = 0, and the matrix part is 0 on
-    # trivial V and tr(r u^T) = (u|r) = 0 on the top power. Zero-shift
-    # fields, which the kernel leaves out, act on a row as a scalar.
-    hspan = probe.euler_span_scalar(twist, B + cfg.gen_bound, n)
-    central = list(box(n, B))
-    stable, apps = probe._invariance_sweep(
-        probe.gen_kernel(gens, ctx.vmod, twist), hspan, central, ctx.vmod.keys)
-    rec.check("scalar_quotient_trivial", stable, "apps=%d" % apps)
-    rank = hspan.rank_in(central)
-    rec.counters["max_rank"] = rank
-    rec.counters["dim"] = len(central)
-    if all(t.denominator == 1 for t in twist):
-        # the Euler span misses only the line x^twist (x) 1, itself killed
-        # by every generator, so the central codimension is 1 when that
-        # line sits in the central box, else 0
-        line = tuple(int(t) for t in twist)
-        want = 1 if inside(line, B) else 0
-        fixed = tensor.basis_element(ctx, line, ())
-        killed = all(tensor.act_direct(X, fixed).is_zero for X in gens)
-        codim = len(central) - rank
-        rec.check("integer_twist_fixed_line", codim == want and killed,
-                  "codim=%d want=%d killed=%s" % (codim, want, killed))
-    else:
-        # evidence: the Euler span fills the window, and every random seed
-        # generates it
-        rec.evidence_used = True
-        results = probe.generation_evidence(ctx, gens, window, cfg.depth, 10, rng)
-        fills = sum(1 for r in results if r.verdict == probe.FILLS)
-        rec.check("generic_twist_generates",
-                  rank == len(central) and fills == len(results),
-                  "fills=%d/%d euler_rank=%d/%d" % (
-                      fills, len(results), rank, len(central)))
-
-    # top exterior level mirrors the scalar picture through the image span
-    top = glmod.exterior(n, n)
-    span = tensor.derham_image_graded(n, twist, B + cfg.gen_bound, n)
-    stable, _ = probe._invariance_sweep(
-        probe.gen_kernel(gens, top, twist), span, central, top.keys)
-    ok = all(span.rank_at(s) == tensor.image_rank(n, s, twist) for s in central)
-    rec.check("top_level_matches_scalar", ok and stable)
+    integral = all(t.denominator == 1 for t in twist)
+    middle = "integer_twist_fixed_line" if integral else "generic_twist_generates"
+    for label, vmod, pairs in (("scalar_quotient_trivial", glmod.trivial(n), False),
+                               (middle, glmod.trivial(n), True),
+                               ("top_level_matches_scalar", glmod.exterior(n, n), False)):
+        bad = _scalar_mismatch(twist, vmod, pairs)
+        rec.check(label, not bad, bad)
+    dim = rec.counters["dim"] = (2 * B + 1) ** n
+    rec.counters["max_rank"] = dim - 1 if integral and inside(twist, B) else dim
     return rec
 
 

@@ -80,7 +80,7 @@ def test_criterion_5_scalar_lattice_dichotomy():
     assert "ok integer_twist_fixed_line" in integral.log
 
     generic = run_lattice(RunConfig(n=2, twist=GEN[2]))
-    assert generic.status == EVIDENCE, generic.failures[:5]
+    assert generic.status == PASS, generic.failures[:5]
     assert "ok generic_twist_generates" in generic.log
     elapsed = time.perf_counter() - started
     report(5, "scalar lattice dichotomy", elapsed, 60)

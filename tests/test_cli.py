@@ -138,6 +138,23 @@ def test_malformed_module_and_window_name_the_flag(capsys):
         assert form in err and repr(argv[1]) in err, err
 
 
+def test_bad_n_is_reported_before_the_module(capsys):
+    for argv in (["--n", "-3", "--module", "ext:0"], ["--n", "1", "--module", "sym:x"]):
+        code, out, err = run_main(argv + ["--suite", "iso"], capsys)
+        assert code == 2, argv
+        assert not out
+        assert err.startswith("error: --n %s:" % argv[1]) and len(err.splitlines()) == 1, err
+
+
+def test_module_spellings_give_one_report(capsys):
+    reports = {run_main(["--n", "2", "--module", name, "--suite", "axioms"], capsys)
+               for name in ("SYM:2", " sym:2 ", "sym:2")}
+    assert len(reports) == 1
+    code, out, err = reports.pop()
+    assert code == 0, err
+    assert json.loads(out)["config"]["module"] == "sym:2"
+
+
 def test_space_form_values_and_argparse_errors_are_one_line(capsys):
     for argv in (["--window", "-1,2,1,2"], ["--lamb", "-1/2,1/3,1/5"],
                  ["--format", "xml"], ["--bogus"], ["--n", "x"], ["--lambda"]):

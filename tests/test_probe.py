@@ -15,7 +15,7 @@ from toruslie.fields import VectorField, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub
 from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
-                             run_lattice, run_simplicity)
+                             _scalar_coefficient, run_lattice, run_simplicity)
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
@@ -625,23 +625,57 @@ def test_lattice_scalar_reports():
     rep = run_lattice(RunConfig(n=2, twist=ZERO2, seed=8))
     assert rep.status == PASS, rep.failures[:5]
     assert "ok scalar_quotient_trivial" in rep.log
-    # codimension 1: the Euler span misses exactly the killed line x^0 (x) 1
+    # codimension 1: the fixed line x^0 (x) 1 lies in the central box
     assert "ok integer_twist_fixed_line" in rep.log
     assert rep.counters["dim"] - rep.counters["max_rank"] == 1
 
     rep2 = run_lattice(RunConfig(n=2, twist=GEN2, seed=9))
-    assert rep2.status == EVIDENCE, rep2.failures[:5]
+    assert rep2.status == PASS, rep2.failures[:5]
     assert "ok generic_twist_generates" in rep2.log
     assert rep2.counters["max_rank"] == rep2.counters["dim"] == 25
 
 
+def lattice_failures(twist) -> list:
+    return [line.split()[1] for line in run_lattice(RunConfig(n=2, twist=twist)).failures]
+
+
 def test_lattice_sees_a_flipped_twist_term(monkeypatch):
-    # at a nonzero integer twist inside the window, x^(s+r) = x^twist is
-    # the one degree the Euler span and the top image lack; a kernel whose
-    # D(u|twist) has the wrong sign sends x^s there by (u|s + twist) != 0
-    real = probe.gen_kernel
-    monkeypatch.setattr(probe, "gen_kernel", lambda gens, vmod, twist: [
-        (r, du, -dut, table) for r, du, dut, table in real(gens, vmod, twist)])
-    rep = run_lattice(RunConfig(n=2, twist=(1, -2)))
-    failed = {line.split()[1] for line in rep.failures}
-    assert {"scalar_quotient_trivial", "top_level_matches_scalar"} <= failed
+    # act_direct reading (u|s + twist) in place of (u|s - twist) fails every
+    # check at a nonzero twist, integral or not, and changes nothing at 0
+    def flipped(ctx):
+        den, vec = tensor._cleared(ctx.twist)
+        return den, [-c for c in vec]
+    monkeypatch.setattr(tensor.Context, "cleared_twist", property(flipped))
+    assert lattice_failures((1, -2)) == [
+        "scalar_quotient_trivial", "integer_twist_fixed_line", "top_level_matches_scalar"]
+    assert lattice_failures((rat(1, 2), rat(1, 3))) == [
+        "scalar_quotient_trivial", "generic_twist_generates", "top_level_matches_scalar"]
+    assert lattice_failures(ZERO2) == []
+
+
+def test_lattice_sees_a_dropped_rank_one_term(monkeypatch):
+    # r u^T is 0 on trivial V, and acts on ext:n by (u|r), which D(e_j, r)
+    # makes r_j
+    monkeypatch.setattr(glmod, "rank_one", lambda r, u: {})
+    assert lattice_failures(GEN2) == ["top_level_matches_scalar"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scalar_coefficient_matches_act_direct_off_the_lattice(data):
+    # the lattice checks take act_direct on 1-dimensional V to be the scalar
+    # _scalar_coefficient, a polynomial of degree <= 2 in (r, s); test that
+    # far from the lattice, with any rational direction and twist
+    n = data.draw(st.integers(2, 4))
+
+    def vector(elements):
+        return tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+    r, s = vector(st.integers(-10, 10)), vector(st.integers(-10, 10))
+    X = VectorField(vector(st.fractions(-5, 5, max_denominator=7)), r)
+    twist = vector(st.fractions(-3, 3, max_denominator=9))
+    vmod = data.draw(st.sampled_from([glmod.trivial(n), glmod.exterior(n, n)]))
+    ctx = tensor.context(twist, vmod)
+    (key,) = vmod.keys
+    want = _scalar_coefficient(X, s, twist, vmod.weight_of(key))
+    assert tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
+        == tensor.basis_element(ctx, add(s, r), key, want)

@@ -3,8 +3,7 @@
 import random
 
 from toruslie import rat
-from toruslie.indices import box, unit
-from toruslie.probe import euler_span_scalar
+from toruslie.indices import unit
 from toruslie.weyl import (LaurentPoly, WeylOp, _shifted_powers, commutator,
                            operator_apply)
 
@@ -118,11 +117,3 @@ def test_twist_shifts_euler_operators():
         assert operator_apply(op, p, twist) == operator_apply(
             twist_op(op, twist), p, ZERO2)
 
-
-def test_euler_image_span_ranks():
-    # images of the Euler operators over a 5x5 exponent window:
-    # one degree drops iff some exponent matches the twist exactly
-    window = list(box(2, 2))
-    assert euler_span_scalar(ZERO2, 2, 2).rank_in(window) == 24
-    assert euler_span_scalar((rat(1, 3), rat(1, 2)), 2, 2).rank_in(window) == 25
-    assert euler_span_scalar((rat(5), rat(5)), 2, 2).rank_in(window) == 25
