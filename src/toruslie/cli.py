@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-from .glmod import module_from_name
+from .glmod import parse_module_name
 from .rational import parse_tuple
 from .suites import FAIL, SUITES, RunConfig, run_suites
 
@@ -70,7 +70,7 @@ def config_from_args(args) -> RunConfig:
             raise ValueError("--window %r: expected B,R,L,M, four integers"
                              % args.window)
     try:
-        module_from_name(args.module, args.n)
+        parse_module_name(args.module, args.n)
     except ValueError as exc:
         raise ValueError("--module: %s" % exc) from None
     return RunConfig(n=args.n, module=args.module, twist=twist, k=args.k,

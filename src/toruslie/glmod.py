@@ -169,13 +169,13 @@ def trivial(n: int) -> FinModule:
     return FinModule(("trivial",), n, [()], lambda i, j, key: [])
 
 
-def module_from_name(name: str, n: int) -> FinModule:
-    """Parse 'trivial' | 'natural' | 'ext:k' | 'sym:m' | 'adjoint', with
-    integers k and m."""
+def parse_module_name(name: str, n: int) -> tuple:
+    """(constructor, arguments) for 'trivial' | 'natural' | 'ext:k' | 'sym:m'
+    | 'adjoint', with integers k and m checked against n; builds nothing."""
     name = name.strip().lower()
     build = {"trivial": trivial, "natural": natural, "adjoint": adjoint}.get(name)
     if build:
-        return build(n)
+        return build, (n,)
     kind, _, power = name.partition(":")
     build = {"ext": exterior, "sym": symmetric}.get(kind)
     try:
@@ -185,7 +185,15 @@ def module_from_name(name: str, n: int) -> FinModule:
     if build is None:
         raise ValueError("unknown module %r: expected trivial, natural, ext:k, "
                          "sym:m or adjoint, with integers k and m" % name)
-    return build(n, power)
+    if power < 0 or build is exterior and power > n:
+        raise ValueError("module %r: power %d out of range" % (name, power))
+    return build, (n, power)
+
+
+def module_from_name(name: str, n: int) -> FinModule:
+    """The module that parse_module_name names, built."""
+    build, args = parse_module_name(name, n)
+    return build(*args)
 
 
 def wedge_by(vec, key) -> list:
@@ -207,9 +215,3 @@ def rank_one(r, u) -> dict:
     return {(i, j): ri * uj for i, ri in enumerate(r, start=1) if ri
             for j, uj in enumerate(u, start=1) if uj}
 
-
-def offdiagonal_squares_vanish(module: FinModule) -> bool:
-    """True iff E_ij^2 acts as zero for every off-diagonal unit (minuscule test)."""
-    units = range(1, module.n + 1)
-    return not any(module.unit_apply(i, j, module.unit_apply(i, j, {key: 1}))
-                   for i in units for j in units if i != j for key in module.keys)

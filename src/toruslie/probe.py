@@ -354,22 +354,6 @@ def random_image_element(rng, ctx_k, bound: int):
     raise RuntimeError("could not sample a nonzero image element")
 
 
-# ------------------------------------------------------------- evidence
-
-
-def generation_evidence(ctx, gens, window: Window, depth: int, trials: int,
-                        rng, hull=None) -> list:
-    """Closure verdicts from `trials` random central-window seeds."""
-    results = []
-    for _ in range(trials):
-        if hull is not None:
-            seed = random_image_element(rng, ctx, window.central)
-        else:
-            seed = random_element(rng, ctx, window.central)
-        results.append(closure([seed], gens, window, depth, hull=hull))
-    return results
-
-
 def kernel_at(s, twist, vmod_k) -> list:
     """Basis of the de Rham kernel at one exponent (wedge by the eigenvalue)."""
     shat = tensor.eigen_vector(s, twist)

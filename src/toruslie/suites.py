@@ -18,7 +18,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from . import glmod, probe, tensor
 from .fields import (VectorField, bracket, double_action_check, euler_field,
@@ -73,7 +73,7 @@ class RunConfig:
             raise ValueError("twist length %d != n=%d" % (len(twist), self.n))
         object.__setattr__(self, "twist", twist)
         object.__setattr__(self, "module", self.module.strip().lower())
-        glmod.module_from_name(self.module, self.n)  # validates the name
+        glmod.parse_module_name(self.module, self.n)
 
     @property
     def window(self) -> probe.Window:
@@ -617,30 +617,32 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------------ lattice
 
 
-def _scalar_coefficient(X: VectorField, s, twist, weight):
-    """The multiple of x^{s+r} (x) v that X = D(u, r) makes of x^s (x) v, dim V = 1."""
-    return dot(X.u, sub(s, twist)) + sum(a * b * w for a, b, w in zip(X.r, X.u, weight))
+def _action_formula(X: VectorField, ctx, s, key) -> tensor.TensorElement:
+    """(u|s - twist) x^{s+r} (x) key + x^{s+r} (x) rho(r u^T) key, X = D(u, r),
+    with r u^T written out, apart from the glmod.rank_one that act_direct reads."""
+    fibre = ctx.vmod.matrix_apply({(i, j): a * b for i, a in enumerate(X.r, start=1)
+                                   for j, b in enumerate(X.u, start=1)}, {key: 1})
+    fibre.add_pairs([(key, dot(X.u, sub(s, ctx.twist)))])
+    return tensor.TensorElement(ctx, {(add(X.r, s), k): c for k, c in fibre.items()})
 
 
-def _scalar_mismatch(twist, vmod, pairs: bool) -> str:
-    """The first field X and degree s at which act_direct on the 1-dimensional
-    vmod differs from _scalar_coefficient, or "". X runs over the pair fields
-    or the D(e_j, r), and (r, s) over {x in Z^{2n}_{>=0} : sum(x) <= 2}, the
-    sums of two picks from 0, e_1, ..., e_2n. That set is unisolvent for total
-    degree 2 (Chung & Yao, SIAM J. Numer. Anal. 14, 1977): where both sides
-    have degree <= 2 in (r, s), they agree everywhere."""
+def _action_mismatch(twist, vmod, pairs: bool) -> str:
+    """The first field X, degree s and key where act_direct differs from
+    _action_formula, or "". X runs over the pair fields or the D(e_j, r), and
+    (r, s) over {x in Z^{2n}_{>=0} : sum(x) <= 2}, the sums of two picks from
+    0, e_1, ..., e_2n, unisolvent for total degree 2 (Chung & Yao, SIAM J.
+    Numer. Anal. 14, 1977): sides of degree <= 2 in (r, s) agree everywhere."""
     n = len(twist)
     ctx = tensor.context(twist, vmod)
-    (key,) = vmod.keys
     for picks in combinations_with_replacement(range(2 * n + 1), 2):
         x = tuple(picks.count(a) for a in range(1, 2 * n + 1))
         r, s = x[:n], x[n:]
         for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
                 if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:
-            want = _scalar_coefficient(X, s, twist, vmod.weight_of(key))
-            if tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
-                    != tensor.basis_element(ctx, add(s, r), key, want):
-                return "%r at s=%s" % (X, s)
+            for key in vmod.keys:
+                if tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
+                        != _action_formula(X, ctx, s, key):
+                    return "%r at s=%s key=%s" % (X, s, key)
     return ""
 
 
@@ -660,7 +662,7 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
        it (tau = -r at twist - r). So x^twist spans a fixed line, and the
        rest, joined by paths of step 3 that avoid it, is a simple submodule
        of codimension 1 with a trivial quotient.
-    _scalar_mismatch reads act_direct. Its coefficient has degree 1 in (r, s)
+    _action_mismatch reads act_direct. Its coefficient has degree 1 in (r, s)
     for D(e_j, r), and 2 for the pair fields, whose direction is linear in r.
     The middle check reads the pair fields on trivial V, the outer two the
     D(e_j, r) on trivial V and on ext:n. dim counts the central degrees,
@@ -673,7 +675,7 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
     for label, vmod, pairs in (("scalar_quotient_trivial", glmod.trivial(n), False),
                                (middle, glmod.trivial(n), True),
                                ("top_level_matches_scalar", glmod.exterior(n, n), False)):
-        bad = _scalar_mismatch(twist, vmod, pairs)
+        bad = _action_mismatch(twist, vmod, pairs)
         rec.check(label, not bad, bad)
     dim = rec.counters["dim"] = (2 * B + 1) ** n
     rec.counters["max_rank"] = dim - 1 if integral and inside(twist, B) else dim
@@ -697,8 +699,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
     # both ways by membership
     ctx = tensor.context(twist, glmod.exterior(n, k))
     hull = tensor.derham_image_graded(k, twist, window.ambient, n)
-    results = probe.generation_evidence(ctx, gens, window, cfg.depth, 10, rng,
-                                        hull=hull)
+    results = [probe.closure([probe.random_image_element(rng, ctx, B)], gens,
+                             window, cfg.depth, hull=hull) for _ in range(10)]
     fills = sum(1 for r in results if r.verdict == probe.FILLS)
     contained = all(hull.mini(s).contains(row) for r in results
                     for s, mini in r.span.spans.items() for row in mini.rows)
@@ -750,35 +752,77 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------- nonminuscule
 
 
+def _loops(vmod) -> list:
+    """The nonzero rho(r u^T)^2 as sparse columns {col key: ((row key, c), ...)},
+    for each r in {-1,0,1}^n with r > 0 lexicographically (-r gives the same
+    r u^T) and each direction u of pair_field(i, j, r), which is integral."""
+    n, out = vmod.n, []
+    for r in product((-1, 0, 1), repeat=n):
+        for i, j in combinations(range(1, n + 1), 2) if r > zero(n) else ():
+            ru = glmod.rank_one(r, [c.numerator for c in pair_field(i, j, r).u])
+            cols = {key: vmod.matrix_apply(ru, vmod.matrix_apply(ru, {key: 1}))
+                    for key in vmod.keys}
+            out.append({key: tuple(col.items()) for key, col in cols.items() if col})
+    return [loop for loop in out if loop]
+
+
+def _algebra_rank(keys, loops) -> int:
+    """Dimension of the algebra that I and the loops generate, counted until
+    it reaches len(keys)^2 or a round of products by the loops adds nothing."""
+    full, span = len(keys) ** 2, SpanBasis()
+    span.insert({(key, key): 1 for key in keys})
+    frontier = [a for a in ({(row, b): c for b, col in loop.items() for row, c in col}
+                            for loop in loops) if span.insert(a)]
+    while frontier and span.rank < full:
+        grown = []
+        for a, loop in product(frontier, loops):
+            # (L A)[row, col] sums L[row, b] A[b, col] over the middle key b
+            prod = SparseVec.make(((row, col), c * x) for (b, col), x in a.items()
+                                  for row, c in loop.get(b, ()))
+            if span.insert(prod):
+                grown.append(prod)
+                if span.rank == full:
+                    break
+        frontier = grown
+    return span.rank
+
+
 def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
-    rec = SuiteResult("nonminuscule", evidence_used=True)
-    rng = _rng(cfg, "nonminuscule")
-    n, twist = cfg.n, cfg.twist
-    vmod = cfg.vmod
-    if glmod.offdiagonal_squares_vanish(vmod):
+    """P (x) V is simple at every twist when V is not minuscule.
+
+    M_s = x^s (x) V, tau = s - twist, and rho is the gl_n action on V.
+    1. D(u, 0) acts on M_s by (u|tau), so a submodule S is the sum of its S_s.
+    2. U_0, the weight-zero part of U(S_n), keeps S_s; on M_s it acts via A(tau).
+    3. D(u, r), (u|r) = 0, maps M_s to M_{s+r} by (u|tau) + rho(r u^T), with
+       rho(r u^T) nilpotent: invertible for some u unless r is parallel to
+       tau. Degrees with tau, tau' != 0 are joined by one such move, or by two
+       through s + q, q not parallel to tau and tau + q not parallel to tau'.
+    4. If every A(tau) = End(V), a submodule S != 0 has some S_s = M_s, and
+       step 3 carries it onto every M_{s'} with tau' != 0.
+    p_ij(-cr) p_ij(cr), u = r_j e_i - r_i e_j, acts on M_s as the polynomial
+    c^4 rho(r u^T)^2 - c^2 (u|tau)^2 in c, with values in A(tau); so its c^4
+    coefficient, the loop rho(r u^T)^2, lies in A(tau) at every degree, and
+    loops_generate_end finds that I and the _loops generate End(V).
+    At the tau = 0 degree of an integer twist, the moves out by r and in
+    from tau = -r act as rho(r u^T), nonzero as some loop is: S reaches and
+    leaves it too. action_matches_formula reads act_direct (linear in u)
+    against _action_formula on every D(e_j, r), key and degree. The loops
+    vanish exactly on the minuscule V (trivial, natural, ext:k); sym:2 stands in.
+    """
+    rec = SuiteResult("nonminuscule")
+    n, vmod = cfg.n, cfg.vmod
+    loops = _loops(vmod)
+    if not loops:
         vmod = glmod.symmetric(n, 2)
+        loops = _loops(vmod)
         rec.log.append("configured module is minuscule; probing sym:2 instead")
-
-    rec.check("minuscule_classifier",
-              not glmod.offdiagonal_squares_vanish(vmod)
-              and glmod.offdiagonal_squares_vanish(glmod.exterior(n, 1))
-              and glmod.offdiagonal_squares_vanish(glmod.trivial(n)),
-              "module=%s" % "-".join(map(str, vmod.kind)))
-
-    gens = spanning_generators(n, cfg.gen_bound)
-    ctx = tensor.context(twist, vmod)
-    results = probe.generation_evidence(ctx, gens, cfg.window, cfg.depth,
-                                        10, rng)
-    fills = sum(1 for r in results if r.verdict == probe.FILLS)
-    stuck = [r for r in results if r.verdict == probe.PROPER]
-    detail = "fills=%d/%d" % (fills, len(results))
-    if stuck:
-        detail += " window-stable proper subspace at rank %d/%d" % (
-            stuck[0].central_rank, stuck[0].central_dim)
-    rec.check("nonminuscule_fills_window", fills == len(results), detail)
-    rec.counters["max_rank"] = max(r.central_rank for r in results)
-    rec.counters["dim"] = results[0].central_dim
-    rec.counters["closure_apps"] = sum(r.counters["apps"] for r in results)
+    rec.check("minuscule_classifier", bool(loops) and not _loops(glmod.exterior(n, 1))
+              and not _loops(glmod.trivial(n)), "module=%s" % "-".join(map(str, vmod.kind)))
+    bad = _action_mismatch(cfg.twist, vmod, False)
+    rec.check("action_matches_formula", not bad, bad)
+    rank = rec.counters["max_rank"] = _algebra_rank(vmod.keys, loops)
+    dim = rec.counters["dim"] = vmod.dim ** 2
+    rec.check("loops_generate_end", rank == dim, "rank=%d/%d" % (rank, dim))
     return rec
 
 

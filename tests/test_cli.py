@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from toruslie import cli, suites
+from toruslie import cli, glmod, suites
 
 
 def run_main(argv, capsys):
@@ -39,8 +39,7 @@ def test_json_report_shape_and_echo(capsys):
 
 def test_evidence_suites_never_plain_pass(capsys):
     code, out, _ = run_main(
-        ["--n", "2", "--lambda", "1/3,1/2",
-         "--suite", "nonminuscule,simplicity"], capsys)
+        ["--n", "2", "--lambda", "1/3,1/2", "--suite", "simplicity"], capsys)
     assert code == 0
     for entry in json.loads(out)["suites"]:
         assert entry["status"] == "evidence-pass"
@@ -136,6 +135,27 @@ def test_malformed_module_and_window_name_the_flag(capsys):
         assert not out
         assert err.startswith("error: %s" % argv[0]) and len(err.splitlines()) == 1, err
         assert form in err and repr(argv[1]) in err, err
+
+
+def test_module_is_validated_without_building_it(monkeypatch, capsys):
+    builds = []
+    init = glmod.FinModule.__init__
+
+    def counted(self, *args):
+        builds.append(args[0])
+        init(self, *args)
+    monkeypatch.setattr(glmod.FinModule, "__init__", counted)
+    # n=5 has no preset window: the error comes before any module is built
+    code, out, err = run_main(["--n", "5", "--module", "ext:2", "--suite", "iso"], capsys)
+    assert code == 2 and not out
+    assert err == "error: no default window for n=5\n"
+    # a power out of range for n is named without a build either
+    for name in ("ext:6", "sym:-1"):
+        code, out, err = run_main(["--n", "5", "--module", name, "--suite", "iso"], capsys)
+        assert code == 2 and not out
+        assert err == "error: --module: module %r: power %s out of range\n" \
+            % (name, name[4:]), err
+    assert builds == []
 
 
 def test_bad_n_is_reported_before_the_module(capsys):

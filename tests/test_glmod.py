@@ -8,6 +8,7 @@ import pytest
 from toruslie import rat
 from toruslie import glmod
 from toruslie.linalg import SparseVec
+from toruslie.suites import _algebra_rank, _loops
 
 
 def apply_unit(vmod, i, j, vec):
@@ -109,13 +110,15 @@ def test_weights_match_character_multiset():
 
 
 def test_minuscule_classifier():
-    assert glmod.offdiagonal_squares_vanish(glmod.trivial(3))
-    assert glmod.offdiagonal_squares_vanish(glmod.natural(3))
-    for k in range(4):
-        assert glmod.offdiagonal_squares_vanish(glmod.exterior(3, k))
-    assert not glmod.offdiagonal_squares_vanish(glmod.symmetric(2, 2))
-    assert not glmod.offdiagonal_squares_vanish(glmod.symmetric(3, 3))
-    assert not glmod.offdiagonal_squares_vanish(glmod.adjoint(3))
+    # the loops rho(r u^T)^2 vanish exactly on the minuscule modules, whose
+    # algebra of loops is then the scalars alone
+    for n in (2, 3, 4):
+        for vmod in [glmod.trivial(n), glmod.natural(n)] + [
+                glmod.exterior(n, k) for k in range(n + 1)]:
+            assert _loops(vmod) == [], vmod
+            assert _algebra_rank(vmod.keys, _loops(vmod)) == 1
+        for vmod in (glmod.symmetric(n, 2), glmod.symmetric(n, 3), glmod.adjoint(n)):
+            assert _loops(vmod), vmod
 
 
 def test_module_from_name():

@@ -15,7 +15,7 @@ from toruslie.fields import VectorField, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub
 from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
-                             _scalar_coefficient, run_lattice, run_simplicity)
+                             _action_formula, run_lattice, run_simplicity)
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
@@ -602,15 +602,6 @@ def test_sym2_and_adjoint_are_isomorphic_sl2_modules():
         assert lift(tensor.act_direct(X, m)) == tensor.act_direct(X, lift(m))
 
 
-def test_generation_evidence_counts():
-    gens = spanning_generators(2, 2)
-    ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
-    results = probe.generation_evidence(ctx, gens, probe.Window(2, 6), 3, 4,
-                                        random.Random(7))
-    assert len(results) == 4
-    assert all(r.verdict == probe.FILLS for r in results)
-
-
 def test_maximality_evidence_generic_twist():
     # window (B, R, L, M) = (2, 2, 3, 6), as probe.Window(2, 6) at depth 3
     res = run_simplicity(RunConfig(n=2, k=1, twist=GEN2, seed=1))
@@ -662,10 +653,10 @@ def test_lattice_sees_a_dropped_rank_one_term(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_scalar_coefficient_matches_act_direct_off_the_lattice(data):
-    # the lattice checks take act_direct on 1-dimensional V to be the scalar
-    # _scalar_coefficient, a polynomial of degree <= 2 in (r, s); test that
-    # far from the lattice, with any rational direction and twist
+def test_action_formula_matches_act_direct_off_the_lattice(data):
+    # lattice and nonminuscule take act_direct to be _action_formula, a
+    # polynomial of degree <= 2 in (r, s); test that far from the lattice,
+    # with any rational direction and twist, on every kind of module
     n = data.draw(st.integers(2, 4))
 
     def vector(elements):
@@ -673,9 +664,10 @@ def test_scalar_coefficient_matches_act_direct_off_the_lattice(data):
     r, s = vector(st.integers(-10, 10)), vector(st.integers(-10, 10))
     X = VectorField(vector(st.fractions(-5, 5, max_denominator=7)), r)
     twist = vector(st.fractions(-3, 3, max_denominator=9))
-    vmod = data.draw(st.sampled_from([glmod.trivial(n), glmod.exterior(n, n)]))
+    names = ["trivial", "natural", "adjoint"] + ["ext:%d" % k for k in range(n + 1)] \
+        + ["sym:%d" % m for m in range(4)]
+    vmod = glmod.module_from_name(data.draw(st.sampled_from(names)), n)
     ctx = tensor.context(twist, vmod)
-    (key,) = vmod.keys
-    want = _scalar_coefficient(X, s, twist, vmod.weight_of(key))
-    assert tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
-        == tensor.basis_element(ctx, add(s, r), key, want)
+    for key in vmod.keys:
+        assert tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
+            == _action_formula(X, ctx, s, key)

@@ -12,13 +12,13 @@ from toruslie import cli
 
 REFERENCE = [
     pytest.param(["--n", "2", "--lambda", "1/2,1/3"],
-                 "e96185f94e7ea7c85d7193fd428f860e4b860d1b199f42e67e8fa7bf42c15f4e",
+                 "def375e8ac067111e51fea627a9eced03008c9311caeee8972563c8dfa96aa97",
                  id="n2-generic-natural"),
     pytest.param(["--n", "2", "--lambda", "1/2,1/3", "--module", "sym:2"],
-                 "fa1cae542465c4c88f280c1f319ebe760858b24865fb87f3558a7e7d06876b40",
+                 "7baef41261454fcf6206af640dda9b118662bf501aa460ae82e1192812da6e8d",
                  id="n2-generic-sym2"),
     pytest.param(["--n", "2", "--lambda", "0,0", "--module", "sym:2"],
-                 "ecf38195ac82af16d1d55dceee092841ea1629e7d6a8eef7e63c9009e86a579a",
+                 "5609a67010f7c502b8bea424fdf41d3734c542f90409c51227e8e75f5cf80dc0",
                  id="n2-integer-sym2"),
     # n=3 is the least rank at which the minuscule suite evaluates image_probe
     pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5", "--suite", "minuscule",
