@@ -106,14 +106,25 @@ def test_criterion_6_nonminuscule_generation():
 
 def test_criterion_7_image_submodule_simplicity():
     started = time.perf_counter()
-    for twist in (None, GEN[3]):
-        res = run_simplicity(RunConfig(n=3, k=2, twist=twist))
-        assert res.status == EVIDENCE, (twist, res.failures[:5])
-        assert "ok image_simplicity_closure" in res.log
+    runs = 0
+    for n in (2, 3, 4):
+        for twist in (None, GEN[n], (1, -2) + (0,) * (n - 2)):
+            integral = twist != GEN[n]
+            for k in sorted({1, n - 1}):
+                res = run_simplicity(RunConfig(n=n, k=k, twist=twist))
+                assert res.status == EVIDENCE, (n, twist, k, res.failures[:5])
+                for label in ("image_link_at_tau0", "image_invariant_under_loops",
+                              "image_loops_generate_end", "image_action_matches_formula",
+                              "level_one_closure_fills"):
+                    assert "ok " + label in res.log, (n, twist, k, label)
+                # the quotient is claimed simple only off the integer lattice
+                assert ("ok quotient_loops_generate_end" in res.log) != integral
+                assert res.counters["max_rank"] == res.counters["dim"]
+                runs += 1
     elapsed = time.perf_counter() - started
-    assert elapsed < 120
-    report(7, "level-two image regenerates itself", elapsed, 120,
-           "10 seeds per twist")
+    assert elapsed < 60
+    report(7, "image simple, and maximal off the integer lattice", elapsed, 60,
+           "%d configurations at every degree" % runs)
 
 
 def test_criterion_8_isomorphism_fingerprints():

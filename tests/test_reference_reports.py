@@ -12,13 +12,13 @@ from toruslie import cli
 
 REFERENCE = [
     pytest.param(["--n", "2", "--lambda", "1/2,1/3"],
-                 "def375e8ac067111e51fea627a9eced03008c9311caeee8972563c8dfa96aa97",
+                 "e40e57b4ec1938f71a70fb89240b579fa226e9ed9c53bc385019ca83a035ee1f",
                  id="n2-generic-natural"),
     pytest.param(["--n", "2", "--lambda", "1/2,1/3", "--module", "sym:2"],
-                 "7baef41261454fcf6206af640dda9b118662bf501aa460ae82e1192812da6e8d",
+                 "482b373ce6443c9c98460d07784a9f6e8e61fca06e72b2c7d99aecb69d9e381b",
                  id="n2-generic-sym2"),
     pytest.param(["--n", "2", "--lambda", "0,0", "--module", "sym:2"],
-                 "5609a67010f7c502b8bea424fdf41d3734c542f90409c51227e8e75f5cf80dc0",
+                 "470269aef5254156551426d7d2b416517bf9567139944d967f38ae1fcb1d6d70",
                  id="n2-integer-sym2"),
     # n=3 is the least rank at which the minuscule suite evaluates image_probe
     pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5", "--suite", "minuscule",

@@ -1,0 +1,141 @@
+"""The simplicity certificate: its loops at tau0 = e_1, the algebras they
+generate on the image N and on the quotient by it, its links to derham_map
+and act_direct, and the log line that names it."""
+
+import json
+import re
+from itertools import combinations, product
+
+import pytest
+import sympy
+
+from test_nonminuscule import as_dense, sympy_algebra_dim
+from toruslie import cli, glmod, probe, rat, tensor
+from toruslie.fields import pair_field
+from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_loops,
+                             run_simplicity)
+
+GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
+
+
+def dense_image_loops(n, k) -> list:
+    """(a, b, loop) for p_b(-r) p_a(r) on x^0 (x) ext:k at tau0 = e_1 as sympy
+    matrices, each step (u|tau) + rho(r u^T) summed entry by entry from the
+    unit tables, in the order and with the zeros left out as in _image_loops."""
+    vmod = glmod.exterior(n, k)
+    pos = {key: p for p, key in enumerate(vmod.keys)}
+    tau0 = (1,) + (0,) * (n - 1)
+
+    def step(r, u, tau):
+        out = sympy.eye(vmod.dim) * sum(a * b for a, b in zip(u, tau))
+        for i, j in product(range(1, n + 1), repeat=2):
+            for key in vmod.keys:
+                for key2, c in vmod.unit_table(i, j)[key]:
+                    out[pos[key2], pos[key]] += r[i - 1] * u[j - 1] * c
+        return out
+    pairs = list(combinations(range(1, n + 1), 2))
+    out = []
+    for r in product((-1, 0, 1), repeat=n):
+        for a, b in product(pairs, repeat=2) if r > (0,) * n else ():
+            back = tuple(-c for c in r)
+            ua, ub = ([int(c) for c in pair_field(*p, q).u] for p, q in ((a, r), (b, back)))
+            # the way back starts at degree r, where tau = tau0 + r
+            loop = step(back, ub, [x + y for x, y in zip(tau0, r)]) * step(r, ua, tau0)
+            if any(loop):
+                out.append((a, b, loop))
+    return out
+
+
+def certificate_ranks(res) -> tuple:
+    """(N rank, |N|^2, Q rank, |Q|^2) from the suite's certificate line."""
+    line, = [line for line in res.log if line.startswith("certificate ")]
+    return tuple(map(int, re.search(r"ranks=(\d+)/(\d+),(\d+)/(\d+)$", line).groups()))
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_block_algebras_agree_with_sympy(n, k):
+    vmod = glmod.exterior(n, k)
+    ctx = tensor.context((-1,) + (0,) * (n - 1), vmod)
+    loops, dense = _image_loops(ctx), dense_image_loops(n, k)
+    assert [as_dense(vmod, loop) for loop in loops] == [loop for _, _, loop in dense]
+    want = []
+    for block in ([p for p, key in enumerate(vmod.keys) if 1 in key],
+                  [p for p, key in enumerate(vmod.keys) if 1 not in key]):
+        dim = sympy_algebra_dim(len(block), [loop.extract(block, block) for _, _, loop
+                                             in dense]) if block else 0
+        assert dim == len(block) ** 2
+        want += [dim, len(block) ** 2]
+    ranks = certificate_ranks(run_simplicity(RunConfig(n=n, k=k, twist=GEN3[:n])))
+    assert ranks == tuple(want)
+
+
+def test_loops_with_equal_pairs_act_as_scalars():
+    # the loops p_a(-r) p_a(r) alone reach 1 of the 4 dimensions of End(N)
+    ctx = tensor.context((-1, 0, 0), glmod.exterior(3, 2))
+    loops, dense = _image_loops(ctx), dense_image_loops(3, 2)
+    same = [i for i, (a, b, _) in enumerate(dense) if a == b]
+    nkeys = [(1, 2), (1, 3)]
+    assert _algebra_rank(nkeys, [{col: loops[i][col] for col in nkeys if col in loops[i]}
+                                 for i in same]) == 1
+    assert sympy_algebra_dim(2, [dense[i][2].extract([0, 1], [0, 1]) for i in same]) == 1
+    assert certificate_ranks(run_simplicity(RunConfig(n=3, twist=GEN3)))[:2] == (4, 4)
+
+
+def failures() -> list:
+    res = run_simplicity(RunConfig(n=3, twist=GEN3))
+    assert res.status == FAIL
+    return [line.split()[1] for line in res.failures]
+
+
+def test_simplicity_sees_act_direct_without_its_rank_one_term(monkeypatch):
+    monkeypatch.setattr(glmod, "rank_one", lambda r, u: {})
+    got = failures()
+    assert "image_action_matches_formula" in got and "image_loops_generate_end" in got
+
+
+def test_simplicity_sees_a_transposed_rank_one_term(monkeypatch):
+    rank_one = glmod.rank_one
+    monkeypatch.setattr(glmod, "rank_one", lambda r, u: rank_one(u, r))
+    assert failures() == ["image_invariant_under_loops", "image_action_matches_formula"]
+
+
+def test_simplicity_sees_a_flipped_twist_term(monkeypatch):
+    # act_direct reading (u|s + twist) for (u|s - twist)
+    def flipped(ctx):
+        den, vec = tensor._cleared(ctx.twist)
+        return den, [-c for c in vec]
+    monkeypatch.setattr(tensor.Context, "cleared_twist", property(flipped))
+    assert "image_action_matches_formula" in failures()
+
+
+def test_simplicity_sees_a_derham_table_that_wedges_by_the_wrong_index(monkeypatch):
+    # e_i wedge read with the eigenvalue of index i + 1 (mod n)
+    derham_table = tensor._derham_table
+
+    def shifted(vmod, style):
+        target, table = derham_table(vmod, style)
+        return target, {key: [(shift, new, tuple(((j + 1) % vmod.n, c) for j, c in lin), c0)
+                              for shift, new, lin, c0 in entries]
+                        for key, entries in table.items()}
+    monkeypatch.setattr(tensor, "_derham_table", shifted)
+    assert "image_link_at_tau0" in failures()
+
+
+def test_simplicity_runs_one_closure(monkeypatch):
+    calls, closure = [], probe.closure
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return closure(*args, **kwargs)
+    monkeypatch.setattr(probe, "closure", counted)
+    assert run_simplicity(RunConfig(n=3, twist=GEN3)).status == EVIDENCE
+    assert len(calls) == 1
+
+
+def test_simplicity_digest_separates_configurations(capsys):
+    # both log the same ok labels and skip line; the certificate line differs
+    digests = []
+    for argv in (["--n", "2", "--lambda", "0,0", "--k", "2"], ["--n", "3", "--k", "1"]):
+        assert cli.main(argv + ["--suite", "simplicity"]) == 0
+        digests.append(json.loads(capsys.readouterr().out)["suites"][0]["logDigest"])
+    assert digests[0] != digests[1]

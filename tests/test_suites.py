@@ -36,8 +36,11 @@ CHECKS = {
     "integer_twist_fixed_line": "lattice",
     "generic_twist_generates": "lattice",
     "top_level_matches_scalar": "lattice",
-    "image_simplicity_closure": "simplicity",
-    "image_maximality_closure": "simplicity",
+    "image_link_at_tau0": "simplicity",
+    "image_invariant_under_loops": "simplicity",
+    "image_loops_generate_end": "simplicity",
+    "quotient_loops_generate_end": "simplicity",
+    "image_action_matches_formula": "simplicity",
     "image_rank_pattern": "simplicity",
     "level_one_closure_fills": "simplicity",
     "minuscule_classifier": "nonminuscule",
