@@ -8,26 +8,50 @@ under the bracket
     [D(u,r), D(v,s)] = D((u|s) v - (v|r) u, r + s).
 
 The Euler fields D(e_i, 0) span the Cartan subalgebra.
+
+A field keeps its direction as num/den: an integer vector over one
+common denominator, in lowest terms. The bracket and the field action
+work on num and den in integers and build one rational per output term,
+in the fraction-free idiom of linalg; the pair and Euler fields, the
+generators, have den 1.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 from .indices import add, box, dot, unit, zero
 from .linalg import SpanBasis, SparseVec
-from .rational import rat
+from .rational import cleared, rat, rational
 from .weyl import LaurentPoly, WeylOp
 
 
 class VectorField:
-    """D(u, r): direction u (rationals), exponent r (integers)."""
+    """D(u, r): direction num/den (integers), exponent r (integers).
 
-    __slots__ = ("u", "r")
+    den is the least common denominator of u's entries, so it is positive,
+    gcd(den, *num) = 1 and the zero field has den 1: equal fields have
+    equal (num, den, r).
+    """
+
+    __slots__ = ("num", "den", "r")
 
     def __init__(self, u, r):
-        self.u = tuple(rat(c) for c in u)
+        u = tuple(u)
+        if all(type(c) is int for c in u):
+            self.den, self.num = 1, u
+        else:
+            den, num = cleared([rat(c) for c in u])
+            self.den, self.num = den, tuple(num)
         self.r = tuple(int(e) for e in r)
-        if len(self.u) != len(self.r):
+        if len(self.num) != len(self.r):
             raise ValueError("direction and exponent lengths differ")
+
+    @property
+    def u(self) -> tuple:
+        """The direction as rationals."""
+        den = self.den
+        return tuple(rational(c, den) for c in self.num)
 
     @property
     def n(self) -> int:
@@ -35,24 +59,37 @@ class VectorField:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.u)
+        return not any(self.num)
 
     def divergence_free(self) -> bool:
-        return dot(self.u, self.r) == 0
+        return dot(self.num, self.r) == 0
 
     def to_weyl(self) -> WeylOp:
-        return WeylOp.make(((self.r, unit(i, self.n)), c)
-                           for i, c in enumerate(self.u, start=1))
+        r, den, n = self.r, self.den, self.n
+        return WeylOp({(r, unit(i, n)): rational(c, den)
+                       for i, c in enumerate(self.num, start=1) if c})
 
     def __eq__(self, other):
-        return isinstance(other, VectorField) and self.u == other.u and self.r == other.r
+        return (isinstance(other, VectorField) and self.num == other.num
+                and self.den == other.den and self.r == other.r)
 
     def __hash__(self):
-        return hash((self.u, self.r))
+        return hash((self.num, self.den, self.r))
 
     def __repr__(self):
-        return "D[(%s); (%s)]" % (",".join(str(c) for c in self.u),
-                                  ",".join(str(e) for e in self.r))
+        den = self.den
+        u = self.num if den == 1 else (rational(c, den) for c in self.num)
+        return "D[(%s); (%s)]" % (",".join(map(str, u)), ",".join(map(str, self.r)))
+
+
+def _field(num, den, r) -> VectorField:
+    """D(num/den, r) in lowest terms, from an integer vector num and den > 0."""
+    g = gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    X = VectorField.__new__(VectorField)
+    X.num, X.den, X.r = tuple(num), den, r
+    return X
 
 
 def euler_field(i: int, n: int) -> VectorField:
@@ -70,17 +107,36 @@ def pair_field(i: int, j: int, r) -> VectorField:
 
 
 def bracket(a: VectorField, b: VectorField) -> VectorField:
-    """[D(u,r), D(v,s)] = D((u|s) v - (v|r) u, r+s)."""
-    cu = dot(a.u, b.r)  # (u|s) with s = b.r
-    cv = dot(b.u, a.r)
-    return VectorField(tuple(cu * vi - cv * ui for vi, ui in zip(b.u, a.u)),
-                       add(a.r, b.r))
+    """[D(u,r), D(v,s)] = D((u|s) v - (v|r) u, r+s).
+
+    With u = na/Da and v = nb/Db the direction is
+    ((na|s) nb - (nb|r) na) / (Da Db), reduced by one gcd.
+    """
+    na, nb = a.num, b.num
+    cu = dot(na, b.r)  # Da (u|s) with s = b.r
+    cv = dot(nb, a.r)
+    return _field([cu * y - cv * x for y, x in zip(nb, na)], a.den * b.den,
+                  add(a.r, b.r))
 
 
 def field_apply(X: VectorField, p: LaurentPoly, twist) -> LaurentPoly:
-    """Twisted action on Laurent polynomials: x^s -> (u|s-t) x^{s+r}."""
-    ut = dot(X.u, twist)
-    return LaurentPoly.make((add(s, X.r), c * (dot(X.u, s) - ut)) for s, c in p.items())
+    """Twisted action on Laurent polynomials: x^s -> (u|s-t) x^{s+r}.
+
+    With u = num/D, t = dt/T and p's coefficients c/P, the coefficient of
+    x^{s+r} is c (T (num|s) - (num|dt)) / (P D T); p and the twist are
+    cleared once per call. Distinct s give distinct s + r.
+    """
+    num, r = X.num, X.r
+    tden, dt = cleared(twist)
+    pden, pc = cleared(p.values())
+    nt = dot(num, dt)
+    den = pden * X.den * tden
+    out = LaurentPoly()
+    for s, c in zip(p, pc):
+        v = c * (tden * dot(num, s) - nt)
+        if v:
+            out[add(s, r)] = rational(v, den)
+    return out
 
 
 def spanning_generators(n: int, bound: int) -> list:
@@ -97,7 +153,7 @@ def spanning_generators(n: int, bound: int) -> list:
                 X = pair_field(i, j, r)
                 if X.is_zero:
                     continue
-                vec = SparseVec.make({(k,): c for k, c in enumerate(X.u, start=1)})
+                vec = SparseVec.make({(k,): c for k, c in enumerate(X.num, start=1)})
                 if span.insert(vec):
                     gens.append(X)
     for i in range(1, n + 1):
@@ -105,15 +161,17 @@ def spanning_generators(n: int, bound: int) -> list:
     return gens
 
 
-def double_action_check(v, s, u, r, p: LaurentPoly, twist) -> bool:
+def double_action_check(Y: VectorField, X: VectorField, p: LaurentPoly, twist) -> bool:
     """Exact rewrite of a composed pair of field actions.
 
-    D(v,s) D(u,r) p = D(v,r+s) D(u,0) p + (v|r) D(u,r+s) p for every
-    Laurent polynomial p and twist; both sides evaluated independently.
+    With Y = D(v,s) and X = D(u,r): D(v,s) D(u,r) p = D(v,r+s) D(u,0) p
+    + (v|r) D(u,r+s) p for every Laurent polynomial p and twist; both sides
+    evaluated independently.
     """
-    Dv_s, Du_r = VectorField(v, s), VectorField(u, r)
-    lhs = field_apply(Dv_s, field_apply(Du_r, p, twist), twist)
-    rs = add(tuple(r), tuple(s))
-    first = field_apply(VectorField(v, rs), field_apply(VectorField(u, zero(len(r))), p, twist), twist)
-    rhs = first + field_apply(VectorField(u, rs), p, twist).scaled(dot(v, r))
+    lhs = field_apply(Y, field_apply(X, p, twist), twist)
+    rs = add(X.r, Y.r)
+    Dv_rs, Du_rs = _field(Y.num, Y.den, rs), _field(X.num, X.den, rs)
+    Du_0 = _field(X.num, X.den, zero(X.n))
+    first = field_apply(Dv_rs, field_apply(Du_0, p, twist), twist)
+    rhs = first + field_apply(Du_rs, p, twist).scaled(rational(dot(Y.num, X.r), Y.den))
     return lhs == rhs

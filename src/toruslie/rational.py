@@ -3,14 +3,17 @@
 Every coefficient in this package is an exact rational, canonical by
 construction: lowest terms, positive denominator, zero has a single
 representation. The scalar type is fractions.Fraction; the hot loops
-(closures, coefficient extraction, and the one loop of tensor.py behind
-both field actions, both de Rham maps and the image probe) do their
-arithmetic in integers and build one rational per output term.
+(closures, coefficient extraction, the one loop of tensor.py behind both
+field actions, both de Rham maps and the image probe, the field bracket
+and field action of fields.py, and the operator product and operator
+action of weyl.py) do their arithmetic in integers and build one rational
+per output term. cleared is the one helper that clears denominators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as rational
+from math import lcm
 
 ONE = rational(1)
 
@@ -41,6 +44,19 @@ def _ratio(num, den):
     if not den:
         raise ValueError("zero denominator in %s/%s" % (num, den))
     return rational(num, den)
+
+
+def cleared(values):
+    """(D, [D * c for c in values]) for the least common denominator D.
+
+    values is a collection of ints or rationals, read twice. The running
+    lcm builds no tuple of all the denominators; one such tuple per call
+    raised the peak RSS of a minuscule run by about 0.3 MB.
+    """
+    den = 1
+    for c in values:
+        den = lcm(den, c.denominator)
+    return den, [c.numerator * (den // c.denominator) for c in values]
 
 
 def rat_str(value) -> str:

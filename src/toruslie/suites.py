@@ -25,7 +25,7 @@ from .fields import (VectorField, bracket, double_action_check, euler_field,
                      field_apply, pair_field, spanning_generators)
 from .indices import add, box, dot, inside, sub, unit, zero
 from .linalg import SpanBasis, SparseVec, kernel_of_map
-from .rational import ONE, rat, rat_str
+from .rational import ONE, rat, rat_str, rational
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
 PASS = "pass"
@@ -194,7 +194,8 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
                       "a=%r b=%r" % (a, b))
             ab, ba = bracket(a, b), bracket(b, a)
             rec.check("bracket_antisymmetry",
-                      ab.r == ba.r and all(x + y == 0 for x, y in zip(ab.u, ba.u)),
+                      ab.r == ba.r and ab.den == ba.den
+                      and all(x + y == 0 for x, y in zip(ab.num, ba.num)),
                       "a=%r b=%r" % (a, b))
             jac = (bracket(a, bracket(b, c)).to_weyl()
                    + bracket(b, bracket(c, a)).to_weyl()
@@ -227,7 +228,7 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
             Y = _random_field(rng, n, 3)
             p = _random_poly(rng, n)
             rec.check("double_action_rewrite",
-                      double_action_check(Y.u, Y.r, X.u, X.r, p, twist),
+                      double_action_check(Y, X, p, twist),
                       "X=%r Y=%r" % (X, Y))
             rec.check("field_action_matches_operator",
                       field_apply(X, p, twist)
@@ -235,7 +236,7 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
                       "X=%r" % (X,))
             s = tuple(rng.randint(-3, 3) for _ in range(n))
             lhs = commutator(X.to_weyl(), WeylOp.monomial(s))
-            rhs = WeylOp.monomial(add(X.r, s)).scaled(dot(X.u, s))
+            rhs = WeylOp.monomial(add(X.r, s)).scaled(rational(dot(X.num, s), X.den))
             rec.check("semidirect_commutator", lhs == rhs,
                       "X=%r s=%s" % (X, s))
         rec.bump("instances", 35)
@@ -619,7 +620,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
 
 def _action_formula(X: VectorField, ctx, s, key) -> tensor.TensorElement:
     """(u|s - twist) x^{s+r} (x) key + x^{s+r} (x) rho(r u^T) key, X = D(u, r),
-    with r u^T written out, apart from the glmod.rank_one that act_direct reads."""
+    with r u^T written out, apart from the glmod.rank_one that act_direct reads.
+    It reads the rational direction X.u, not act_direct's integer num/den, so
+    that it stays an independent reference."""
     fibre = ctx.vmod.matrix_apply({(i, j): a * b for i, a in enumerate(X.r, start=1)
                                    for j, b in enumerate(X.u, start=1)}, {key: 1})
     fibre.add_pairs([(key, dot(X.u, sub(s, ctx.twist)))])
@@ -797,7 +800,7 @@ def _loops(vmod) -> list:
     n, out = vmod.n, []
     for r in product((-1, 0, 1), repeat=n):
         for i, j in combinations(range(1, n + 1), 2) if r > zero(n) else ():
-            ru = glmod.rank_one(r, [c.numerator for c in pair_field(i, j, r).u])
+            ru = glmod.rank_one(r, pair_field(i, j, r).num)
             cols = {key: vmod.matrix_apply(ru, vmod.matrix_apply(ru, {key: 1}))
                     for key in vmod.keys}
             out.append({key: tuple(col.items()) for key, col in cols.items() if col})

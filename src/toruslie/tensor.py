@@ -34,13 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import comb
 
 from . import glmod
 from .fields import VectorField
 from .indices import add, box, sub, unit, zero
 from .linalg import SpanBasis, SparseVec
-from .rational import rat, rational
+from .rational import cleared, rat, rational
 
 STYLE_DIRECT = "direct"
 STYLE_SHIFTED = "shifted"
@@ -66,8 +66,8 @@ class Context:
 
     @cached_property
     def cleared_twist(self) -> tuple:
-        """_cleared(twist), worked out once per context."""
-        return _cleared(self.twist)
+        """cleared(twist), worked out once per context."""
+        return cleared(self.twist)
 
     def with_vmod(self, vmod) -> "Context":
         return Context(self.twist, vmod, self.style)
@@ -138,35 +138,21 @@ def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
     """Vector-field action in the direct style.
 
     On x^s (x) key, D(u, r) gives (u|s - twist) x^{s+r} (x) key plus
-    x^{s+r} (x) (r u^T) key; with Du clearing u, both are integer entries
-    over Du, from the rank-one matrix r (Du*u)^T.
+    x^{s+r} (x) (r u^T) key; with u = num/den, both are integer entries
+    over den, from the rank-one matrix r num^T.
     """
     ctx = m.ctx
     if ctx.style != STYLE_DIRECT:
         raise ValueError("direct action on a %s-style element" % ctx.style)
-    du_den, du = _cleared(X.u)
     r = X.r
-    lin = _sparse(du)
-    ru = glmod.rank_one(r, du)
+    lin = _sparse(X.num)
+    ru = glmod.rank_one(r, X.num)
     matrix_apply = ctx.vmod.matrix_apply
 
     def entries(vkey):
         return [(r, vkey, lin, 0)] + [(r, vkey2, (), b) for vkey2, b
                                       in matrix_apply(ru, {vkey: 1}).items()]
-    return _integer_map(m, ctx, entries, du_den)
-
-
-def _cleared(values):
-    """(D, [D * c for c in values]) for the least common denominator D.
-
-    values is a collection, read twice. The running lcm builds no tuple
-    of all the denominators; one such tuple per call raised the peak RSS
-    of a minuscule run by about 0.3 MB.
-    """
-    den = 1
-    for c in values:
-        den = lcm(den, c.denominator)
-    return den, [c.numerator * (den // c.denominator) for c in values]
+    return _integer_map(m, ctx, entries, X.den)
 
 
 def _sparse(vec) -> tuple:
@@ -187,7 +173,7 @@ def _integer_map(m: TensorElement, out_ctx: Context, table, den) -> TensorElemen
     called once per key of m and call.
     """
     tw_den, dtwist = m.ctx.cleared_twist
-    scale, coeffs = _cleared(m.terms.values())
+    scale, coeffs = cleared(m.terms.values())
     tables = {}
     acc = {}
     get = acc.get
@@ -223,14 +209,13 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     With r = rho + e_j, the summand x^{r-e_j} d_j acts by
     (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w; the shift
     keeps each summand's exponent aligned with the matrix-unit column it
-    multiplies. With Du clearing u, the entries are integers over Du.
+    multiplies. With u = num/den, the entries are integers over den.
     """
     ctx = m.ctx
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("shifted action on a %s-style element" % ctx.style)
     n, vmod, rho = ctx.n, ctx.vmod, X.r
-    du_den, du = _cleared(X.u)
-    lin = _sparse(du)
+    lin = _sparse(X.num)
     # (shift, integer factor, unit table) per summand, built once per call
     units = []
     for j, duj in lin:
@@ -243,7 +228,7 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
         for shift, c, tab in units:
             out += [(shift, vkey2, (), c * b) for vkey2, b in tab[vkey]]
         return out
-    return _integer_map(m, ctx, entries, du_den)
+    return _integer_map(m, ctx, entries, X.den)
 
 
 def act(X: VectorField, m: TensorElement) -> TensorElement:

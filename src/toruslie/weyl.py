@@ -8,6 +8,10 @@ drives the normal-ordered product.
 A rational twist t = (t_1,...,t_n) replaces each d_i by d_i - t_i. On the
 twisted polynomial module, d_i acts on x^s as the scalar (s_i - t_i) and
 x^r shifts exponents by r; every monomial is a joint eigenvector.
+
+The product and the action clear the denominators of their operands once
+per call, sum integer coefficients per output term and build one rational
+per surviving term.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from math import comb, prod
 
 from .indices import add, zero
 from .linalg import SparseVec
-from .rational import rat
+from .rational import cleared, rat, rational
 
 
 class LaurentPoly(SparseVec):
@@ -43,15 +47,21 @@ class WeylOp(SparseVec):
         return cls.word(tuple(r), zero(len(r)))
 
     def __mul__(self, other):
-        """Normal-ordered product via d^a x^s = x^s (d + s)^a."""
-        def terms():
-            for (r, a), ca in self.items():
-                for (s, b), cb in other.items():
-                    c0, base = ca * cb, add(r, s)
-                    # expand prod_i (d_i + s_i)^{a_i} then append d^b
-                    for key, c in _shifted_powers(a, s):
-                        yield (base, tuple(e + f for e, f in zip(key, b))), c0 * c
-        return WeylOp.make(terms())
+        """Normal-ordered product via d^a x^s = x^s (d + s)^a, in integers
+        over the product of the two operands' common denominators."""
+        den1, c1 = cleared(self.values())
+        den2, c2 = cleared(other.values())
+        acc = {}
+        get = acc.get
+        for (r, a), ca in zip(self, c1):
+            for (s, b), cb in zip(other, c2):
+                c0, base = ca * cb, add(r, s)
+                # expand prod_i (d_i + s_i)^{a_i} then append d^b
+                for key, c in _shifted_powers(a, s):
+                    key = (base, tuple(e + f for e, f in zip(key, b)))
+                    acc[key] = get(key, 0) + c0 * c
+        den = den1 * den2
+        return WeylOp({key: rational(v, den) for key, v in acc.items() if v})
 
 
 def _shifted_powers(a, s):
@@ -71,7 +81,25 @@ def commutator(y1: WeylOp, y2: WeylOp) -> WeylOp:
 
 
 def operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:
-    """Twisted module action: x^r d^a sends x^s to prod_i (s_i-t_i)^{a_i} x^{r+s}."""
-    return LaurentPoly.make(
-        (add(r, s), c * b * prod((si - ti) ** ai for ai, si, ti in zip(a, s, twist) if ai))
-        for (r, a), c in y.items() for s, b in p.items())
+    """Twisted module action: x^r d^a sends x^s to prod_i (s_i-t_i)^{a_i} x^{r+s}.
+
+    With t = dt/T, the product is prod_i (T s_i - dt_i)^{a_i} / T^{|a|}; each
+    word is lifted by T^(top-|a|), top the largest |a| of y, so all terms
+    share the denominator T^top times those of y and p.
+    """
+    tden, dt = cleared(twist)
+    yden, yc = cleared(y.values())
+    pden, pc = cleared(p.values())
+    top = max((sum(a) for _, a in y), default=0)
+    words = [(r, a, c * tden ** (top - sum(a))) for (r, a), c in zip(y, yc)]
+    acc = {}
+    get = acc.get
+    for s, b in zip(p, pc):
+        eig = [tden * si - ti for si, ti in zip(s, dt)]
+        for r, a, c in words:
+            v = c * b * prod(e ** ai for ai, e in zip(a, eig) if ai)
+            if v:
+                key = add(r, s)
+                acc[key] = get(key, 0) + v
+    den = yden * pden * tden ** top
+    return LaurentPoly({key: rational(v, den) for key, v in acc.items() if v})

@@ -1,11 +1,17 @@
 """Torus vector fields, their bracket, and the divergence-free family."""
 
 import random
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, settings, strategies as st
 
 from toruslie import rat
 from toruslie.fields import (VectorField, bracket, double_action_check,
                              euler_field, field_apply, pair_field,
                              spanning_generators)
+from toruslie.indices import add, dot, zero
+from toruslie.rational import rational
 from toruslie.weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
 
@@ -103,7 +109,7 @@ def test_double_action_rewrite_property():
     for _ in range(25):
         X, Y = rand_field(rng, 3), rand_field(rng, 3)
         p = LaurentPoly({tuple(rng.randint(-2, 2) for _ in range(3)): rat(1)})
-        assert double_action_check(Y.u, Y.r, X.u, X.r, p, twist)
+        assert double_action_check(Y, X, p, twist)
 
 
 def test_generator_family_sizes():
@@ -118,3 +124,140 @@ def test_zero_coefficient_field_acts_as_zero():
     p = LaurentPoly({(2, -1): rat(3)})
     assert not field_apply(z, p, (rat(0), rat(0)))
     assert not z.to_weyl()
+
+
+# ------------------------------------------- Fraction oracles, differential
+#
+# The functions below are the per-term Fraction implementations that
+# bracket, field_apply and double_action_check replaced, kept verbatim
+# (apart from the oracle names) as an independent path: the integer
+# versions must give equal results.
+
+
+def fraction_bracket(a: VectorField, b: VectorField) -> VectorField:
+    """[D(u,r), D(v,s)] = D((u|s) v - (v|r) u, r+s)."""
+    cu = dot(a.u, b.r)  # (u|s) with s = b.r
+    cv = dot(b.u, a.r)
+    return VectorField(tuple(cu * vi - cv * ui for vi, ui in zip(b.u, a.u)),
+                       add(a.r, b.r))
+
+
+def fraction_field_apply(X: VectorField, p: LaurentPoly, twist) -> LaurentPoly:
+    """Twisted action on Laurent polynomials: x^s -> (u|s-t) x^{s+r}."""
+    ut = dot(X.u, twist)
+    return LaurentPoly.make((add(s, X.r), c * (dot(X.u, s) - ut)) for s, c in p.items())
+
+
+def fraction_double_action_check(v, s, u, r, p: LaurentPoly, twist) -> bool:
+    """Exact rewrite of a composed pair of field actions.
+
+    D(v,s) D(u,r) p = D(v,r+s) D(u,0) p + (v|r) D(u,r+s) p for every
+    Laurent polynomial p and twist; both sides evaluated independently.
+    """
+    Dv_s, Du_r = VectorField(v, s), VectorField(u, r)
+    lhs = fraction_field_apply(Dv_s, fraction_field_apply(Du_r, p, twist), twist)
+    rs = add(tuple(r), tuple(s))
+    first = fraction_field_apply(VectorField(v, rs), fraction_field_apply(
+        VectorField(u, zero(len(r))), p, twist), twist)
+    rhs = first + fraction_field_apply(VectorField(u, rs), p, twist).scaled(dot(v, r))
+    return lhs == rhs
+
+
+def old_repr(u, r) -> str:
+    """The text VectorField.__repr__ gave when it stored u as rationals."""
+    return "D[(%s); (%s)]" % (",".join(str(rat(c)) for c in u),
+                              ",".join(str(e) for e in r))
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def twists(draw, n):
+    """Generic (any small fractions) or integer twists."""
+    coords = SMALL if draw(st.booleans()) else st.integers(-2, 2)
+    return tuple(rat(c) for c in draw(st.lists(coords, min_size=n, max_size=n)))
+
+
+@st.composite
+def fields(draw, n):
+    """General fields with Fraction, integer or zero directions, or
+    divergence-zero pair fields scaled by a Fraction."""
+    r = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("fraction", "integer", "zero", "pair")))
+    if kind == "pair":
+        i = draw(st.integers(1, n - 1))
+        X = pair_field(i, draw(st.integers(i + 1, n)), r)
+        return VectorField(tuple(c * draw(SMALL) for c in X.u), r)
+    coords = {"fraction": SMALL, "integer": st.integers(-3, 3), "zero": st.just(0)}[kind]
+    return VectorField(draw(st.lists(coords, min_size=n, max_size=n)), r)
+
+
+@st.composite
+def polys(draw, n):
+    """Possibly empty Laurent polynomials with Fraction coefficients."""
+    deg = st.tuples(*[st.integers(-2, 2)] * n)
+    return LaurentPoly(draw(st.dictionaries(deg, SMALL.filter(bool), max_size=4)))
+
+
+def canonical(X: VectorField) -> bool:
+    return X.den > 0 and gcd(X.den, *X.num) == 1 and (any(X.num) or X.den == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_fraction_oracle(data):
+    n = data.draw(st.integers(2, 4), "n")
+    a, b = data.draw(fields(n), "a"), data.draw(fields(n), "b")
+    got = bracket(a, b)
+    want = fraction_bracket(a, b)
+    assert got == want and hash(got) == hash(want)
+    assert got.u == want.u and repr(got) == repr(want) == old_repr(want.u, want.r)
+    assert canonical(got) and canonical(a)
+    assert got.divergence_free() == (dot(want.u, want.r) == 0)
+    assert got.is_zero == (not any(want.u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_field_apply_matches_fraction_oracle(data):
+    n = data.draw(st.integers(2, 4), "n")
+    X, p = data.draw(fields(n), "field"), data.draw(polys(n), "poly")
+    twist = data.draw(twists(n), "twist")
+    got = field_apply(X, p, twist)
+    assert got == fraction_field_apply(X, p, twist)
+    assert all(isinstance(c, rational) and c for c in got.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_double_action_check_matches_fraction_oracle(data):
+    n = data.draw(st.integers(2, 4), "n")
+    X, Y = data.draw(fields(n), "X"), data.draw(fields(n), "Y")
+    p, twist = data.draw(polys(n), "poly"), data.draw(twists(n), "twist")
+    assert double_action_check(Y, X, p, twist) \
+        == fraction_double_action_check(Y.u, Y.r, X.u, X.r, p, twist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_field_keeps_its_direction_and_old_text(data):
+    n = data.draw(st.integers(2, 4), "n")
+    u = tuple(data.draw(st.lists(st.one_of(SMALL, st.integers(-3, 3)),
+                                 min_size=n, max_size=n), "u"))
+    r = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n), "r"))
+    X = VectorField(u, r)
+    assert X.u == u and all(isinstance(c, rational) for c in X.u)
+    assert canonical(X) and repr(X) == old_repr(u, r)
+
+
+def test_direction_is_canonical():
+    r = (3, -1)
+    a, b = VectorField((1 / 2, 1), r), VectorField((Fraction(2, 4), 1), r)
+    assert a == b and hash(a) == hash(b)
+    assert (a.num, a.den) == ((1, 2), 2)
+    assert a.u == (1 / 2, 1) and b.u == (Fraction(2, 4), 1)
+    assert repr(a) == repr(b) == old_repr((Fraction(1, 2), 1), r) == "D[(1/2,1); (3,-1)]"
+    z = VectorField((0, Fraction(0, 3)), r)
+    assert (z.num, z.den) == ((0, 0), 1) and z == VectorField((0, 0), r)
+    assert repr(euler_field(2, 3)) == old_repr((0, 1, 0), (0, 0, 0)) == "D[(0,1,0); (0,0,0)]"

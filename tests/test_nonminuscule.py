@@ -11,6 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from toruslie import cli, glmod, probe, rat, tensor
 from toruslie.fields import pair_field
+from toruslie.rational import cleared
 from toruslie.suites import PASS, RunConfig, _algebra_rank, _loops, run_nonminuscule
 
 ZERO3 = (rat(0),) * 3
@@ -104,7 +105,7 @@ def test_nonminuscule_sees_a_transposed_rank_one_term(monkeypatch):
 def test_nonminuscule_sees_a_flipped_twist_term(monkeypatch):
     # act_direct reading (u|s + twist) for (u|s - twist); nothing moves at 0
     def flipped(ctx):
-        den, vec = tensor._cleared(ctx.twist)
+        den, vec = cleared(ctx.twist)
         return den, [-c for c in vec]
     monkeypatch.setattr(tensor.Context, "cleared_twist", property(flipped))
     assert failures((1, -2, 0)) == ["action_matches_formula"]

@@ -14,6 +14,7 @@ from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub
 from toruslie.linalg import SpanBasis, SparseVec
+from toruslie.rational import cleared
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
                              _action_formula, run_lattice, run_simplicity)
 
@@ -635,7 +636,7 @@ def test_lattice_sees_a_flipped_twist_term(monkeypatch):
     # act_direct reading (u|s + twist) in place of (u|s - twist) fails every
     # check at a nonzero twist, integral or not, and changes nothing at 0
     def flipped(ctx):
-        den, vec = tensor._cleared(ctx.twist)
+        den, vec = cleared(ctx.twist)
         return den, [-c for c in vec]
     monkeypatch.setattr(tensor.Context, "cleared_twist", property(flipped))
     assert lattice_failures((1, -2)) == [

@@ -45,6 +45,13 @@ REFERENCE = [
     pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "axioms,derham"],
                  "c4b7fa64cd729cf28631cfe4b1c083b70b13ab4b597b2e8c9f76f7cbc02ed54d",
                  id="n4-generic-exact"),
+    # twists whose denominators the integer field and operator paths clear
+    pytest.param(["--n", "2", "--lambda", "-1/2,3/7", "--suite", "identities"],
+                 "3b615c5089a8f33720759a70e31352bcce24009b699535db6411e8d55f3cb464",
+                 id="n2-generic-identities"),
+    pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "identities,axioms"],
+                 "2fd7b699a59f5627d644f0c76e056e12adec46b52cc807fcca0abdbda447886a",
+                 id="n4-generic-identities-axioms"),
     pytest.param(["--n", "3", "--lambda", "0,0,0", "--suite", "axioms,derham"],
                  "ad4702f6db587a1be62477eece87d2c05c1f95eebbde97a7903df5d8587c323c",
                  id="n3-integer-exact"),

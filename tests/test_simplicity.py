@@ -12,6 +12,7 @@ import sympy
 from test_nonminuscule import as_dense, sympy_algebra_dim
 from toruslie import cli, glmod, probe, rat, tensor
 from toruslie.fields import pair_field
+from toruslie.rational import cleared
 from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_loops,
                              run_simplicity)
 
@@ -102,7 +103,7 @@ def test_simplicity_sees_a_transposed_rank_one_term(monkeypatch):
 def test_simplicity_sees_a_flipped_twist_term(monkeypatch):
     # act_direct reading (u|s + twist) for (u|s - twist)
     def flipped(ctx):
-        den, vec = tensor._cleared(ctx.twist)
+        den, vec = cleared(ctx.twist)
         return den, [-c for c in vec]
     monkeypatch.setattr(tensor.Context, "cleared_twist", property(flipped))
     assert "image_action_matches_formula" in failures()

@@ -1,9 +1,13 @@
 """Normal-ordered differential operators on Laurent polynomials."""
 
 import random
+from math import prod
+
+from hypothesis import given, settings, strategies as st
 
 from toruslie import rat
-from toruslie.indices import unit
+from toruslie.indices import add, unit
+from toruslie.rational import rational
 from toruslie.weyl import (LaurentPoly, WeylOp, _shifted_powers, commutator,
                            operator_apply)
 
@@ -117,3 +121,80 @@ def test_twist_shifts_euler_operators():
         assert operator_apply(op, p, twist) == operator_apply(
             twist_op(op, twist), p, ZERO2)
 
+
+
+# ------------------------------------------- Fraction oracles, differential
+#
+# The functions below are the per-term Fraction implementations that
+# WeylOp.__mul__ and operator_apply replaced, kept verbatim (apart from
+# the oracle names) as an independent path: the integer versions must
+# give equal results.
+
+
+def fraction_mul(self, other):
+    """Normal-ordered product via d^a x^s = x^s (d + s)^a."""
+    def terms():
+        for (r, a), ca in self.items():
+            for (s, b), cb in other.items():
+                c0, base = ca * cb, add(r, s)
+                # expand prod_i (d_i + s_i)^{a_i} then append d^b
+                for key, c in _shifted_powers(a, s):
+                    yield (base, tuple(e + f for e, f in zip(key, b))), c0 * c
+    return WeylOp.make(terms())
+
+
+def fraction_operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:
+    """Twisted module action: x^r d^a sends x^s to prod_i (s_i-t_i)^{a_i} x^{r+s}."""
+    return LaurentPoly.make(
+        (add(r, s), c * b * prod((si - ti) ** ai for ai, si, ti in zip(a, s, twist) if ai))
+        for (r, a), c in y.items() for s, b in p.items())
+
+
+SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def exponents(n, bound=2):
+    return st.tuples(*[st.integers(-bound, bound)] * n)
+
+
+@st.composite
+def twists(draw, n):
+    """Generic (any small fractions) or integer twists."""
+    coords = SMALL if draw(st.booleans()) else st.integers(-2, 2)
+    return tuple(rat(c) for c in draw(st.lists(coords, min_size=n, max_size=n)))
+
+
+@st.composite
+def operators(draw, n):
+    """Possibly empty operators with Fraction coefficients, words of degree
+    at most 2 in each d_i."""
+    words = st.tuples(exponents(n), st.tuples(*[st.integers(0, 2)] * n))
+    return WeylOp(draw(st.dictionaries(words, SMALL.filter(bool), max_size=3)))
+
+
+@st.composite
+def polys(draw, n):
+    """Possibly empty Laurent polynomials with Fraction coefficients."""
+    return LaurentPoly(draw(st.dictionaries(exponents(n), SMALL.filter(bool), max_size=4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_product_matches_fraction_oracle(data):
+    n = data.draw(st.integers(2, 4), "n")
+    y1, y2 = data.draw(operators(n), "y1"), data.draw(operators(n), "y2")
+    got = y1 * y2
+    assert got == fraction_mul(y1, y2)
+    assert all(isinstance(c, rational) and c for c in got.values())
+    assert commutator(y1, y2) == fraction_mul(y1, y2) - fraction_mul(y2, y1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_operator_apply_matches_fraction_oracle(data):
+    n = data.draw(st.integers(2, 4), "n")
+    y, p = data.draw(operators(n), "operator"), data.draw(polys(n), "poly")
+    twist = data.draw(twists(n), "twist")
+    got = operator_apply(y, p, twist)
+    assert got == fraction_operator_apply(y, p, twist)
+    assert all(isinstance(c, rational) and c for c in got.values())
