@@ -61,7 +61,9 @@ class SparseVec(dict):
         return out
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        out = type(self)(self)
+        out.add_pairs((key, -c) for key, c in other.items())
+        return out
 
 
 def _eliminate(work, key, row) -> int:

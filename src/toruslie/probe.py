@@ -32,7 +32,7 @@ from math import lcm
 from . import glmod, tensor
 from .indices import box, dot, inf_norm, inside, zero
 from .linalg import SpanBasis, SparseVec, kernel_of_map
-from .rational import ONE, rat, rational
+from .rational import ONE, cleared, rat
 
 FILLS = "FillsWindow"
 PROPER = "ProperInvariant"
@@ -355,12 +355,14 @@ def random_image_element(rng, ctx_k, bound: int):
 
 
 def kernel_at(s, twist, vmod_k) -> list:
-    """Basis of the de Rham kernel at one exponent (wedge by the eigenvalue)."""
-    shat = tensor.eigen_vector(s, twist)
+    """Basis of the de Rham kernel at one exponent: the wedge by D*(s - twist),
+    D the twist's denominator, which has the kernel vectors of s - twist."""
+    tw_den, dtwist = cleared(twist)
+    deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
 
     def image_of(key):
         # distinct indices i give distinct keys, so no entry repeats
-        return {new: c for _, new, c in glmod.wedge_by(shat, key)}
+        return {new: c for _, new, c in glmod.wedge_by(deig, key)}
 
     return kernel_of_map(list(vmod_k.keys), image_of)
 
@@ -425,7 +427,7 @@ def coeff_extract(family: PolyFamily, target: dict):
     exponents; omitted coordinates mean exponent 0. Only the grid nodes
     with a nonzero product weight are evaluated: an exponent-0 coordinate
     whose nodes include 0 has a single such node. The weighted sum of
-    the samples is taken in integers, with one rational per output term.
+    the samples is taken in integers, over one denominator.
     """
     for coord in target:
         if not 1 <= coord <= family.n:
@@ -449,16 +451,14 @@ def coeff_extract(family: PolyFamily, target: dict):
     # with the weights over wden and the values over vden, each output
     # coefficient is an integer sum over wden * vden, as in act_direct
     wden = lcm(*[w.denominator for w, _ in pieces])
-    vden = lcm(*[c.denominator for _, value in pieces for c in value.terms.values()])
+    vden = lcm(*[value.den for _, value in pieces])
     acc = {}
     get = acc.get
     for w, value in pieces:
-        a = w.numerator * (wden // w.denominator)
-        for key, c in value.terms.items():
-            acc[key] = get(key, 0) + a * c.numerator * (vden // c.denominator)
-    den = wden * vden
-    return tensor.TensorElement(pieces[0][1].ctx, ((key, rational(v, den))
-                                                   for key, v in acc.items() if v))
+        a = w.numerator * (wden // w.denominator) * (vden // value.den)
+        for key, c in value.num.items():
+            acc[key] = get(key, 0) + a * c
+    return tensor.integer_element(pieces[0][1].ctx, acc, wden * vden)
 
 
 # ------------------------------------------------------------ fingerprints

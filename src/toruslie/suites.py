@@ -25,7 +25,7 @@ from .fields import (VectorField, bracket, double_action_check, euler_field,
                      field_apply, pair_field, spanning_generators)
 from .indices import add, box, dot, inside, sub, unit, zero
 from .linalg import SpanBasis, SparseVec, kernel_of_map
-from .rational import ONE, rat, rat_str, rational
+from .rational import ONE, cleared, rat, rat_str, rational
 from .weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
 PASS = "pass"
@@ -110,11 +110,14 @@ class SuiteResult:
     def status(self) -> str:
         return FAIL if self.failures else (EVIDENCE if self.evidence_used else PASS)
 
-    def check(self, label: str, ok: bool, detail: str = "") -> bool:
+    def check(self, label: str, ok: bool, detail: str = "", *args) -> bool:
+        """Record one check; a failure's detail is detail % args, if args."""
         self.counters["checks"] += 1
         if ok:
             self.log.append("ok %s" % label)
         else:
+            if args:
+                detail = detail % args
             line = ("FAIL %s %s" % (label, detail)).rstrip()
             self.log.append(line)
             self.failures.append(line)
@@ -191,23 +194,23 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
             rec.check("bracket_vs_commutator",
                       commutator(a.to_weyl(), b.to_weyl())
                       == bracket(a, b).to_weyl(),
-                      "a=%r b=%r" % (a, b))
+                      "a=%r b=%r", a, b)
             ab, ba = bracket(a, b), bracket(b, a)
             rec.check("bracket_antisymmetry",
                       ab.r == ba.r and ab.den == ba.den
                       and all(x + y == 0 for x, y in zip(ab.num, ba.num)),
-                      "a=%r b=%r" % (a, b))
+                      "a=%r b=%r", a, b)
             jac = (bracket(a, bracket(b, c)).to_weyl()
                    + bracket(b, bracket(c, a)).to_weyl()
                    + bracket(c, bracket(a, b)).to_weyl())
-            rec.check("bracket_jacobi", not jac, "a=%r b=%r c=%r" % (a, b, c))
+            rec.check("bracket_jacobi", not jac, "a=%r b=%r c=%r", a, b, c)
 
             dz1, dz2 = _random_divzero(rng, n, 3), _random_divzero(rng, n, 3)
             br = bracket(dz1, dz2)
             rec.check("divergence_closure",
                       dz1.divergence_free() and dz2.divergence_free()
                       and br.divergence_free(),
-                      "a=%r b=%r" % (dz1, dz2))
+                      "a=%r b=%r", dz1, dz2)
 
             r = tuple(rng.randint(-3, 3) for _ in range(n))
             u = tuple(rng.randint(-2, 2) for _ in range(n))
@@ -222,23 +225,23 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
             rec.check("rank_one_outer_product",
                       entries_ok and trace == dot(u, r)
                       and dict(comp) == dict(comp_want),
-                      "r=%s u=%s E%d%d E%d%d" % (r, u, i, j, k, l))
+                      "r=%s u=%s E%d%d E%d%d", r, u, i, j, k, l)
 
             X = _random_field(rng, n, 3)
             Y = _random_field(rng, n, 3)
             p = _random_poly(rng, n)
             rec.check("double_action_rewrite",
                       double_action_check(Y, X, p, twist),
-                      "X=%r Y=%r" % (X, Y))
+                      "X=%r Y=%r", X, Y)
             rec.check("field_action_matches_operator",
                       field_apply(X, p, twist)
                       == operator_apply(X.to_weyl(), p, twist),
-                      "X=%r" % (X,))
+                      "X=%r", X)
             s = tuple(rng.randint(-3, 3) for _ in range(n))
             lhs = commutator(X.to_weyl(), WeylOp.monomial(s))
             rhs = WeylOp.monomial(add(X.r, s)).scaled(rational(dot(X.num, s), X.den))
             rec.check("semidirect_commutator", lhs == rhs,
-                      "X=%r s=%s" % (X, s))
+                      "X=%r s=%s", X, s)
         rec.bump("instances", 35)
     return rec
 
@@ -275,8 +278,8 @@ def run_axioms(cfg: RunConfig) -> SuiteResult:
                     lhs = (tensor.act(X, tensor.act(Y, m))
                            - tensor.act(Y, tensor.act(X, m)))
                     rhs = tensor.act(bracket(X, Y), m)
-                    rec.check(act_label, lhs == rhs,
-                              "V=%s X=%r Y=%r" % ("-".join(map(str, vmod.kind)), X, Y))
+                    rec.check(act_label, lhs == rhs, "V=%s X=%r Y=%r",
+                              "-".join(map(str, vmod.kind)), X, Y)
                     rec.bump("instances")
 
     ctx1 = tensor.context(twist, glmod.natural(n))
@@ -333,19 +336,20 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
                 rec.check("derham_intertwines_fields",
                           tensor.derham_map(tensor.act(X, m))
                           == tensor.act(X, tensor.derham_map(m)),
-                          "k=%d X=%r" % (k, X))
+                          "k=%d X=%r", k, X)
             X = _random_divzero(rng, n)
             phi_m = tensor.to_shifted_form(m)
             rec.check("equivalence_intertwines_actions",
                       tensor.to_shifted_form(tensor.act(X, m))
                       == tensor.act_shifted_field(X, phi_m),
-                      "k=%d X=%r" % (k, X))
+                      "k=%d X=%r", k, X)
             rec.check("equivalence_intertwines_actions",
-                      tensor.from_shifted_form(phi_m) == m, "roundtrip k=%d" % k)
+                      tensor.from_shifted_form(phi_m) == m, "roundtrip k=%d", k)
 
     # window image spans, exactness per degree
     for k in range(1, n + 1):
         target = glmod.exterior(n, k)
+        tctx = tensor.context(twist, target)
         span = tensor.derham_image_graded(k, twist, B, n)
         rank = span.rank_in(central)
         rec.counters["image_rank_k%d" % k] = rank
@@ -360,9 +364,8 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
                 exact = (exact and kerdim == (want or target.dim)
                          and span.rank_at(s) == want)
                 for row in span.rows_at(s):
-                    elem = tensor.TensorElement(
-                        tensor.context(twist, target),
-                        {(s, key): c for key, c in row.items()})
+                    elem = tensor.integer_element(
+                        tctx, {(s, key): c for key, c in row.items()})
                     exact = exact and tensor.derham_map(elem).is_zero
         rec.check("image_kernel_exactness", exact and rank == expected,
                   "k=%d rank=%d expected=%d" % (k, rank, expected))
@@ -386,13 +389,13 @@ def _image_rows(k, twist, bound, n):
     return rows
 
 
-def _matrix_tail(i, s, m, col, coeff):
-    """sum_l coeff(t, l) x^{t+s} (x) E_{l,col} E_{i,i+1} w, termwise over m."""
+def _matrix_tail(i, s, m, col, coeff, den):
+    """sum_l coeff(t, l) / den x^{t+s} (x) E_{l,col} E_{i,i+1} w over m, coeff int."""
     ctx = m.ctx
     vmod = ctx.vmod
 
     def terms():
-        for (t, vkey), c in m.terms.items():
+        for (t, vkey), c in m.num.items():
             texp = add(t, s)
             for key2, b in vmod.unit_table(i, i + 1)[vkey]:
                 for l in range(1, ctx.n + 1):
@@ -400,19 +403,19 @@ def _matrix_tail(i, s, m, col, coeff):
                     if cl:
                         for key3, b2 in vmod.unit_table(l, col)[key2]:
                             yield (texp, key3), c * cl * (b * b2)
-    return tensor.TensorElement(ctx, terms())
+    return tensor.integer_element(ctx, SparseVec.make(terms()), m.den * den)
 
 
 def _double_matrix_tail(i, s, m):
-    """sum_l d_l(x^s p) (x) E_{l,i+2} E_{i,i+1} w, termwise over m."""
-    twist = m.ctx.twist
-    return _matrix_tail(i, s, m, i + 2, lambda t, l: t[l - 1] - twist[l - 1] + s[l - 1])
+    """sum_l d_l(x^s p) (x) E_{l,i+2} E_{i,i+1} w, termwise over m; D d_l is an integer."""
+    den, dt = m.ctx.cleared_twist
+    return _matrix_tail(i, s, m, i + 2, lambda t, l: den * (t[l - 1] + s[l - 1]) - dt[l - 1], den)
 
 
 def _composition_tail(i, s, m):
     """-s_{i+2} sum_l s_l E_{l,i+1} E_{i,i+1} w; identically 0 on exterior
     powers, where no vector survives losing its (i+1)-index twice."""
-    return _matrix_tail(i, s, m, i + 1, lambda t, l: -s[i + 1] * s[l - 1])
+    return _matrix_tail(i, s, m, i + 1, lambda t, l: -s[i + 1] * s[l - 1], 1)
 
 
 def _square_coeff_expected(i, s, m):
@@ -434,10 +437,9 @@ def _double_quad_part(i1, j1, i2, j2, s, r, m):
     """Pure double-matrix summand of D_{(i2,j2),s-r} D_{(i1,j1),r} on m."""
     vmod = m.ctx.vmod
     q1, q2 = _pair_quad(i1, j1, r), _pair_quad(i2, j2, r)
-    return tensor.TensorElement(m.ctx, (
-        ((add(t, s), key2), b) for (t, vkey), c in m.terms.items()
-        for key2, b in vmod.matrix_apply(
-            q2, vmod.matrix_apply(q1, SparseVec({vkey: rat(c)}))).items()))
+    return tensor.integer_element(m.ctx, SparseVec.make(
+        ((add(t, s), key2), c * b) for (t, vkey), c in m.num.items()
+        for key2, b in vmod.matrix_apply(q2, vmod.matrix_apply(q1, {vkey: 1})).items()), m.den)
 
 
 def run_minuscule(cfg: RunConfig) -> SuiteResult:
@@ -511,16 +513,19 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             for vec in kvecs:
                 kspan.insert(vec)
                 if k < n:
-                    elem = tensor.TensorElement(
-                        ctx, {(s, key): c for key, c in vec.items()})
+                    elem = tensor.integer_element(
+                        ctx, {(s, key): c for key, c in zip(vec, cleared(vec.values())[1])})
                     if not tensor.derham_map(elem).is_zero:
                         kernel_ok = False
 
             # honest chain kernel at this exponent, for the reverse inclusion;
             # at the top power the map out is zero by type
             if k < n:
+                # columns D * d(e_key), D the twist's denominator, over ints
                 def d_of(key, s=s):
-                    return tensor.derham_map(tensor.basis_element(ctx, s, key)).terms
+                    d = tensor.derham_map(tensor.basis_element(ctx, s, key))
+                    g = ctx.cleared_twist[0] // d.den
+                    return {okey: g * v for okey, v in d.num.items()}
                 dker = kernel_of_map(list(vmod.keys), d_of)
             else:
                 dker = [SparseVec({key: ONE}) for key in vmod.keys]

@@ -18,23 +18,24 @@ is spanned by the vectors x^s (x) (shat wedge w) with shat the eigenvalue
 vector of x^s; these spans, their kernels, and a quadratic probe that
 annihilates exactly the image underpin the verification suites.
 
-All five maps on P (x) V (both field actions, both de Rham maps and the
-image probe) run through one integer loop, _integer_map. Each sends
-x^s (x) w to a sum of (linear form in s - twist + constant) times
-x^{s+shift} (x) w', and supplies only those entries per key w, as integers;
-the loop clears the denominators of the element once per call and those
-of the twist once per context, sums integer coefficients per output term,
-and builds one rational per surviving term. The results equal the
-termwise rational formulas. The de Rham maps read their entries, and their
-target module, from a table built once per module and style; the field
-actions build their shift tuples and unit tables once per call.
+An element keeps integer numerators over one denominator, so sums and
+comparisons are integer operations. All five maps on P (x) V (both field
+actions, both de Rham maps and the image probe) run through one integer
+loop, _integer_map. Each sends x^s (x) w to a sum of (linear form in
+s - twist + constant) times x^{s+shift} (x) w', and supplies only those
+entries per key w, as integers; the loop reads the numerators and the twist
+cleared once per context (and shared with the contexts derived from it),
+sums integers per output term and divides by one gcd. The results equal
+the termwise rational formulas. The de Rham maps read their entries, and
+their target module, from a table built once per module and style; the
+field actions build their shift tuples and unit tables once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, gcd
 
 from . import glmod
 from .fields import VectorField
@@ -66,14 +67,20 @@ class Context:
 
     @cached_property
     def cleared_twist(self) -> tuple:
-        """cleared(twist), worked out once per context."""
+        """cleared(twist), worked out once per context and shared with the
+        contexts that with_vmod and with_style derive from it."""
         return cleared(self.twist)
 
     def with_vmod(self, vmod) -> "Context":
-        return Context(self.twist, vmod, self.style)
+        return self._sharing(Context(self.twist, vmod, self.style))
 
     def with_style(self, style) -> "Context":
-        return Context(self.twist, self.vmod, style)
+        return self._sharing(Context(self.twist, self.vmod, style))
+
+    def _sharing(self, out: "Context") -> "Context":
+        """out, which has this context's twist, given its cleared twist."""
+        out.__dict__["cleared_twist"] = self.cleared_twist
+        return out
 
 
 def context(twist, vmod, style=STYLE_DIRECT) -> Context:
@@ -81,54 +88,84 @@ def context(twist, vmod, style=STYLE_DIRECT) -> Context:
 
 
 class TensorElement:
-    """Finite sum of terms coeff * x^s (x) key over a fixed context.
+    """Finite sum of terms num[(s, key)] / den * x^s (x) key over a fixed context.
 
-    terms is a SparseVec keyed by (s, key); the constructor sums a dict or
-    (key, coeff) pairs into a new one.
+    num holds nonzero ints and den > 0, with gcd(den, *num.values()) = 1 (zero
+    is {} over 1), so equal elements have equal num and den. The constructor
+    sums a dict or (key, coeff) pairs; terms gives the rationals.
     """
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx: Context, terms=()):
         self.ctx = ctx
-        self.terms = SparseVec.make(terms) if terms else SparseVec()
+        vec = SparseVec.make(terms) if terms else {}
+        den, num = cleared(vec.values())
+        self.num, self.den = dict(zip(vec, num)), den
+
+    @property
+    def terms(self) -> SparseVec:
+        """The coefficients as rationals, built on each read."""
+        den = self.den
+        return SparseVec({key: rational(v, den) for key, v in self.num.items()})
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def add_term(self, s, vkey, c) -> None:
-        self.terms.add_pairs((((s, vkey), c),))
+        total = self + basis_element(self.ctx, s, vkey, c)
+        self.num, self.den = total.num, total.den
 
     def scaled(self, c) -> "TensorElement":
-        return _wrap(self.ctx, self.terms.scaled(c))
+        c = rat(c)
+        p = c.numerator
+        return integer_element(self.ctx, {key: p * v for key, v in self.num.items()},
+                               self.den * c.denominator)
 
-    def _check(self, other):
+    def _combine(self, other, sign: int) -> "TensorElement":
+        """self + sign * other over the lcm of the two denominators."""
         if self.ctx != other.ctx:
             raise ValueError("mixing tensor elements from different contexts")
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, sign * (self.den // g)
+        num = {key: a * v for key, v in self.num.items()}
+        get = num.get
+        for key, v in other.num.items():
+            num[key] = get(key, 0) + b * v
+        return integer_element(self.ctx, num, a * self.den)
 
     def __add__(self, other):
-        self._check(other)
-        return _wrap(self.ctx, self.terms + other.terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return _wrap(self.ctx, self.terms - other.terms)
+        return self._combine(other, -1)
 
     def __eq__(self, other):
         return (isinstance(other, TensorElement) and self.ctx == other.ctx
-                and self.terms == other.terms)
+                and self.den == other.den and self.num == other.num)
 
 
-def _wrap(ctx: Context, terms: SparseVec) -> TensorElement:
-    """The element over ctx that takes terms as they are, without a copy."""
-    out = TensorElement(ctx)
-    out.terms = terms
+def _wrap(ctx: Context, num: dict, den: int) -> TensorElement:
+    """The element num / den over ctx, already in lowest terms, without a copy."""
+    out = TensorElement.__new__(TensorElement)
+    out.ctx, out.num, out.den = ctx, num, den
     return out
 
 
+def integer_element(ctx: Context, num: dict, den: int = 1) -> TensorElement:
+    """The element sum num[(s, key)] / den x^s (x) key over ctx, for ints num
+    (zeros allowed) and den > 0, reduced to lowest terms by one gcd."""
+    num = {key: v for key, v in num.items() if v}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {key: v // g for key, v in num.items()}
+    return _wrap(ctx, num, den // g)
+
+
 def basis_element(ctx: Context, s, vkey, coeff=1) -> TensorElement:
-    return TensorElement(ctx, {(tuple(s), vkey): rat(coeff)})
+    c = coeff if type(coeff) is int else rat(coeff)
+    return _wrap(ctx, {(tuple(s), vkey): c.numerator} if c else {}, c.denominator)
 
 
 # ---------------------------------------------------------------- actions
@@ -139,19 +176,19 @@ def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
 
     On x^s (x) key, D(u, r) gives (u|s - twist) x^{s+r} (x) key plus
     x^{s+r} (x) (r u^T) key; with u = num/den, both are integer entries
-    over den, from the rank-one matrix r num^T.
+    over den, read from the unit tables of the rank-one matrix r num^T.
     """
     ctx = m.ctx
     if ctx.style != STYLE_DIRECT:
         raise ValueError("direct action on a %s-style element" % ctx.style)
-    r = X.r
-    lin = _sparse(X.num)
-    ru = glmod.rank_one(r, X.num)
-    matrix_apply = ctx.vmod.matrix_apply
+    r, lin, unit_table = _shift(X.r), _sparse(X.num), ctx.vmod.unit_table
+    units = [(c, unit_table(i, j)) for (i, j), c in glmod.rank_one(X.r, X.num).items()]
 
     def entries(vkey):
-        return [(r, vkey, lin, 0)] + [(r, vkey2, (), b) for vkey2, b
-                                      in matrix_apply(ru, {vkey: 1}).items()]
+        out = [(r, vkey, lin, 0)]
+        for c, tab in units:
+            out += [(r, vkey2, (), c * b) for vkey2, b in tab[vkey]]
+        return out
     return _integer_map(m, ctx, entries, X.den)
 
 
@@ -160,47 +197,50 @@ def _sparse(vec) -> tuple:
     return tuple((j, c) for j, c in enumerate(vec) if c)
 
 
+def _shift(r):
+    """An exponent shift as _integer_map reads it: None for the zero shift."""
+    return r if any(r) else None
+
+
 def _integer_map(m: TensorElement, out_ctx: Context, table, den) -> TensorElement:
     """The one integer loop behind every map on P (x) V.
 
     table(key) lists entries (shift, key2, lin, c): the map sends x^s (x) key
     to the sum over entries of (lin . eig(s) + c) / den * x^{s+shift} (x) key2,
     eig(s) = s - twist the Euler eigenvalue vector, lin a sparse tuple of
-    (0-based coordinate, integer) pairs and c an integer. With M and D the
-    common denominators of m's coefficients and of the twist, D*eig(s) is
+    (0-based coordinate, integer) pairs, c an integer and shift None for
+    the zero shift. With D the common denominator of the twist, D*eig(s) is
     an integer vector, worked out once per term, so each output coefficient
-    is an integer sum over M*D*den that turns into one rational. table is
-    called once per key of m and call.
+    is an integer sum over m.den*D*den. table is called once per key of m
+    and call.
     """
     tw_den, dtwist = m.ctx.cleared_twist
-    scale, coeffs = cleared(m.terms.values())
     tables = {}
     acc = {}
     get = acc.get
-    for (s, vkey), a in zip(m.terms, coeffs):
+    for (s, vkey), a in m.num.items():
         entries = tables.get(vkey)
         if entries is None:
             entries = tables[vkey] = table(vkey)
         deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
-        shift = None
+        shift = 0  # no entry's shift, so the first live entry sets t
         for shift2, vkey2, lin, c in entries:
             v = c * tw_den
             for j, x in lin:
                 v += x * deig[j]
             if v:
                 if shift2 is not shift:  # entries share their shift tuples
-                    shift, t = shift2, add(s, shift2)
+                    shift = shift2
+                    t = s if shift2 is None else add(s, shift2)
                 key = (t, vkey2)
                 acc[key] = get(key, 0) + a * v
-    den *= scale * tw_den
-    return _wrap(out_ctx, SparseVec({key: rational(v, den) for key, v in acc.items() if v}))
+    return integer_element(out_ctx, acc, den * m.den * tw_den)
 
 
 def act_monomial(r, m: TensorElement) -> TensorElement:
     """Multiplication action of the Laurent monomial x^r (exponent shift)."""
     r = tuple(r)
-    return TensorElement(m.ctx, (((add(s, r), vkey), c)
-                                 for (s, vkey), c in m.terms.items()))
+    return _wrap(m.ctx, {(add(s, r), vkey): v for (s, vkey), v in m.num.items()}, m.den)
 
 
 def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
@@ -214,14 +254,15 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     ctx = m.ctx
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("shifted action on a %s-style element" % ctx.style)
-    n, vmod, rho = ctx.n, ctx.vmod, X.r
+    vmod, rho = ctx.vmod, X.r
     lin = _sparse(X.num)
-    # (shift, integer factor, unit table) per summand, built once per call
+    # (shift r - e_i, integer factor, unit table) per summand, built once per call
     units = []
     for j, duj in lin:
-        r = add(rho, unit(j + 1, n))
-        units += [(sub(r, unit(i, n)), duj * ri, vmod.unit_table(i, j + 1))
-                  for i, ri in enumerate(r, start=1) if ri]
+        r = rho[:j] + (rho[j] + 1,) + rho[j + 1:]
+        units += [(_shift(r[:i] + (ri - 1,) + r[i + 1:]), duj * ri,
+                   vmod.unit_table(i + 1, j + 1)) for i, ri in enumerate(r) if ri]
+    rho = _shift(rho)
 
     def entries(vkey):
         out = [(rho, vkey, lin, 0)]
@@ -280,7 +321,7 @@ def _derham_table(vmod, style: str) -> tuple:
     The shifted style moves the i-th summand's exponent by -e_i. The target
     module is built once here, so its unit and weight tables persist."""
     n = vmod.n
-    shifts = [zero(n)] * n if style == STYLE_DIRECT \
+    shifts = [None] * n if style == STYLE_DIRECT \
         else [sub(zero(n), unit(i, n)) for i in range(1, n + 1)]
     table = {vkey: [(shifts[i - 1], new, ((i - 1, sign),), 0)
                     for i, new, sign in glmod.wedge_by((1,) * n, vkey)]
@@ -294,8 +335,8 @@ def to_shifted_form(m: TensorElement) -> TensorElement:
     if ctx.style != STYLE_DIRECT:
         raise ValueError("element already in shifted form")
     weight = ctx.vmod.weight_of
-    return TensorElement(ctx.with_style(STYLE_SHIFTED), (
-        ((sub(s, weight(vkey)), vkey), c) for (s, vkey), c in m.terms.items()))
+    return _wrap(ctx.with_style(STYLE_SHIFTED), {
+        (sub(s, weight(vkey)), vkey): v for (s, vkey), v in m.num.items()}, m.den)
 
 
 def from_shifted_form(m: TensorElement) -> TensorElement:
@@ -303,8 +344,8 @@ def from_shifted_form(m: TensorElement) -> TensorElement:
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("element already in direct form")
     weight = ctx.vmod.weight_of
-    return TensorElement(ctx.with_style(STYLE_DIRECT), (
-        ((add(s, weight(vkey)), vkey), c) for (s, vkey), c in m.terms.items()))
+    return _wrap(ctx.with_style(STYLE_DIRECT), {
+        (add(s, weight(vkey)), vkey): v for (s, vkey), v in m.num.items()}, m.den)
 
 
 # ---------------------------------------------------- de Rham image spans
@@ -352,15 +393,17 @@ class GradedSpan:
 
 
 def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
-    """Graded span of the level-k de Rham image over an exponent window."""
-    twist = tuple(rat(t) for t in twist)
+    """Graded span of the level-k de Rham image over an exponent window, each
+    degree wedged by D*(s - twist), D the twist's denominator: scaling keeps
+    a span's primitive rows."""
+    tw_den, dtwist = cleared([rat(t) for t in twist])
     lower = glmod.exterior(n, k - 1)
     span = GradedSpan()
     for s in box(n, bound):
-        shat = eigen_vector(s, twist)
+        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
         for wkey in lower.keys:
             # distinct indices i give distinct keys, so no entry repeats
-            vec = SparseVec((new, c) for _, new, c in glmod.wedge_by(shat, wkey))
+            vec = {new: c for _, new, c in glmod.wedge_by(deig, wkey)}
             if vec:
                 span.mini(s).insert(vec)
     return span
@@ -387,7 +430,7 @@ def image_probe(i: int, s, m: TensorElement) -> TensorElement:
     if not 1 <= i <= n - 2:
         raise ValueError("probe index %d out of range 1..%d (needs column i+2)"
                          % (i, n - 2))
-    s = tuple(s)
+    s = _shift(tuple(s))
     table = _probe_table(i, ctx.vmod)
     return _integer_map(m, ctx, lambda vkey: [(s, vkey2, lin, 0)
                                               for vkey2, lin in table[vkey]], 1)

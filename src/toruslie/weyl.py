@@ -9,9 +9,9 @@ A rational twist t = (t_1,...,t_n) replaces each d_i by d_i - t_i. On the
 twisted polynomial module, d_i acts on x^s as the scalar (s_i - t_i) and
 x^r shifts exponents by r; every monomial is a joint eigenvector.
 
-The product and the action clear the denominators of their operands once
-per call, sum integer coefficients per output term and build one rational
-per surviving term.
+The product, the commutator and the action clear the denominators of their
+operands once per call, sum integer coefficients per output term and build
+one rational per surviving term.
 """
 
 from __future__ import annotations
@@ -47,21 +47,28 @@ class WeylOp(SparseVec):
         return cls.word(tuple(r), zero(len(r)))
 
     def __mul__(self, other):
-        """Normal-ordered product via d^a x^s = x^s (d + s)^a, in integers
-        over the product of the two operands' common denominators."""
-        den1, c1 = cleared(self.values())
-        den2, c2 = cleared(other.values())
-        acc = {}
-        get = acc.get
-        for (r, a), ca in zip(self, c1):
-            for (s, b), cb in zip(other, c2):
-                c0, base = ca * cb, add(r, s)
+        """The normal-ordered product."""
+        return _products(self, other, False)
+
+
+def _products(y1, y2, commute: bool) -> WeylOp:
+    """y1 y2, less y2 y1 if commute, via d^a x^s = x^s (d + s)^a: summed in
+    integers over the product of the two operands' common denominators."""
+    den1, c1 = cleared(y1.values())
+    den2, c2 = cleared(y2.values())
+    p1, p2 = list(zip(y1, c1)), list(zip(y2, c2))
+    acc = {}
+    get = acc.get
+    for left, right, sign in ((p1, p2, 1), (p2, p1, -1))[:1 + commute]:
+        for (r, a), ca in left:
+            for (s, b), cb in right:
+                c0, base = sign * ca * cb, add(r, s)
                 # expand prod_i (d_i + s_i)^{a_i} then append d^b
                 for key, c in _shifted_powers(a, s):
                     key = (base, tuple(e + f for e, f in zip(key, b)))
                     acc[key] = get(key, 0) + c0 * c
-        den = den1 * den2
-        return WeylOp({key: rational(v, den) for key, v in acc.items() if v})
+    den = den1 * den2
+    return WeylOp({key: rational(v, den) for key, v in acc.items() if v})
 
 
 def _shifted_powers(a, s):
@@ -77,7 +84,8 @@ def _shifted_powers(a, s):
 
 
 def commutator(y1: WeylOp, y2: WeylOp) -> WeylOp:
-    return y1 * y2 - y2 * y1
+    """y1 y2 - y2 y1, both products summed into one integer accumulator."""
+    return _products(y1, y2, True)
 
 
 def operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub
-from toruslie.linalg import SpanBasis, SparseVec
-from toruslie.rational import cleared
+from toruslie.linalg import SpanBasis, SparseVec, kernel_of_map
+from toruslie.rational import cleared, rational
 from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
                              _action_formula, run_lattice, run_simplicity)
 
@@ -358,6 +358,41 @@ def test_kernel_at_dimensions():
         for twist in ((rat(0),) * n, (rat(1, 2), rat(1, 3), rat(1, 5), rat(1, 7))[:n]):
             for s in ((0,) * n, (1,) + (0,) * (n - 1)):
                 assert probe.kernel_at(s, twist, top) == units
+
+
+def fraction_kernel_at(s, twist, vmod_k) -> list:
+    """Basis of the de Rham kernel at one exponent (wedge by the eigenvalue)."""
+    shat = tensor.eigen_vector(s, twist)
+
+    def image_of(key):
+        # distinct indices i give distinct keys, so no entry repeats
+        return {new: c for _, new, c in glmod.wedge_by(shat, key)}
+
+    return kernel_of_map(list(vmod_k.keys), image_of)
+
+
+def test_kernel_at_matches_the_fraction_wedge():
+    # kernel_at wedges by D*(s - twist); fraction_kernel_at, the body it
+    # replaced, by s - twist itself: the kernel vectors must be the same
+    rng = random.Random(2501)
+    cases = 0
+    for n in (2, 3, 4):
+        for k in range(n + 1):
+            vmod = glmod.exterior(n, k)
+            for trial in range(20):
+                if trial % 2:
+                    twist = tuple(rat(rng.randint(-3, 3), rng.randint(1, 7))
+                                  for _ in range(n))
+                else:
+                    twist = tuple(rat(rng.randint(-2, 2)) for _ in range(n))
+                s = tuple(rng.randint(-2, 2) for _ in range(n))
+                if trial == 0:
+                    s = tuple(int(t) for t in twist)  # the zero eigenvalue
+                got = probe.kernel_at(s, twist, vmod)
+                assert got == fraction_kernel_at(s, twist, vmod)
+                assert all(type(c) is rational for vec in got for c in vec.values())
+                cases += 1
+    assert cases == 240
 
 
 def test_coeff_extract_constant_family_is_zero():

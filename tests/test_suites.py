@@ -2,8 +2,9 @@
 
 import pytest
 
-from toruslie import rat
-from toruslie.suites import SUITES, EVIDENCE, PASS, RunConfig, run_suites
+from toruslie import rat, suites, tensor
+from toruslie.fields import VectorField, bracket
+from toruslie.suites import SUITES, EVIDENCE, PASS, RunConfig, SuiteResult, run_suites
 
 #: the expected registry: check name -> the one suite that logs it
 CHECKS = {
@@ -135,3 +136,61 @@ def test_run_suites_preserves_requested_order():
     cfg = RunConfig(n=2, twist=(rat(1, 3), rat(1, 2)))
     results = run_suites(cfg, ["iso", "identities"])
     assert [r.name for r in results] == ["iso", "identities"]
+
+
+# ------------------------------------------------- failure details, lazily
+
+GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
+
+
+def test_check_formats_its_detail_only_on_failure():
+    X = VectorField((rat(1, 2), -1), (2, 0))
+    rec = SuiteResult("x")
+    assert rec.check("a", True, "X=%r", object())  # never formatted
+    assert not rec.check("b", False, "X=%r s=%s", X, (1, 2))
+    assert not rec.check("c", False, "k=%d window basis", 2)
+    assert not rec.check("d", False, "100% literal")
+    assert rec.failures == ["FAIL b X=%r s=%s" % (X, (1, 2)),
+                            "FAIL c k=2 window basis", "FAIL d 100% literal"]
+    assert rec.failures[0] == "FAIL b X=D[(1/2,-1); (2,0)] s=(1, 2)"
+
+
+# (count, first line, logDigest) of each forced failure, as the suites gave
+# them when the details were formatted on every check
+FORCED = {
+    "identities": (105, "FAIL double_action_rewrite X=D[(-2,2); (2,-2)] Y=D[(2,-2); (-3,2)]",
+                   "91796ece50d8edd1be16fbc68d8b9ed8173b25bffece14368d6c210e1cac801f"),
+    "axioms": (295, "FAIL module_axiom_direct V=trivial X=D[(1,2,1); (0,2,-1)] "
+               "Y=D[(2,2,2); (2,1,-1)]",
+               "261cb328608996d54e1e017f27880fd3e66e7a912de7afb096447574bf130d46"),
+    "derham": (30, "FAIL equivalence_intertwines_actions k=0 X=D[(-4,0,-4); (2,0,-2)]",
+               "a2ffca8d38d696634eb5a0e46630acb4d92f429e7db39c814ed3d15515730d20"),
+}
+
+
+def test_forced_failures_keep_their_lines():
+    cfg = RunConfig(n=3, twist=GEN3)
+    forcings = {
+        "identities": (suites, "double_action_check", lambda *args: False),
+        "axioms": (suites, "bracket", lambda a, b: bracket(b, a)),
+        "derham": (tensor, "act_shifted_field", lambda X, m: tensor.TensorElement(m.ctx)),
+    }
+    for name, (where, attr, forced) in forcings.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(where, attr, forced)
+            rec = getattr(suites, "run_" + name)(cfg)
+        assert (len(rec.failures), rec.failures[0], rec.log_digest) == FORCED[name]
+
+
+def test_passing_suites_format_no_field(monkeypatch):
+    calls = []
+
+    def counted(self):
+        calls.append(self)
+        return "D"
+    monkeypatch.setattr(VectorField, "__repr__", counted)
+    for twist in (GEN3, (rat(0),) * 3):
+        cfg = RunConfig(n=3, twist=twist)
+        for run in (suites.run_identities, suites.run_axioms, suites.run_derham):
+            assert run(cfg).status == PASS
+    assert calls == []

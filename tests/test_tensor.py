@@ -1,5 +1,6 @@
 """Tensor modules over the torus fields: actions, chain maps, graded spans."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, bracket, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub, unit, zero
 from toruslie.linalg import SparseVec
-from toruslie.rational import rational
+from toruslie.rational import cleared, rational
 from toruslie.tensor import (STYLE_DIRECT, STYLE_SHIFTED, TensorElement,
                              _exterior_level, eigen_vector)
 
@@ -563,3 +564,171 @@ def test_wedge_by_on_every_exterior_key(data):
             want = [(i, tuple(sorted(key + (i,))), permutation_sign((i,) + key) * c)
                     for i, c in enumerate(vec, start=1) if c and i not in key]
             assert glmod.wedge_by(vec, key) == want
+
+
+# ------------------------------------------------ integer numerators, one den
+#
+# fraction_integer_map is the body of tensor._integer_map from when elements
+# kept one rational per term: it clears the element's denominators on every
+# call and builds one rational per output term. Three lines differ: the
+# tables now give the zero shift as None, so the shift sentinel is 0 and a
+# None shift leaves s as it is, and the result is built through the
+# TensorElement constructor.
+
+
+def fraction_integer_map(m: TensorElement, out_ctx, table, den) -> TensorElement:
+    tw_den, dtwist = m.ctx.cleared_twist
+    scale, coeffs = cleared(m.terms.values())
+    tables = {}
+    acc = {}
+    get = acc.get
+    for (s, vkey), a in zip(m.terms, coeffs):
+        entries = tables.get(vkey)
+        if entries is None:
+            entries = tables[vkey] = table(vkey)
+        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
+        shift = 0
+        for shift2, vkey2, lin, c in entries:
+            v = c * tw_den
+            for j, x in lin:
+                v += x * deig[j]
+            if v:
+                if shift2 is not shift:  # entries share their shift tuples
+                    shift, t = shift2, s if shift2 is None else add(s, shift2)
+                key = (t, vkey2)
+                acc[key] = get(key, 0) + a * v
+    den *= scale * tw_den
+    return TensorElement(out_ctx, {key: rational(v, den) for key, v in acc.items() if v})
+
+
+#: Fraction, integer and zero coefficients; a zero term is dropped on entry
+COEFFS = SMALL | st.integers(-4, 4)
+
+
+@st.composite
+def mixed_elements(draw, ctx):
+    deg = st.tuples(*[st.integers(-2, 2)] * ctx.n)
+    terms = draw(st.lists(st.tuples(st.tuples(deg, st.sampled_from(ctx.vmod.keys)),
+                                    COEFFS), max_size=5))
+    return TensorElement(ctx, terms)
+
+
+def canonical(m: TensorElement) -> bool:
+    return (type(m.den) is int and m.den > 0
+            and all(type(v) is int and v for v in m.num.values())
+            and math.gcd(m.den, *m.num.values()) == 1)
+
+
+def five_maps(data, n):
+    """(map, argument tuple) for each of the five maps on P (x) V, on an
+    element drawn over an exterior power at a generic or integer twist."""
+    k = data.draw(st.integers(0, n - 1), "k")
+    twist = data.draw(twists(n), "twist")
+    ctx = tensor.context(twist, glmod.exterior(n, k))
+    sctx = ctx.with_style(STYLE_SHIFTED)
+    m, ms = data.draw(mixed_elements(ctx), "m"), data.draw(mixed_elements(sctx), "ms")
+    X = data.draw(fields(n), "field")
+    i = data.draw(st.integers(1, max(1, n - 2)), "i")
+    s = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n), "s"))
+    return [(tensor.act_direct, (X, m)), (tensor.act_shifted_field, (X, ms)),
+            (tensor.derham_map, (m,)), (tensor.derham_map_shifted, (ms,)),
+            (tensor.image_probe, (i, s, m))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_five_maps_match_the_fraction_integer_map(data):
+    n = data.draw(st.integers(2, 4), "n")
+    for fn, args in five_maps(data, n):
+        got = outcome(fn, *args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_integer_map", fraction_integer_map)
+            want = outcome(fn, *args)
+        assert got == want
+        if isinstance(got, TensorElement):
+            assert canonical(got) and got.terms == want.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_elements_stay_in_lowest_terms(data):
+    n = data.draw(st.integers(2, 3), "n")
+    maps = five_maps(data, n)
+    a = maps[0][1][1]
+    b = data.draw(mixed_elements(a.ctx), "b")
+    c = data.draw(COEFFS, "c")
+    made = [a, b, a + b, a - b, b - b, a.scaled(c), tensor.act_monomial((1,) * n, a),
+            tensor.to_shifted_form(a), tensor.basis_element(a.ctx, (0,) * n,
+                                                            a.ctx.vmod.keys[0], c)]
+    made += [out for out in (outcome(fn, *args) for fn, args in maps)
+             if isinstance(out, TensorElement)]
+    for m in made:
+        assert canonical(m), (m.num, m.den)
+        assert m.is_zero == (not m.terms) == (m.num == {} and m.den == 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_elements_are_equal_exactly_when_their_terms_are(data):
+    n = data.draw(st.integers(2, 3), "n")
+    maps = five_maps(data, n)
+    X, m = maps[0][1]
+    Y = data.draw(fields(n), "second field")
+    b = data.draw(mixed_elements(m.ctx), "b")
+    c = data.draw(SMALL.filter(bool), "c")
+    # pairs built from rationals, by maps and by subtraction, equal or not
+    pairs = [(m, TensorElement(m.ctx, m.terms)),
+             (m, TensorElement(m.ctx, {key: v * c for key, v in m.terms.items()})),
+             ((m - b) + b, m), (m - b, b - m), (m.scaled(c), m),
+             (tensor.act_direct(X, m + b), tensor.act_direct(X, m) + tensor.act_direct(X, b)),
+             (tensor.act_direct(X, m) - tensor.act_direct(Y, m),
+              tensor.act_direct(X, m.scaled(c)) - tensor.act_direct(Y, m))]
+    for x, y in pairs:
+        assert (x == y) == (x.terms == y.terms)
+
+
+def test_maps_on_an_integral_element_build_no_fraction(monkeypatch):
+    # d(d(m)) and X.(Y.m) run in integers from the element to the result
+    built = []
+
+    def counted(fn):
+        def wrapper(*args):
+            built.append(args)
+            return fn(*args)
+        return wrapper
+    ctx = tensor.context((rat(1, 2), rat(1, 3), rat(1, 5)), glmod.exterior(3, 1))
+    ctx.cleared_twist  # the context's one clearing, made before counting
+    m = tensor.basis_element(ctx, (1, -1, 2), (2,), 3) \
+        + tensor.basis_element(ctx, (0, 1, 0), (1,), -2)
+    X = VectorField((rat(1, 2), 0, rat(-1, 3)), (1, 0, 2))
+    Y = pair_field(1, 3, (2, 1, -1))
+    monkeypatch.setattr(tensor, "rational", counted(tensor.rational))
+    monkeypatch.setattr(tensor, "rat", counted(tensor.rat))
+    dd = tensor.derham_map(tensor.derham_map(m))
+    xy = tensor.act(X, tensor.act(Y, m))
+    assert built == []
+    monkeypatch.undo()
+    assert dd == fraction_derham_map(fraction_derham_map(m))
+    assert xy == fraction_act_direct(X, fraction_act_direct(Y, m))
+
+
+@pytest.mark.parametrize("first,second", [
+    ((rat(1, 2), rat(1, 3), rat(1, 5)), (rat(1, 3), rat(1, 2), rat(1, 4))),
+    ((rat(1, 3), rat(1, 2), rat(1, 4)), (rat(1, 2), rat(1, 3), rat(1, 5)))])
+def test_derived_contexts_carry_their_own_cleared_twist(first, second):
+    # each twist in turn over the same modules: a derived context must
+    # carry the cleared twist of the context it was derived from
+    rng = random.Random(25)
+    for twist in (first, second):
+        ctx = tensor.context(twist, glmod.exterior(3, 1))
+        m = probe.random_element(rng, ctx, 2)
+        X = rand_field(rng, 3)
+        dm = tensor.derham_map(m)
+        shifted = tensor.to_shifted_form(m)
+        for out in (dm, shifted, tensor.derham_map_shifted(shifted),
+                    tensor.from_shifted_form(shifted)):
+            assert out.ctx.cleared_twist == cleared(twist)
+        assert tensor.derham_map(dm) == fraction_derham_map(fraction_derham_map(m))
+        assert tensor.act_direct(X, dm) == fraction_act_direct(X, fraction_derham_map(m))
+        assert tensor.derham_map_shifted(tensor.derham_map_shifted(shifted)) \
+            == fraction_derham_map_shifted(fraction_derham_map_shifted(shifted))

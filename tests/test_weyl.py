@@ -186,7 +186,10 @@ def test_product_matches_fraction_oracle(data):
     got = y1 * y2
     assert got == fraction_mul(y1, y2)
     assert all(isinstance(c, rational) and c for c in got.values())
-    assert commutator(y1, y2) == fraction_mul(y1, y2) - fraction_mul(y2, y1)
+    bracket = commutator(y1, y2)
+    assert bracket == fraction_mul(y1, y2) - fraction_mul(y2, y1)
+    assert type(bracket) is WeylOp
+    assert all(isinstance(c, rational) and c for c in bracket.values())
 
 
 @settings(max_examples=150, deadline=None)
