@@ -5,7 +5,8 @@ or integer coefficients. SpanBasis keeps a reduced row echelon spanning set
 of primitive integer rows, eliminating fraction-free with content removal
 (Bareiss, Math. Comp. 22, 1968). insert, reduce and contains share one
 elimination, which builds no rational: a vector lies in the span exactly
-when its residue is zero, and reduce returns that residue as rationals.
+when its residue is zero, and reduce returns that residue as a primitive
+integer vector.
 Because no row holds another row's pivot, an elimination never brings in
 a pivot key, so reducing a vector eliminates each of its pivot keys once,
 in any order.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rational import rat, rational
+from .rational import rat
 
 
 class SparseVec(dict):
@@ -66,9 +67,9 @@ class SparseVec(dict):
         return out
 
 
-def _eliminate(work, key, row) -> int:
+def _eliminate(work, key, row) -> None:
     """Set work to m*work - c*row, cancelling its entry at row's pivot key
-    with the least integer m > 0, in place; returns m."""
+    with the least integer m > 0, in place."""
     p, c = row[key], work.pop(key)
     g = gcd(p, c)
     m, c = p // g, c // g
@@ -82,7 +83,6 @@ def _eliminate(work, key, row) -> int:
                 work[key2] = b
             else:
                 del work[key2]
-    return m
 
 
 class SpanBasis:
@@ -107,24 +107,26 @@ class SpanBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _residue(self, vec) -> tuple:
-        """(work, scale): the residue of vec modulo the span, in integers,
-        is work[key] / scale at each key of work."""
+    def _residue(self, vec) -> dict:
+        """A positive integer multiple of the residue of vec modulo the span."""
         scale = lcm(*[c.denominator for c in vec.values()])
         work = {key: c.numerator * (scale // c.denominator)
                 for key, c in vec.items() if c}
         rows, pivots = self.rows, self.pivots
         for key in [key for key in work if key in pivots]:
-            scale *= _eliminate(work, key, rows[pivots[key]])
-        return work, scale
+            _eliminate(work, key, rows[pivots[key]])
+        return work
 
     def reduce(self, vec) -> SparseVec:
-        """Exact rational residue of vec modulo the span (fully reduced)."""
-        work, scale = self._residue(vec)
-        return SparseVec((key, rational(work[key], scale)) for key in sorted(work))
+        """The residue of vec modulo the span (fully reduced) as a primitive
+        integer vector: a positive multiple of the exact residue, zero
+        exactly when vec lies in the span."""
+        work = self._residue(vec)
+        g = gcd(*work.values())
+        return SparseVec((key, work[key] // g) for key in sorted(work))
 
     def contains(self, vec) -> bool:
-        return not self._residue(vec)[0]
+        return not self._residue(vec)
 
     def equations(self, index) -> list:
         """Dense integer rows that cut out the span, over the positions
@@ -152,7 +154,7 @@ class SpanBasis:
 
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew. vec is not modified."""
-        work = self._residue(vec)[0]
+        work = self._residue(vec)
         if not work:
             return False
         rows, pivots = self.rows, self.pivots
@@ -175,7 +177,8 @@ class SpanBasis:
 
 
 def kernel_of_map(keys, image_of) -> list[SparseVec]:
-    """Exact kernel basis of the linear map e_key -> image_of(key).
+    """Exact kernel basis of the linear map e_key -> image_of(key), as
+    primitive integer vectors.
 
     keys is an ordered list of input basis keys; image_of returns a dict
     (or SparseVec) over arbitrary output keys. Works by reducing images

@@ -27,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, product
-from math import lcm
+from math import lcm, prod
 
 from . import glmod, tensor
 from .indices import box, dot, inf_norm, inside, zero
@@ -372,8 +372,9 @@ def kernel_at(s, twist, vmod_k) -> list:
 
 @lru_cache(maxsize=8)
 def _coeff_of_nodes(nodes):
-    """Matrix C with C[a][b] = coefficient of t^a in the b-th Lagrange basis
-    polynomial prod_{j != b} (t - t_j) / (t_b - t_j).
+    """(D, N): N is an integer matrix, and N[a][b] / D is the coefficient of
+    t^a in the b-th Lagrange basis polynomial prod_{j != b} (t - t_j) /
+    (t_b - t_j), cleared to the least common denominator D.
 
     Memoised on the node tuple; every family of a run shares one of a few.
     """
@@ -387,7 +388,8 @@ def _coeff_of_nodes(nodes):
             poly = [x - tj * y for x, y in zip([0] + poly, poly + [0])]
             den *= tb - tj
         cols.append([c / den for c in poly])
-    return tuple(zip(*cols))
+    den = cleared([c for col in cols for c in col])[0]
+    return den, tuple(zip(*([int(c * den) for c in col] for col in cols)))
 
 
 @dataclass
@@ -424,10 +426,12 @@ def coeff_extract(family: PolyFamily, target: dict):
 
     Lagrange interpolation per coordinate; exact over the rationals and
     independent of the admissible grid. target maps 1-based coordinates to
-    exponents; omitted coordinates mean exponent 0. Only the grid nodes
-    with a nonzero product weight are evaluated: an exponent-0 coordinate
-    whose nodes include 0 has a single such node. The weighted sum of
-    the samples is taken in integers, over one denominator.
+    exponents; omitted coordinates mean exponent 0. Each coordinate keeps
+    its nodes with a nonzero integer weight over _coeff_of_nodes' D, and
+    only the grid nodes they form are evaluated, in grid order: an
+    exponent-0 coordinate whose nodes include 0 has a single such node.
+    The weighted sum of the samples is taken in integers, over D ** n
+    times one denominator of the values.
     """
     for coord in target:
         if not 1 <= coord <= family.n:
@@ -435,27 +439,20 @@ def coeff_extract(family: PolyFamily, target: dict):
     exps = [target.get(coord, 0) for coord in range(1, family.n + 1)]
     if sum(exps) > family.degree_bound:
         raise ValueError("target degree exceeds the declared bound")
-    coeffs = _coeff_of_nodes(tuple(family.nodes))
-    node_index = {t: i for i, t in enumerate(family.nodes)}
-    pieces = []
-    for combo in product(family.nodes, repeat=family.n):
-        w = ONE
-        for exp, node in zip(exps, combo):
-            w = w * coeffs[exp][node_index[node]]
-            if not w:
-                break
-        if w:
-            pieces.append((w, family.at(combo)))
+    den, coeffs = _coeff_of_nodes(tuple(family.nodes))
+    axes = [[(t, w) for t, w in zip(family.nodes, coeffs[exp]) if w] for exp in exps]
+    pieces = [(prod(w for _, w in combo), family.at(tuple(t for t, _ in combo)))
+              for combo in product(*axes)]
     if not pieces:
         raise ValueError("empty sample grid")
     # with the weights over wden and the values over vden, each output
     # coefficient is an integer sum over wden * vden, as in act_direct
-    wden = lcm(*[w.denominator for w, _ in pieces])
+    wden = den ** family.n
     vden = lcm(*[value.den for _, value in pieces])
     acc = {}
     get = acc.get
     for w, value in pieces:
-        a = w.numerator * (wden // w.denominator) * (vden // value.den)
+        a = w * (vden // value.den)
         for key, c in value.num.items():
             acc[key] = get(key, 0) + a * c
     return tensor.integer_element(pieces[0][1].ctx, acc, wden * vden)

@@ -1,0 +1,25 @@
+"""Shared fixtures: the package's memo tables are cleared around every test
+that patches the package."""
+
+import pytest
+
+from toruslie import probe, tensor
+
+#: every functools.lru_cache of the package; a patched dependency would
+#: otherwise leave entries built from it for the tests that run later
+PACKAGE_CACHES = (tensor._derham_table, tensor._probe_table,
+                  probe._gen_kernel, probe._coeff_of_nodes)
+
+
+@pytest.fixture(autouse=True)
+def fresh_package_caches(request):
+    """Clear PACKAGE_CACHES before and after each test that requests
+    monkeypatch; the clearing after runs once the patches are undone."""
+    patched = "monkeypatch" in request.fixturenames
+    if patched:
+        for cached in PACKAGE_CACHES:
+            cached.cache_clear()
+    yield
+    if patched:
+        for cached in PACKAGE_CACHES:
+            cached.cache_clear()

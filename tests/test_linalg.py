@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+from fractions import Fraction
 
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -151,6 +152,39 @@ def dense(vec, width):
     return [vec.get(j, 0) for j in range(width)]
 
 
+def fraction_reduce(span, vec) -> SparseVec:
+    """SpanBasis.reduce when it returned rationals: the exact residue of vec
+    modulo span, each entry the integer residue over the scale that every
+    elimination step multiplied it by."""
+    scale = math.lcm(*[c.denominator for c in vec.values()])
+    work = {key: c.numerator * (scale // c.denominator)
+            for key, c in vec.items() if c}
+    for key in [key for key in work if key in span.pivots]:
+        row = span.rows[span.pivots[key]]
+        p, c = row[key], work.pop(key)
+        g = math.gcd(p, c)
+        m, c = p // g, c // g
+        work = {key2: m * a for key2, a in work.items()}
+        for key2, a in row.items():
+            if key2 != key:
+                b = work.get(key2, 0) - c * a
+                if b:
+                    work[key2] = b
+                else:
+                    del work[key2]
+        scale *= m
+    return SparseVec((key, Fraction(work[key], scale)) for key in sorted(work))
+
+
+def is_positive_primitive_multiple(red, exact) -> bool:
+    """red is the primitive integer vector on exact's ray (zero for zero)."""
+    if not exact:
+        return red == {}
+    ratios = {Fraction(red.get(key, 0)) / c for key, c in exact.items()}
+    return (set(red) == set(exact) and all(type(c) is int for c in red.values())
+            and math.gcd(*red.values()) == 1 and len(ratios) == 1 and min(ratios) > 0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_spanbasis_and_kernel_agree_with_sympy(data):
@@ -183,7 +217,8 @@ def test_spanbasis_and_kernel_agree_with_sympy(data):
             for w, inside in ((v + [0], member), (v + [1], False)):
                 assert all(sum(map(operator.mul, e, w)) == 0 for e in eqs) == inside
     for v in probes:
-        red = span.reduce(sparse(v))
+        red = fraction_reduce(span, sparse(v))
+        assert is_positive_primitive_multiple(span.reduce(sparse(v)), red)
         assert not set(red) & set(span.pivots)
         # v - red lies in the row space, and red is zero iff v does too
         diff = [c - red.get(j, 0) for j, c in enumerate(v)]
@@ -199,6 +234,27 @@ def test_spanbasis_and_kernel_agree_with_sympy(data):
     for vec in kernel:
         for row in rows:
             assert sum(rat(row[j]) * c for j, c in vec.items()) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduce_gives_the_primitive_integer_residue_of_rational_and_integer_input(data):
+    width = data.draw(st.integers(1, 6), "width")
+    vector = st.lists(SCALARS, min_size=width, max_size=width)
+    span = SpanBasis()
+    for row in data.draw(st.lists(vector, max_size=5), "rows"):
+        span.insert(sparse(row))
+    for v in data.draw(st.lists(vector, min_size=1, max_size=4), "probes"):
+        vec = sparse(v)
+        m = data.draw(st.sampled_from([1, 2, -1, -3]), "multiple")
+        ints = {key: c * m for key, c in integral(vec).items()}
+        red = span.reduce(vec)
+        assert is_positive_primitive_multiple(red, fraction_reduce(span, vec))
+        # ints is a multiple of vec, so its ray flips with the sign of m
+        assert span.reduce(ints) == {key: (1 if m > 0 else -1) * c
+                                     for key, c in red.items()}
+        assert is_positive_primitive_multiple(span.reduce(ints),
+                                              fraction_reduce(span, ints))
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ import random
 import re
 from collections import Counter
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -390,7 +390,8 @@ def test_kernel_at_matches_the_fraction_wedge():
                     s = tuple(int(t) for t in twist)  # the zero eigenvalue
                 got = probe.kernel_at(s, twist, vmod)
                 assert got == fraction_kernel_at(s, twist, vmod)
-                assert all(type(c) is rational for vec in got for c in vec.values())
+                assert all(type(c) is int for vec in got for c in vec.values())
+                assert all(gcd(*vec.values()) == 1 for vec in got)
                 cases += 1
     assert cases == 240
 
@@ -458,13 +459,17 @@ def _coeff_of_nodes_oracle(nodes):
 @given(nodes=st.lists(st.fractions(-6, 6, max_denominator=5), unique=True,
                       min_size=1, max_size=7))
 def test_lagrange_weights_match_vandermonde_inverse(nodes):
-    assert probe._coeff_of_nodes(tuple(nodes)) == _coeff_of_nodes_oracle(nodes)
+    den, num = probe._coeff_of_nodes(tuple(nodes))
+    assert all(type(c) is int for row in num for c in row)
+    assert gcd(den, *(c for row in num for c in row)) == 1
+    assert tuple(tuple(rational(c, den) for c in row) for row in num) \
+        == _coeff_of_nodes_oracle(nodes)
 
 
 def _coeff_extract_oracle(family, target):
     """coeff_extract in Fraction arithmetic, one element sum per node of
     the full grid, zero weights included."""
-    coeffs = probe._coeff_of_nodes(tuple(family.nodes))
+    coeffs = _coeff_of_nodes_oracle(family.nodes)
     node_index = {t: i for i, t in enumerate(family.nodes)}
     exps = [target.get(coord, 0) for coord in range(1, family.n + 1)]
     out = None

@@ -13,8 +13,8 @@ from test_nonminuscule import as_dense, sympy_algebra_dim
 from toruslie import cli, glmod, probe, rat, tensor
 from toruslie.fields import pair_field
 from toruslie.rational import cleared
-from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_loops,
-                             run_simplicity)
+from toruslie.suites import (EVIDENCE, FAIL, PASS, RunConfig, _algebra_rank, _image_loops,
+                             run_minuscule, run_simplicity)
 
 GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
 
@@ -92,6 +92,15 @@ def test_simplicity_sees_act_direct_without_its_rank_one_term(monkeypatch):
     monkeypatch.setattr(glmod, "rank_one", lambda r, u: {})
     got = failures()
     assert "image_action_matches_formula" in got and "image_loops_generate_end" in got
+
+
+def test_minuscule_passes_after_the_rank_one_patch_is_undone():
+    # the test above starts from caches that conftest.py's fixture cleared,
+    # so it fills probe._gen_kernel with empty rank-one tables; unless the
+    # fixture clears them again once that patch is undone, this run reads
+    # them and fails image_invariant_under_fields k=1
+    res = run_minuscule(RunConfig(n=3, twist=GEN3, k=1))
+    assert res.status == PASS, res.failures
 
 
 def test_simplicity_sees_a_transposed_rank_one_term(monkeypatch):

@@ -1,13 +1,16 @@
 """Source hygiene: no module of the package or of its tests imports a
 name it never uses, no function, class, method or module-level public
 name is defined that no module reads, and the package binds no name that
-no reader imports from it; and every function the benchmark traces
-exists under the name it traces."""
+no reader imports from it; every function the benchmark traces
+exists under the name it traces; and the cache fixture of conftest.py
+clears every lru_cache of the package."""
 
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from conftest import PACKAGE_CACHES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "toruslie"
@@ -136,6 +139,21 @@ def benchmark_trace_targets() -> dict:
     return targets
 
 
+def lru_cached_functions(trees) -> list:
+    """module.name of each function a module memoises with functools'
+    lru_cache or cache, bare or called, by name or as functools.name."""
+    found = []
+    for fname, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+                    if name in ("lru_cache", "cache"):
+                        found.append("%s.%s" % (Path(fname).stem, node.name))
+    return sorted(found)
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {name: unused_imports(tree) for name, tree in module_trees().items()}
     assert len(found) >= 10
@@ -177,6 +195,31 @@ def test_every_benchmark_trace_target_exists():
         if owner is None or last not in vars(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_the_cache_fixture_clears_every_lru_cache_of_the_package():
+    # a cache the fixture misses keeps what a monkeypatched test built
+    cleared = sorted("%s.%s" % (f.__module__.rsplit(".", 1)[-1], f.__name__)
+                     for f in PACKAGE_CACHES)
+    assert cleared == lru_cached_functions(module_trees())
+    assert len(cleared) >= 4
+
+
+def test_lru_caches_are_found_in_every_decorator_form():
+    tree = ast.parse("""
+@lru_cache(maxsize=8)
+def a(): pass
+@functools.lru_cache
+def b(): pass
+@cache
+def c(): pass
+@cached_property
+def d(): pass
+class K:
+    @functools.cache
+    def e(self): pass
+""")
+    assert lru_cached_functions({"m.py": tree}) == ["m.a", "m.b", "m.c", "m.e"]
 
 
 def test_package_names_are_matched_against_reader_imports():
