@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     if args.n < 2:
         raise ValueError("--n %d: need at least two variables" % args.n)
-    twist = parse_tuple(args.twist) if args.twist else None
+    twist = parse_tuple(args.twist) if args.twist is not None else None
     window = (None, None, None, None)
     if args.window is not None:
         try:

@@ -95,12 +95,15 @@ def test_margin_violation_is_usage_error(capsys):
 
 
 def test_bad_lambda_is_usage_error(capsys):
-    for twist in ("1/3", "1/0,1", "1,2/0"):
+    for twist in ("1/3", "1/0,1", "1,2/0", ""):
         code, out, err = run_main(
             ["--n", "2", "--lambda", twist, "--suite", "iso"], capsys)
         assert code == 2
         assert not out
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        # the attached form reads the same value
+        assert run_main(["--n", "2", "--lambda=" + twist, "--suite", "iso"],
+                        capsys) == (code, out, err)
 
 
 def test_suite_list_naming_no_suite_is_usage_error(monkeypatch, capsys):

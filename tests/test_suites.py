@@ -194,3 +194,14 @@ def test_passing_suites_format_no_field(monkeypatch):
         for run in (suites.run_identities, suites.run_axioms, suites.run_derham):
             assert run(cfg).status == PASS
     assert calls == []
+
+
+# ------------------------------------------------- de Rham exactness proof
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_derham_is_exact_at_every_level_beyond_the_suites_ranks(n):
+    # no suite test runs above n = 4; the link and the ranks at e_1 hold on
+    for twist in (tuple(rat(1, j + 2) for j in range(n)), (rat(0),) * n,
+                  (rat(1),) + (rat(0),) * (n - 1)):
+        assert [suites._derham_exactness(k, twist) for k in range(1, n + 1)] == [""] * n
