@@ -9,11 +9,13 @@ Five concrete kinds with exact integer structure constants:
                 the diagonal differences E_ii - E_{i+1,i+1}, i < n
 - trivial:      one basis key ()
 
-Matrix units act through unit_apply.
+Matrix units act through unit_apply; merged_units lists every matrix
+unit's action on each key, for maps that contract a whole matrix per key.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 
 from .linalg import SparseVec
@@ -80,6 +82,7 @@ class FinModule:
         self._unit_fn = unit_fn
         self._tables = {}
         self._weights = None
+        self._hash = hash((kind, n))
 
     @property
     def dim(self) -> int:
@@ -90,7 +93,7 @@ class FinModule:
                 and self.kind == other.kind and self.n == other.n)
 
     def __hash__(self):
-        return hash((self.kind, self.n))
+        return self._hash
 
     def __repr__(self):
         return "FinModule(%s, n=%d, dim=%d)" % ("-".join(map(str, self.kind)), self.n, self.dim)
@@ -114,6 +117,15 @@ class FinModule:
             tab = {key: self._unit_fn(i, j, key) for key in self.keys}
             self._tables[(i, j)] = tab
         return tab
+
+    @cached_property
+    def merged_units(self) -> dict:
+        """key -> [((i, j), key2, integer coeff)] over every matrix unit E_ij,
+        in (i, j) order: the unit tables of all n^2 units, read once."""
+        units = [((i, j), self.unit_table(i, j)) for i in range(1, self.n + 1)
+                 for j in range(1, self.n + 1)]
+        return {key: [(ij, key2, b) for ij, tab in units for key2, b in tab[key]]
+                for key in self.keys}
 
     def unit_apply(self, i, j, vec) -> SparseVec:
         """E_ij applied to a sparse vector over the module's keys."""

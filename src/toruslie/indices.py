@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 
@@ -17,11 +18,11 @@ def unit(i: int, n: int) -> tuple:
 
 
 def add(r: tuple, s: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(r, s))
+    return tuple(map(operator.add, r, s))
 
 
 def sub(r: tuple, s: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(r, s))
+    return tuple(map(operator.sub, r, s))
 
 
 def inf_norm(r: tuple) -> int:

@@ -27,8 +27,11 @@ entries per key w, as integers; the loop reads the numerators and the twist
 cleared once per context (and shared with the contexts derived from it),
 sums integers per output term and divides by one gcd. The results equal
 the termwise rational formulas. The de Rham maps read their entries, and
-their target module, from a table built once per module and style; the
-field actions build their shift tuples and unit tables once per call.
+their target module, from a table built once per module and style. The
+field actions contract their matrix, per key of the element, against the
+module's merged unit table (every E_ij on the key, built once per module)
+into one entry per output key. A context builds each context derived from
+it (with_vmod, with_style) once, so no map builds a context on a warm one.
 """
 
 from __future__ import annotations
@@ -71,15 +74,29 @@ class Context:
         contexts that with_vmod and with_style derive from it."""
         return cleared(self.twist)
 
+    @cached_property
+    def _family(self) -> dict:
+        """(vmod, style) -> the context with this twist over them. A context
+        and those derived from it share one dict, so a round trip such as
+        with_style(shifted).with_style(direct) comes back to this context
+        and the dict stays as small as the set of (vmod, style) pairs."""
+        return {(self.vmod, self.style): self}
+
     def with_vmod(self, vmod) -> "Context":
-        return self._sharing(Context(self.twist, vmod, self.style))
+        return self._derived(vmod, self.style)
 
     def with_style(self, style) -> "Context":
-        return self._sharing(Context(self.twist, self.vmod, style))
+        return self._derived(self.vmod, style)
 
-    def _sharing(self, out: "Context") -> "Context":
-        """out, which has this context's twist, given its cleared twist."""
-        out.__dict__["cleared_twist"] = self.cleared_twist
+    def _derived(self, vmod, style) -> "Context":
+        """The context with this twist over vmod and style, built on the first
+        request and given this context's cleared twist and family."""
+        family = self._family
+        out = family.get((vmod, style))
+        if out is None:
+            out = family[(vmod, style)] = Context(self.twist, vmod, style)
+            out.__dict__["cleared_twist"] = self.cleared_twist
+            out.__dict__["_family"] = family
         return out
 
 
@@ -176,18 +193,24 @@ def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
 
     On x^s (x) key, D(u, r) gives (u|s - twist) x^{s+r} (x) key plus
     x^{s+r} (x) (r u^T) key; with u = num/den, both are integer entries
-    over den, read from the unit tables of the rank-one matrix r num^T.
+    over den. Per key, the rank-one matrix r num^T is contracted against the
+    module's merged unit table into one entry per output key, the diagonal
+    part joining the Euler entry.
     """
     ctx = m.ctx
     if ctx.style != STYLE_DIRECT:
         raise ValueError("direct action on a %s-style element" % ctx.style)
-    r, lin, unit_table = _shift(X.r), _sparse(X.num), ctx.vmod.unit_table
-    units = [(c, unit_table(i, j)) for (i, j), c in glmod.rank_one(X.r, X.num).items()]
+    r, lin, merged = _shift(X.r), _sparse(X.num), ctx.vmod.merged_units
+    ru = glmod.rank_one(X.r, X.num)
 
     def entries(vkey):
-        out = [(r, vkey, lin, 0)]
-        for c, tab in units:
-            out += [(r, vkey2, (), c * b) for vkey2, b in tab[vkey]]
+        acc = {vkey: 0}
+        for ij, vkey2, b in merged[vkey]:
+            c = ru.get(ij)
+            if c:
+                acc[vkey2] = acc.get(vkey2, 0) + c * b
+        out = [(r, vkey, lin, acc.pop(vkey))]
+        out += [(r, vkey2, (), c) for vkey2, c in acc.items() if c]
         return out
     return _integer_map(m, ctx, entries, X.den)
 
@@ -249,25 +272,34 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     With r = rho + e_j, the summand x^{r-e_j} d_j acts by
     (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w; the shift
     keeps each summand's exponent aligned with the matrix-unit column it
-    multiplies. With u = num/den, the entries are integers over den.
+    multiplies. With u = num/den, the entries are integers over den, merged
+    per key into one entry per (shift, output key); the diagonal units share
+    the Euler entry's shift rho and join it.
     """
     ctx = m.ctx
     if ctx.style != STYLE_SHIFTED:
         raise ValueError("shifted action on a %s-style element" % ctx.style)
-    vmod, rho = ctx.vmod, X.r
-    lin = _sparse(X.num)
-    # (shift r - e_i, integer factor, unit table) per summand, built once per call
-    units = []
+    rho, lin, merged = X.r, _sparse(X.num), ctx.vmod.merged_units
+    base = _shift(rho)
+    # E_ij -> (shift r - e_i, integer factor u_j r_i), r = rho + e_j
+    units = {}
     for j, duj in lin:
         r = rho[:j] + (rho[j] + 1,) + rho[j + 1:]
-        units += [(_shift(r[:i] + (ri - 1,) + r[i + 1:]), duj * ri,
-                   vmod.unit_table(i + 1, j + 1)) for i, ri in enumerate(r) if ri]
-    rho = _shift(rho)
+        for i, ri in enumerate(r):
+            if ri:
+                shift = base if i == j else _shift(r[:i] + (ri - 1,) + r[i + 1:])
+                units[(i + 1, j + 1)] = (shift, duj * ri)
 
     def entries(vkey):
-        out = [(rho, vkey, lin, 0)]
-        for shift, c, tab in units:
-            out += [(shift, vkey2, (), c * b) for vkey2, b in tab[vkey]]
+        euler = (base, vkey)
+        acc = {euler: 0}
+        for ij, vkey2, b in merged[vkey]:
+            shift_c = units.get(ij)
+            if shift_c:
+                key = (shift_c[0], vkey2)
+                acc[key] = acc.get(key, 0) + shift_c[1] * b
+        out = [(base, vkey, lin, acc.pop(euler))]
+        out += [(shift, vkey2, (), c) for (shift, vkey2), c in acc.items() if c]
         return out
     return _integer_map(m, ctx, entries, X.den)
 

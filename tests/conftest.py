@@ -6,7 +6,12 @@ import pytest
 from toruslie import probe, tensor
 
 #: every functools.lru_cache of the package; a patched dependency would
-#: otherwise leave entries built from it for the tests that run later
+#: otherwise leave entries built from it for the tests that run later.
+#: The per-instance memos (a FinModule's unit and merged unit tables, a
+#: Context's derived contexts) need no clearing: the suites build their
+#: modules and contexts afresh on every run, and a module that outlives a
+#: run (_derham_table's target, or a cache key) goes when its cache is
+#: cleared.
 PACKAGE_CACHES = (tensor._derham_table, tensor._probe_table,
                   probe._gen_kernel, probe._coeff_of_nodes)
 

@@ -134,6 +134,20 @@ def test_module_from_name():
         glmod.exterior(3, 5)
 
 
+def test_merged_units_concatenate_the_unit_tables_in_order():
+    for n in (2, 3, 4):
+        names = ["trivial", "natural", "sym:2", "adjoint"]
+        names += ["ext:%d" % k for k in range(n + 1)]
+        for vmod in [glmod.module_from_name(name, n) for name in names]:
+            merged = vmod.merged_units
+            assert list(merged) == list(vmod.keys)
+            for key in vmod.keys:
+                assert merged[key] == [((i, j), key2, b)
+                                       for i in range(1, n + 1) for j in range(1, n + 1)
+                                       for key2, b in vmod.unit_table(i, j)[key]]
+            assert vmod.merged_units is merged
+
+
 def test_rank_one_outer_product_entries():
     table = glmod.rank_one((rat(2), rat(0), rat(1)), (rat(1), rat(-1), rat(0)))
     assert table[(1, 1)] == 2 and table[(1, 2)] == -2

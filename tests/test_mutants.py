@@ -4,8 +4,9 @@ set of (suite, check) pairs that fail under it at n=3.
 A row that loses a killer, or gains one, fails here; a change that deletes
 or replaces a check edits the row and says which mutant lost which killer.
 Only derham, minuscule and simplicity run: they are the suites that read
-derham_map, glmod.wedge_by and the de Rham kernels. The conftest.py fixture
-clears the package caches around every patch.
+derham_map, glmod.wedge_by, the de Rham kernels and the r u^T term that
+act_direct reads from glmod.rank_one. The conftest.py fixture clears the
+package caches around every patch.
 """
 
 import pytest
@@ -34,6 +35,17 @@ def twist_sign(monkeypatch):
         neg = tensor.context([-t for t in m.ctx.twist], m.ctx.vmod, m.ctx.style)
         return integer_map(tensor._wrap(neg, m.num, m.den), out_ctx, table, den)
     monkeypatch.setattr(tensor, "_integer_map", flipped)
+
+
+def rank_one_empty(monkeypatch):
+    # D(u, r) without its matrix term x^{s+r} (x) (r u^T) w
+    monkeypatch.setattr(glmod, "rank_one", lambda r, u: {})
+
+
+def rank_one_transposed(monkeypatch):
+    # u r^T in place of r u^T
+    rank_one = glmod.rank_one
+    monkeypatch.setattr(glmod, "rank_one", lambda r, u: rank_one(u, r))
 
 
 def _patch_derham_table(monkeypatch, lin_of):
@@ -73,6 +85,12 @@ WRONG_INDEX = EXACTNESS | {("derham", "derham_intertwines_fields"),
                            ("derham", "equivalence_commutes_with_derham"),
                            ("minuscule", "image_probe_vanishes_on_image"),
                            ("simplicity", "image_link_at_tau0")}
+RANK_ONE = {("derham", "derham_intertwines_fields"),
+            ("derham", "equivalence_intertwines_actions"),
+            ("minuscule", "double_action_degree_bound"),
+            ("minuscule", "image_invariant_under_fields"),
+            ("minuscule", "square_coefficient_identity"),
+            ("simplicity", "image_action_matches_formula")}
 
 #: mutant -> (patch, twist name -> failing (suite, check) pairs)
 MATRIX = {
@@ -86,6 +104,10 @@ MATRIX = {
         "generic": FLIPPED, "zero": EXACTNESS, "integer": FLIPPED}),
     "derham_table_wrong_index": (derham_wrong_index, dict.fromkeys(TWISTS, WRONG_INDEX)),
     "level_one_uniform_sign": (level_one_sign, dict.fromkeys(TWISTS, EXACTNESS)),
+    "rank_one_empty": (rank_one_empty, dict.fromkeys(
+        TWISTS, RANK_ONE | {("simplicity", "image_loops_generate_end")})),
+    "rank_one_transposed": (rank_one_transposed, dict.fromkeys(
+        TWISTS, RANK_ONE | {("simplicity", "image_invariant_under_loops")})),
 }
 
 
