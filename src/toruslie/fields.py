@@ -21,7 +21,6 @@ from __future__ import annotations
 from math import gcd
 
 from .indices import add, box, dot, unit, zero
-from .linalg import SpanBasis, SparseVec
 from .rational import cleared, rat, rational
 from .weyl import LaurentPoly, WeylOp
 
@@ -140,22 +139,17 @@ def field_apply(X: VectorField, p: LaurentPoly, twist) -> LaurentPoly:
 
 
 def spanning_generators(n: int, bound: int) -> list:
-    """Per-exponent spanning subset of the pair-field family (same span).
-
-    For each r keep n-1 fields whose directions are linearly independent in
-    the hyperplane (u|r) = 0; closures run faster with the smaller set.
-    """
+    """Per-exponent spanning subset of the pair-field family, then the Euler
+    fields: for each r != 0, in pair order, the n-1 pair fields whose pair
+    contains i0, the first index with r_i0 != 0. Only the field of {i0, j}
+    has a nonzero j-th coordinate (+-r_i0), so the n-1 directions are
+    independent and span the hyperplane (u|r) = 0."""
     gens = []
     for r in box(n, bound):
-        span = SpanBasis()
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                X = pair_field(i, j, r)
-                if X.is_zero:
-                    continue
-                vec = SparseVec.make({(k,): c for k, c in enumerate(X.num, start=1)})
-                if span.insert(vec):
-                    gens.append(X)
+        i0 = next((i for i, ri in enumerate(r, start=1) if ri), None)
+        if i0:
+            gens += [pair_field(min(i0, j), max(i0, j), r)
+                     for j in range(1, n + 1) if j != i0]
     for i in range(1, n + 1):
         gens.append(euler_field(i, n))
     return gens

@@ -9,8 +9,8 @@ Five concrete kinds with exact integer structure constants:
                 the diagonal differences E_ii - E_{i+1,i+1}, i < n
 - trivial:      one basis key ()
 
-Matrix units act through unit_apply; merged_units lists every matrix
-unit's action on each key, for maps that contract a whole matrix per key.
+unit_table gives one matrix unit's action and matrix_apply a whole matrix's;
+merged_units lists every unit's action on each key, for the field actions.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ class FinModule:
                  for j in range(1, self.n + 1)]
         return {key: [(ij, key2, b) for ij, tab in units for key2, b in tab[key]]
                 for key in self.keys}
-
-    def unit_apply(self, i, j, vec) -> SparseVec:
-        """E_ij applied to a sparse vector over the module's keys."""
-        tab = self.unit_table(i, j)
-        return SparseVec.make((key2, c * a) for key, c in vec.items()
-                              for key2, a in tab[key])
 
     def matrix_apply(self, entries, vec) -> SparseVec:
         """A general matrix sum_{ij} entries[(i,j)] E_ij applied to vec,

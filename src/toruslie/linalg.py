@@ -61,11 +61,6 @@ class SparseVec(dict):
         out.add_pairs(other.items())
         return out
 
-    def __sub__(self, other):
-        out = type(self)(self)
-        out.add_pairs((key, -c) for key, c in other.items())
-        return out
-
 
 def _eliminate(work, key, row) -> None:
     """Set work to m*work - c*row, cancelling its entry at row's pivot key

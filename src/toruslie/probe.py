@@ -355,16 +355,10 @@ def random_image_element(rng, ctx_k, bound: int):
 
 
 def kernel_at(s, twist, vmod_k) -> list:
-    """Basis of the de Rham kernel at one exponent: the wedge by D*(s - twist),
-    D the twist's denominator, which has the kernel vectors of s - twist."""
-    tw_den, dtwist = cleared(twist)
-    deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
-
-    def image_of(key):
-        # distinct indices i give distinct keys, so no entry repeats
-        return {new: c for _, new, c in glmod.wedge_by(deig, key)}
-
-    return kernel_of_map(list(vmod_k.keys), image_of)
+    """Basis of the de Rham kernel at one exponent: that of the fibre wedge by
+    D*(s - twist), D the twist's denominator, which has the kernel of s - twist."""
+    keys = vmod_k.keys
+    return kernel_of_map(list(keys), tensor.fibre_wedge(s, cleared(twist), keys).__getitem__)
 
 
 # ----------------------------------------------- interpolation extraction

@@ -4,15 +4,15 @@ Every coefficient in this package is an exact rational, canonical by
 construction: lowest terms, positive denominator, zero has a single
 representation. The scalar type is fractions.Fraction; the hot loops
 (closures, the field bracket and field action of fields.py, and the
-operator product, commutator and operator action of weyl.py) do their
-arithmetic in integers and build one rational per output term. Tensor
-elements keep integer numerators over one denominator, so the one loop
-of tensor.py behind both field actions, both de Rham maps and the image
-probe, and their sums and comparisons, build no rational at all (the
-field actions contract their matrix against a merged integer unit table
-per module, and derived contexts reuse their parent's cleared twist); nor
-do coefficient extraction, whose Lagrange weights are integers over one
-denominator, and kernel_of_map, whose kernel vectors are integers.
+commutator and operator action of weyl.py) do their arithmetic in
+integers and build one rational per output term. Tensor elements keep
+integer numerators over one denominator, so the one loop of tensor.py
+behind both field actions, both de Rham maps and the image probe, and
+their sums and comparisons, build no rational at all (both field actions
+run one kernel that contracts their matrix units against a merged integer
+unit table per module, and derived contexts reuse their parent's cleared
+twist); nor do coefficient extraction, whose Lagrange weights are integers
+over one denominator, and kernel_of_map, whose kernel vectors are integers.
 cleared is the one helper that clears denominators.
 """
 

@@ -221,7 +221,7 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
             trace = sum(m.get((i, i), 0) for i in range(1, n + 1))
             i, j, k, l = (rng.randint(1, n) for _ in range(4))
             va = SparseVec({(l,): ONE})
-            comp = nat.unit_apply(i, j, nat.unit_apply(k, l, va))
+            comp = nat.matrix_apply({(i, j): 1}, nat.matrix_apply({(k, l): 1}, va))
             comp_want = SparseVec({(i,): ONE}) if j == k else SparseVec()
             rec.check("rank_one_outer_product",
                       entries_ok and trace == dot(u, r)
@@ -380,11 +380,11 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
                               == tensor.derham_map_shifted(tensor.to_shifted_form(m)))
                 rec.bump("basis_checks")
         if k <= n - 2:
-            rec.check("derham_squares_to_zero", sq_ok, "k=%d window basis" % k)
+            rec.check("derham_squares_to_zero", sq_ok, "k=%d window basis", k)
             rec.check("derham_shifted_squares_to_zero", sq_shift_ok,
-                      "k=%d window basis" % k)
+                      "k=%d window basis", k)
         rec.check("equivalence_commutes_with_derham", square_ok,
-                  "k=%d window basis" % k)
+                  "k=%d window basis", k)
 
         for _ in range(10):
             m = probe.random_element(rng, ctx, 2)
@@ -504,11 +504,11 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
         dim = len(central) * vmod.dim
         if k < n:
             rec.check("image_proper_in_window", 0 < rank < dim,
-                      "k=%d rank=%d dim=%d" % (k, rank, dim))
+                      "k=%d rank=%d dim=%d", k, rank, dim)
 
         stable, apps = probe._invariance_sweep(
             probe.gen_kernel(gens, vmod, twist), hull, central, vmod.keys)
-        rec.check("image_invariant_under_fields", stable, "k=%d" % k)
+        rec.check("image_invariant_under_fields", stable, "k=%d", k)
         rec.bump("invariance_apps", apps)
 
         rows = _image_rows(k, twist, B, n)
@@ -519,13 +519,13 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             bad = 5 ** n * sum(not tensor.image_probe(i, zero(n), m).is_zero
                                for i in range(1, n - 1) for m in rows)
             rec.check("image_probe_vanishes_on_image", bad == 0,
-                      "k=%d bad=%d/%d" % (k, bad, total))
+                      "k=%d bad=%d/%d", k, bad, total)
             rec.bump("probe_evals", total)
         else:
             bad = sum(not tensor.image_probe(i, zero(n), m).is_zero
                       for i in range(1, n - 1) for m in rows)
             rec.check("image_probe_vanishes_on_image", bad == 0,
-                      "k=%d core bad=%d" % (k, bad))
+                      "k=%d core bad=%d", k, bad)
             rec.bump("probe_evals", len(rows) * (n - 2))
             # the probe factors through the exponent shift, so the core
             # result extends to every shift; sample the factorization on
@@ -541,7 +541,7 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
                 if not tensor.image_probe(i, s, row).is_zero:
                     bad += 1
             rec.check("image_probe_vanishes_on_image", fact_ok and bad == 0,
-                      "k=%d factorization" % k)
+                      "k=%d factorization", k)
 
         bad = _derham_exactness(k, twist)
         rec.check("kernel_matches_euler_criterion", not bad, "k=%d %s", k, bad)
@@ -567,8 +567,7 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
                         if hit and witness is None:
                             witness = (k, i, t, vkey)
         rec.check("image_probe_nonzero_witness", witness is not None,
-                  "level=%s i=%s exponent=%s key=%s" % (
-                      witness if witness else (None,) * 4))
+                  "level=%s i=%s exponent=%s key=%s", *(witness or (None,) * 4))
 
     if n >= 3:
         kex = glmod.exterior(n, min(2, n - 1))
@@ -585,12 +584,12 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             got = probe.coeff_extract(fam, {i: 2})
             rec.check("square_coefficient_identity",
                       got == _square_coeff_expected(i, s, m),
-                      "i=%d s=%s trial=%d" % (i, s, t))
+                      "i=%d s=%s trial=%d", i, s, t)
             # the extra composition term dies on exterior powers, so the
             # quadratic coefficient is the pure probe/matrix combination
             rec.check("composition_tail_vanishes_on_exterior",
                       _composition_tail(i, s, m).is_zero,
-                      "i=%d s=%s" % (i, s))
+                      "i=%d s=%s", i, s)
             rec.bump("interpolations")
 
     # total degree <= 4 and the quartic part comes from the double matrix
@@ -616,7 +615,7 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             probe.coeff_extract(fam4, {1: a, 2: 4 - a}).is_zero
             for a in range(5))
         rec.check("double_action_degree_bound", quintic_zero and quartic_zero,
-                  "s=%s trial=%d" % (s, t))
+                  "s=%s trial=%d", s, t)
 
     rec.counters["max_rank"] = max_rank
     rec.counters["dim"] = len(central) * max(glmod.exterior(n, k).dim for k in ks)
@@ -756,24 +755,24 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
     ctx, image, nkeys = _image_at_tau0(n, k)
     qkeys = [key for key in ctx.vmod.keys if 1 not in key]
     rec.check("image_link_at_tau0", image.rank == len(nkeys) and all(
-        image.contains({(zero(n), key): 1}) for key in nkeys), "rank=%d" % image.rank)
+        image.contains({(zero(n), key): 1}) for key in nkeys), "rank=%d", image.rank)
 
     loops = _image_loops(ctx)
     leaks = sum(1 not in row for loop in loops for col in nkeys for row, _ in loop.get(col, ()))
-    rec.check("image_invariant_under_loops", not leaks, "leaks=%d" % leaks)
+    rec.check("image_invariant_under_loops", not leaks, "leaks=%d", leaks)
     nrank, qrank = (_algebra_rank(keys, [
         {col: tuple((row, c) for row, c in loop[col] if row in keys) for col in keys if col in loop}
         for loop in loops]) for keys in (nkeys, qkeys))
     nfull, qfull = len(nkeys) ** 2, len(qkeys) ** 2
     rec.log.append("certificate module=exterior-%d tau0=%s N=%d Q=%d ranks=%d/%d,%d/%d"
                    % (k, unit(1, n), len(nkeys), len(qkeys), nrank, nfull, qrank, qfull))
-    rec.check("image_loops_generate_end", nrank == nfull, "rank=%d/%d" % (nrank, nfull))
+    rec.check("image_loops_generate_end", nrank == nfull, "rank=%d/%d", nrank, nfull)
     if all(t.denominator == 1 for t in twist):
         rec.log.append("maximality skipped for an integer twist")
     elif k == n:
         rec.log.append("maximality skipped at the top exterior power")
     else:
-        rec.check("quotient_loops_generate_end", qrank == qfull, "rank=%d/%d" % (qrank, qfull))
+        rec.check("quotient_loops_generate_end", qrank == qfull, "rank=%d/%d", qrank, qfull)
     bad = _action_mismatch(twist, ctx.vmod, True)
     rec.check("image_action_matches_formula", not bad, bad)
     rec.counters.update(max_rank=nrank + qrank, dim=nfull + qfull)
@@ -787,8 +786,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
                                        tensor.context(twist, glmod.exterior(n, 1)), B)
     res1 = probe.closure([seed1], spanning_generators(n, cfg.gen_bound), cfg.window,
                          cfg.depth, hull=hull1)
-    rec.check("level_one_closure_fills", res1.verdict == probe.FILLS, "verdict=%s rank=%d/%d"
-              % (res1.verdict, res1.central_rank, res1.central_dim))
+    rec.check("level_one_closure_fills", res1.verdict == probe.FILLS, "verdict=%s rank=%d/%d",
+              res1.verdict, res1.central_rank, res1.central_dim)
     rec.bump("closure_apps", res1.counters["apps"])
     return rec
 
@@ -861,12 +860,12 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
         loops = _loops(vmod)
         rec.log.append("configured module is minuscule; probing sym:2 instead")
     rec.check("minuscule_classifier", bool(loops) and not _loops(glmod.exterior(n, 1))
-              and not _loops(glmod.trivial(n)), "module=%s" % "-".join(map(str, vmod.kind)))
+              and not _loops(glmod.trivial(n)), "module=%s", "-".join(map(str, vmod.kind)))
     bad = _action_mismatch(cfg.twist, vmod, False)
     rec.check("action_matches_formula", not bad, bad)
     rank = rec.counters["max_rank"] = _algebra_rank(vmod.keys, loops)
     dim = rec.counters["dim"] = vmod.dim ** 2
-    rec.check("loops_generate_end", rank == dim, "rank=%d/%d" % (rank, dim))
+    rec.check("loops_generate_end", rank == dim, "rank=%d/%d", rank, dim)
     return rec
 
 
@@ -886,7 +885,7 @@ def run_iso(cfg: RunConfig) -> SuiteResult:
              ("integer shift", add(twist, unit(1, n)), sym2, None))
     for label, twist2, vmod2, want in cases:
         got = probe.iso_evidence(twist, sym2, twist2, vmod2)
-        rec.check("fingerprints_distinguish", got == want, "%s: %s" % (label, got))
+        rec.check("fingerprints_distinguish", got == want, "%s: %s", label, got)
     rec.counters["cases"] = len(cases)
     return rec
 

@@ -15,8 +15,8 @@ corresponds to its shifted variant.
 
 The image of the de Rham map (level k: from exterior k-1 into exterior k)
 is spanned by the vectors x^s (x) (shat wedge w) with shat the eigenvalue
-vector of x^s; these spans, their kernels, and a quadratic probe that
-annihilates exactly the image underpin the verification suites.
+vector of x^s (fibre_wedge); these spans, their kernels and a quadratic
+probe that annihilates exactly the image underpin the verification suites.
 
 An element keeps integer numerators over one denominator, so sums and
 comparisons are integer operations. All five maps on P (x) V (both field
@@ -27,11 +27,10 @@ entries per key w, as integers; the loop reads the numerators and the twist
 cleared once per context (and shared with the contexts derived from it),
 sums integers per output term and divides by one gcd. The results equal
 the termwise rational formulas. The de Rham maps read their entries, and
-their target module, from a table built once per module and style. The
-field actions contract their matrix, per key of the element, against the
-module's merged unit table (every E_ij on the key, built once per module)
-into one entry per output key. A context builds each context derived from
-it (with_vmod, with_style) once, so no map builds a context on a warm one.
+their target module, from a table built once per module and style. Both
+field actions hand their matrix units, each with its shift and factor, to
+one kernel, _field_map. A context builds each context derived from it
+(with_vmod, with_style) once, so no map builds a context on a warm one.
 """
 
 from __future__ import annotations
@@ -193,26 +192,40 @@ def act_direct(X: VectorField, m: TensorElement) -> TensorElement:
 
     On x^s (x) key, D(u, r) gives (u|s - twist) x^{s+r} (x) key plus
     x^{s+r} (x) (r u^T) key; with u = num/den, both are integer entries
-    over den. Per key, the rank-one matrix r num^T is contracted against the
-    module's merged unit table into one entry per output key, the diagonal
-    part joining the Euler entry.
+    over den, all at the Euler entry's shift r.
     """
-    ctx = m.ctx
-    if ctx.style != STYLE_DIRECT:
-        raise ValueError("direct action on a %s-style element" % ctx.style)
-    r, lin, merged = _shift(X.r), _sparse(X.num), ctx.vmod.merged_units
-    ru = glmod.rank_one(X.r, X.num)
+    if m.ctx.style != STYLE_DIRECT:
+        raise ValueError("direct action on a %s-style element" % m.ctx.style)
+    return _field_map(m, _shift(X.r), _sparse(X.num), X.den,
+                      glmod.rank_one(X.r, X.num), {})
+
+
+def _field_map(m: TensorElement, base, lin, den, factors, shifts) -> TensorElement:
+    """Both field actions: x^s (x) key -> (lin . eig(s)) / den x^{s+base} (x) key
+    + factors[ij] / den x^{s+shift} (x) E_ij key per unit E_ij, shift = shifts[ij]
+    or base, contracted per key against the merged unit table into one entry
+    per (shift, output key); the one at (base, key) joins the Euler entry."""
+    merged = m.ctx.vmod.merged_units
 
     def entries(vkey):
-        acc = {vkey: 0}
+        acc, off = {vkey: 0}, {}
         for ij, vkey2, b in merged[vkey]:
-            c = ru.get(ij)
+            c = factors.get(ij)
             if c:
-                acc[vkey2] = acc.get(vkey2, 0) + c * b
-        out = [(r, vkey, lin, acc.pop(vkey))]
-        out += [(r, vkey2, (), c) for vkey2, c in acc.items() if c]
+                if ij in shifts:
+                    key = (shifts[ij], vkey2)
+                    off[key] = off.get(key, 0) + c * b
+                else:
+                    acc[vkey2] = acc.get(vkey2, 0) + c * b
+        out = [(base, vkey, lin, acc.pop(vkey))]
+        for vkey2, c in acc.items():
+            if c:
+                out.append((base, vkey2, (), c))
+        for (shift, vkey2), c in off.items():
+            if c:
+                out.append((shift, vkey2, (), c))
         return out
-    return _integer_map(m, ctx, entries, X.den)
+    return _integer_map(m, m.ctx, entries, den)
 
 
 def _sparse(vec) -> tuple:
@@ -272,36 +285,22 @@ def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     With r = rho + e_j, the summand x^{r-e_j} d_j acts by
     (x^{r-e_j} d_j p) (x) w + sum_i r_i (x^{r-e_i} p) (x) E_ij w; the shift
     keeps each summand's exponent aligned with the matrix-unit column it
-    multiplies. With u = num/den, the entries are integers over den, merged
-    per key into one entry per (shift, output key); the diagonal units share
-    the Euler entry's shift rho and join it.
+    multiplies. With u = num/den, the entries are integers over den.
     """
-    ctx = m.ctx
-    if ctx.style != STYLE_SHIFTED:
-        raise ValueError("shifted action on a %s-style element" % ctx.style)
-    rho, lin, merged = X.r, _sparse(X.num), ctx.vmod.merged_units
+    if m.ctx.style != STYLE_SHIFTED:
+        raise ValueError("shifted action on a %s-style element" % m.ctx.style)
+    rho, lin = X.r, _sparse(X.num)
     base = _shift(rho)
-    # E_ij -> (shift r - e_i, integer factor u_j r_i), r = rho + e_j
-    units = {}
+    # E_ij -> integer factor u_j r_i and shift r - e_i, r = rho + e_j
+    factors, shifts = {}, {}
     for j, duj in lin:
         r = rho[:j] + (rho[j] + 1,) + rho[j + 1:]
         for i, ri in enumerate(r):
             if ri:
-                shift = base if i == j else _shift(r[:i] + (ri - 1,) + r[i + 1:])
-                units[(i + 1, j + 1)] = (shift, duj * ri)
-
-    def entries(vkey):
-        euler = (base, vkey)
-        acc = {euler: 0}
-        for ij, vkey2, b in merged[vkey]:
-            shift_c = units.get(ij)
-            if shift_c:
-                key = (shift_c[0], vkey2)
-                acc[key] = acc.get(key, 0) + shift_c[1] * b
-        out = [(base, vkey, lin, acc.pop(euler))]
-        out += [(shift, vkey2, (), c) for (shift, vkey2), c in acc.items() if c]
-        return out
-    return _integer_map(m, ctx, entries, X.den)
+                factors[(i + 1, j + 1)] = duj * ri
+                if i != j:
+                    shifts[(i + 1, j + 1)] = _shift(r[:i] + (ri - 1,) + r[i + 1:])
+    return _field_map(m, base, lin, X.den, factors, shifts)
 
 
 def act(X: VectorField, m: TensorElement) -> TensorElement:
@@ -424,18 +423,24 @@ class GradedSpan:
         return sp.rows if sp is not None else []
 
 
+def fibre_wedge(s, cleared_twist, keys) -> dict:
+    """key -> {key2: c}: D*(s - twist) wedge e_key for each exterior key, with
+    cleared_twist = (D, D*twist) as cleared gives it, so every c is an integer.
+    Distinct indices i give distinct key2, so no entry repeats."""
+    tw_den, dtwist = cleared_twist
+    deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
+    return {key: {new: c for _, new, c in glmod.wedge_by(deig, key)} for key in keys}
+
+
 def derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
     """Graded span of the level-k de Rham image over an exponent window, each
-    degree wedged by D*(s - twist), D the twist's denominator: scaling keeps
-    a span's primitive rows."""
-    tw_den, dtwist = cleared([rat(t) for t in twist])
-    lower = glmod.exterior(n, k - 1)
+    degree the fibre wedge by D*(s - twist), D the twist's denominator:
+    scaling keeps a span's primitive rows."""
+    tw = cleared([rat(t) for t in twist])
+    keys = glmod.exterior(n, k - 1).keys
     span = GradedSpan()
     for s in box(n, bound):
-        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
-        for wkey in lower.keys:
-            # distinct indices i give distinct keys, so no entry repeats
-            vec = {new: c for _, new, c in glmod.wedge_by(deig, wkey)}
+        for vec in fibre_wedge(s, tw, keys).values():
             if vec:
                 span.mini(s).insert(vec)
     return span

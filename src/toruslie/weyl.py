@@ -3,13 +3,13 @@
 Operators are finite sums of normal-ordered words x^r d^a where x^r is a
 Laurent monomial (r in Z^n) and d_i = x_i d/dx_i is the i-th Euler
 derivation (a in Z_+^n). The defining relation d_i x^r = x^r (d_i + r_i)
-drives the normal-ordered product.
+normal-orders both products of the commutator.
 
 A rational twist t = (t_1,...,t_n) replaces each d_i by d_i - t_i. On the
 twisted polynomial module, d_i acts on x^s as the scalar (s_i - t_i) and
 x^r shifts exponents by r; every monomial is a joint eigenvector.
 
-The product, the commutator and the action clear the denominators of their
+The commutator and the action clear the denominators of their
 operands once per call, sum integer coefficients per output term and build
 one rational per surviving term.
 """
@@ -46,20 +46,17 @@ class WeylOp(SparseVec):
     def monomial(cls, r) -> "WeylOp":
         return cls.word(tuple(r), zero(len(r)))
 
-    def __mul__(self, other):
-        """The normal-ordered product."""
-        return _products(self, other, False)
 
-
-def _products(y1, y2, commute: bool) -> WeylOp:
-    """y1 y2, less y2 y1 if commute, via d^a x^s = x^s (d + s)^a: summed in
-    integers over the product of the two operands' common denominators."""
+def commutator(y1: WeylOp, y2: WeylOp) -> WeylOp:
+    """y1 y2 - y2 y1, both normal-ordered products, via d^a x^s = x^s (d + s)^a,
+    summed in integers over the product of the two operands' common
+    denominators."""
     den1, c1 = cleared(y1.values())
     den2, c2 = cleared(y2.values())
     p1, p2 = list(zip(y1, c1)), list(zip(y2, c2))
     acc = {}
     get = acc.get
-    for left, right, sign in ((p1, p2, 1), (p2, p1, -1))[:1 + commute]:
+    for left, right, sign in ((p1, p2, 1), (p2, p1, -1)):
         for (r, a), ca in left:
             for (s, b), cb in right:
                 c0, base = sign * ca * cb, add(r, s)
@@ -81,11 +78,6 @@ def _shifted_powers(a, s):
                 grown.append((key + (k,), c * comb(ai, k) * si ** (ai - k)))
         combos = grown
     return [(key, c) for key, c in combos if c]
-
-
-def commutator(y1: WeylOp, y2: WeylOp) -> WeylOp:
-    """y1 y2 - y2 y1, both products summed into one integer accumulator."""
-    return _products(y1, y2, True)
 
 
 def operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:

@@ -4,13 +4,15 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruslie import rat
 from toruslie.fields import (VectorField, bracket, double_action_check,
                              euler_field, field_apply, pair_field,
                              spanning_generators)
-from toruslie.indices import add, dot, zero
+from toruslie.indices import add, box, dot, zero
+from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.rational import rational
 from toruslie.weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
@@ -117,6 +119,32 @@ def test_generator_family_sizes():
     # every generator in the full family with r = 0 is an Euler direction
     eulers = [g for g in spanning_generators(3, 1) if not any(g.r)]
     assert len(eulers) == 3
+
+
+def elimination_spanning_generators(n: int, bound: int) -> list:
+    """The body spanning_generators had before its rule: per r, each nonzero
+    pair field in pair order whose direction raises the rank of those kept."""
+    gens = []
+    for r in box(n, bound):
+        span = SpanBasis()
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                X = pair_field(i, j, r)
+                if X.is_zero:
+                    continue
+                vec = SparseVec.make({(k,): c for k, c in enumerate(X.num, start=1)})
+                if span.insert(vec):
+                    gens.append(X)
+    for i in range(1, n + 1):
+        gens.append(euler_field(i, n))
+    return gens
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_spanning_generators_match_the_elimination(n):
+    # the rule keeps, field for field and in order, what elimination kept
+    for bound in range(4 if n <= 4 else 2):
+        assert spanning_generators(n, bound) == elimination_spanning_generators(n, bound)
 
 
 def test_zero_coefficient_field_acts_as_zero():

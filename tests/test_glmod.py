@@ -51,12 +51,12 @@ def test_unit_commutator_relation_on_every_kind():
             vec = SparseVec.make({key: rat(rng.randint(-3, 3))
                                   for key in vmod.keys})
             lhs = (apply_unit(vmod, i, j, apply_unit(vmod, k, l, vec))
-                   - apply_unit(vmod, k, l, apply_unit(vmod, i, j, vec)))
+                   + apply_unit(vmod, k, l, apply_unit(vmod, i, j, vec)).scaled(-1))
             rhs = SparseVec()
             if j == k:
                 rhs = rhs + apply_unit(vmod, i, l, vec)
             if l == i:
-                rhs = rhs - apply_unit(vmod, k, j, vec)
+                rhs = rhs + apply_unit(vmod, k, j, vec).scaled(-1)
             assert lhs == rhs
 
 

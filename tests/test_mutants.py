@@ -9,14 +9,19 @@ act_direct reads from glmod.rank_one. The conftest.py fixture clears the
 package caches around every patch.
 """
 
+import hashlib
+
 import pytest
 
 from toruslie import glmod, rat, tensor
+from toruslie.indices import zero
 from toruslie.suites import SUITES, RunConfig
 
 TWISTS = {"generic": (rat(1, 2), rat(1, 3), rat(1, 5)),
           "zero": (0, 0, 0),
           "integer": (1, -2, 0)}
+TWISTS_N4 = {"generic": (rat(1, 2), rat(1, 3), rat(1, 5), rat(1, 7)),
+             "zero": (0, 0, 0, 0)}
 RUN = ("derham", "minuscule", "simplicity")
 
 
@@ -46,6 +51,13 @@ def rank_one_transposed(monkeypatch):
     # u r^T in place of r u^T
     rank_one = glmod.rank_one
     monkeypatch.setattr(glmod, "rank_one", lambda r, u: rank_one(u, r))
+
+
+def probe_at_t_plus_s(monkeypatch):
+    # image_probe reading the eigenvalues at t + s: the s = 0 probe of x^s m
+    image_probe = tensor.image_probe
+    monkeypatch.setattr(tensor, "image_probe", lambda i, s, m: image_probe(
+        i, zero(m.ctx.n), tensor.act_monomial(s, m)))
 
 
 def _patch_derham_table(monkeypatch, lin_of):
@@ -91,6 +103,8 @@ RANK_ONE = {("derham", "derham_intertwines_fields"),
             ("minuscule", "image_invariant_under_fields"),
             ("minuscule", "square_coefficient_identity"),
             ("simplicity", "image_action_matches_formula")}
+PROBE = {("minuscule", "image_probe_vanishes_on_image"),
+         ("minuscule", "square_coefficient_identity")}
 
 #: mutant -> (patch, twist name -> failing (suite, check) pairs)
 MATRIX = {
@@ -110,16 +124,80 @@ MATRIX = {
         TWISTS, RANK_ONE | {("simplicity", "image_invariant_under_loops")})),
 }
 
+#: mutants that no check sees at n=3, run at n=4 on minuscule alone, the one
+#: suite that reads image_probe: mutant -> (patch, twist name -> failing pairs)
+MATRIX_N4 = {
+    "probe_at_t_plus_s": (probe_at_t_plus_s, dict.fromkeys(TWISTS_N4, PROBE)),
+}
+
+
+def failing(twists, suites) -> dict:
+    """twist name -> the (suite, check) pairs that fail at that twist."""
+    return {label: {(suite, line.split()[1]) for suite in suites
+                    for line in SUITES[suite](RunConfig(n=len(twist), twist=twist)).failures}
+            for label, twist in twists.items()}
+
 
 @pytest.mark.parametrize("name", MATRIX)
 def test_each_mutant_fails_exactly_its_row(name, monkeypatch):
     patch, want = MATRIX[name]
     patch(monkeypatch)
-    got = {label: {(suite, line.split()[1]) for suite in RUN
-                   for line in SUITES[suite](RunConfig(n=3, twist=twist)).failures}
-           for label, twist in TWISTS.items()}
-    assert got == want
+    assert failing(TWISTS, RUN) == want
+
+
+@pytest.mark.parametrize("name", MATRIX_N4)
+def test_each_n4_mutant_fails_exactly_its_row(name, monkeypatch):
+    patch, want = MATRIX_N4[name]
+    patch(monkeypatch)
+    assert failing(TWISTS_N4, ("minuscule",)) == want
+
+
+def test_probe_at_t_plus_s_is_a_known_gap_at_n3(monkeypatch):
+    # A known gap: at n=3 no check sees the probe read at t + s, not even
+    # square_coefficient_identity. ROADMAP item 4's lattice proof of the
+    # probe identities must kill it at n=3; this test then fails, and the
+    # mutant's row moves to MATRIX.
+    probe_at_t_plus_s(monkeypatch)
+    assert failing(TWISTS, ("minuscule",)) == dict.fromkeys(TWISTS, set())
 
 
 def test_no_row_is_empty():
-    assert all(all(row.values()) for _, row in MATRIX.values())
+    assert all(all(row.values()) for _, row in (*MATRIX.values(), *MATRIX_N4.values()))
+
+
+#: the failure lines of rank_one_empty at n=3 and the generic twist, pinned
+#: while SuiteResult.check's callers still formatted their detail eagerly;
+#: derham's 74 lines by their count and sha256
+RANK_ONE_EMPTY_FAILURES = {
+    "derham": (74, "1dbc4898ed88c4465af49147dae89046964bbc6f3692a75672482db8cc92d6d4"),
+    "minuscule": [
+        "FAIL image_invariant_under_fields k=1",
+        "FAIL image_invariant_under_fields k=2",
+        "FAIL square_coefficient_identity i=1 s=(0, 2, 1) trial=0",
+        "FAIL square_coefficient_identity i=1 s=(-1, 2, 2) trial=3",
+        "FAIL square_coefficient_identity i=1 s=(-2, -2, -2) trial=7",
+        "FAIL square_coefficient_identity i=1 s=(-2, -1, 1) trial=10",
+        "FAIL square_coefficient_identity i=1 s=(0, -1, -2) trial=11",
+        "FAIL square_coefficient_identity i=1 s=(-2, -2, -1) trial=14",
+        "FAIL square_coefficient_identity i=1 s=(2, -2, -1) trial=15",
+        "FAIL square_coefficient_identity i=1 s=(0, 1, 2) trial=16",
+        "FAIL square_coefficient_identity i=1 s=(1, 2, 2) trial=17",
+        "FAIL double_action_degree_bound s=(-1, -1) trial=0",
+        "FAIL double_action_degree_bound s=(-1, -1) trial=1",
+        "FAIL double_action_degree_bound s=(2, 2) trial=2",
+        "FAIL double_action_degree_bound s=(0, 0) trial=3",
+        "FAIL double_action_degree_bound s=(1, 1) trial=4",
+        "FAIL double_action_degree_bound s=(2, 2) trial=5"],
+    "simplicity": [
+        "FAIL image_loops_generate_end rank=1/4",
+        "FAIL image_action_matches_formula D[(0,-1,0); (1,0,0)] at s=(0, 0, 0) key=(2, 3)"],
+}
+
+
+def test_failure_details_are_unchanged(monkeypatch):
+    rank_one_empty(monkeypatch)
+    cfg = RunConfig(n=3, twist=TWISTS["generic"])
+    got = {suite: SUITES[suite](cfg).failures for suite in RUN}
+    lines = got["derham"]
+    got["derham"] = (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
+    assert got == RANK_ONE_EMPTY_FAILURES

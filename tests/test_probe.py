@@ -396,6 +396,30 @@ def test_kernel_at_matches_the_fraction_wedge():
     assert cases == 240
 
 
+def per_key_kernel_at(s, twist, vmod_k) -> list:
+    """kernel_at's body before the fibre wedge: its own wedge by D*(s - twist)."""
+    tw_den, dtwist = cleared(twist)
+    deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
+
+    def image_of(key):
+        return {new: c for _, new, c in glmod.wedge_by(deig, key)}
+
+    return kernel_of_map(list(vmod_k.keys), image_of)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_kernel_at_matches_the_per_key_wedge(data):
+    n = data.draw(st.integers(2, 4), "n")
+    coords = (st.fractions(-3, 3, max_denominator=7) if data.draw(st.booleans(), "generic")
+              else st.integers(-2, 2))
+    twist = tuple(rat(c) for c in data.draw(st.lists(coords, min_size=n, max_size=n), "twist"))
+    s = data.draw(st.tuples(*[st.integers(-2, 2)] * n), "s")
+    for k in range(n + 1):
+        vmod = glmod.exterior(n, k)
+        assert probe.kernel_at(s, twist, vmod) == per_key_kernel_at(s, twist, vmod)
+
+
 def test_coeff_extract_constant_family_is_zero():
     ctx = tensor.context(GEN2, glmod.natural(2))
     m0 = tensor.basis_element(ctx, (1, 0), (1,), coeff=7)

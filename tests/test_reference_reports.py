@@ -69,6 +69,16 @@ REFERENCE = [
     pytest.param(["--n", "2", "--lambda", "1,-2", "--suite", "lattice"],
                  "8eb7fe78cee8db0876bc56369f25bd29e671e94293160eabd73d6a3f69f2a23b",
                  id="n2-shifted-integer-lattice"),
+    # the three whole-CLI runs whose digests gate every perf change
+    pytest.param(["--n", "2"],
+                 "3283c1ecca00aac36c4d55f6c5ab933c8420594aa29f1e9d035c2cd771e94490",
+                 id="gate-n2"),
+    pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5"],
+                 "b233eff256c8b50845959a61490686a5d8a7172056f4cfee7439241728deabba",
+                 id="gate-n3-generic"),
+    pytest.param(["--n", "4"],
+                 "4433644ffea32048c353b37a99270bd4ef28205bd543306a90479e34f95b6422",
+                 id="gate-n4"),
 ]
 
 

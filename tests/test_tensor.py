@@ -11,7 +11,7 @@ from toruslie.fields import VectorField, bracket, pair_field, spanning_generator
 from toruslie.indices import add, box, dot, sub, unit, zero
 from toruslie.linalg import SparseVec
 from toruslie.rational import cleared, rational
-from toruslie.tensor import (STYLE_DIRECT, STYLE_SHIFTED, TensorElement,
+from toruslie.tensor import (STYLE_DIRECT, STYLE_SHIFTED, GradedSpan, TensorElement,
                              _exterior_level, eigen_vector)
 
 ZERO2 = (rat(0), rat(0))
@@ -751,3 +751,29 @@ def test_derived_contexts_carry_their_own_cleared_twist(first, second):
         assert tensor.act_direct(X, dm) == fraction_act_direct(X, fraction_derham_map(m))
         assert tensor.derham_map_shifted(tensor.derham_map_shifted(shifted)) \
             == fraction_derham_map_shifted(fraction_derham_map_shifted(shifted))
+
+
+def per_degree_derham_image_graded(k: int, twist, bound: int, n: int) -> GradedSpan:
+    """derham_image_graded's body before the fibre wedge: its own wedge per degree."""
+    tw_den, dtwist = cleared([rat(t) for t in twist])
+    lower = glmod.exterior(n, k - 1)
+    span = GradedSpan()
+    for s in box(n, bound):
+        deig = [tw_den * si - dti for si, dti in zip(s, dtwist)]
+        for wkey in lower.keys:
+            vec = {new: c for _, new, c in glmod.wedge_by(deig, wkey)}
+            if vec:
+                span.mini(s).insert(vec)
+    return span
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_derham_image_graded_matches_the_per_degree_wedge(data):
+    n = data.draw(st.integers(2, 4), "n")
+    twist = data.draw(twists(n), "twist")
+    for k in range(1, n + 1):
+        got = tensor.derham_image_graded(k, twist, 1, n)
+        want = per_degree_derham_image_graded(k, twist, 1, n)
+        assert {s: sp.rows for s, sp in got.spans.items()} \
+            == {s: sp.rows for s, sp in want.spans.items()}
