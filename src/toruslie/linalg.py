@@ -123,30 +123,6 @@ class SpanBasis:
     def contains(self, vec) -> bool:
         return not self._residue(vec)
 
-    def equations(self, index) -> list:
-        """Dense integer rows that cut out the span, over the positions
-        that index gives the keys; index holds every key of every row.
-
-        With L the lcm of the pivot entries, each key q of index that is
-        not a pivot gives the row L * e_q - sum((L / row_p[p]) * row_p[q]
-        * e_p) over the rows p that hold q, and a key that no row holds
-        gives the unit row e_q. A vector v over the keys of index lies in
-        the span exactly when every row vanishes on it: the span's element
-        with pivot coordinates v[p] is sum(v[p] / row_p[p] * row_p).
-        """
-        rows, pivots = self.rows, self.pivots
-        L = lcm(*[rows[idx][p] for p, idx in pivots.items()])
-        eqs = {q: [0] * len(index) for q in index if q not in pivots}
-        for p, idx in pivots.items():
-            row = rows[idx]
-            m = L // row[p]
-            for q, a in row.items():
-                if q != p:
-                    eqs[q][index[p]] = -m * a
-        for q, eq in eqs.items():
-            eq[index[q]] = L if any(eq) else 1
-        return list(eqs.values())
-
     def insert(self, vec) -> bool:
         """Add vec to the span; True iff the rank grew. vec is not modified."""
         work = self._residue(vec)

@@ -23,7 +23,6 @@ work is pure-Python arithmetic, which threads cannot overlap.
 from __future__ import annotations
 
 import hashlib
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, product
@@ -31,7 +30,7 @@ from math import lcm, prod
 
 from . import glmod, tensor
 from .indices import box, dot, inf_norm, inside, zero
-from .linalg import SpanBasis, SparseVec, kernel_of_map
+from .linalg import SparseVec, kernel_of_map
 from .rational import ONE, cleared, rat
 
 FILLS = "FillsWindow"
@@ -84,10 +83,9 @@ def gen_kernel(gens, vmod, twist) -> list:
 
     One entry (r, D*u, D*(u|twist), table) per generator D(u, r) with a
     nonzero shift, where table maps each V key to [(key2, D*a)], the
-    combined rank-one action r u^T on V. _apply_gen and _invariance_sweep
-    turn an integer row into an integer image that is D times the true
-    one. The result is memoised and shared between callers, which must
-    not modify it.
+    combined rank-one action r u^T on V. closure, its one reader, turns an
+    integer row into an integer image D times the true one through
+    _apply_gen. The result is memoised and must not be modified.
     """
     return _gen_kernel(tuple(gens), vmod, tuple(twist))
 
@@ -120,59 +118,6 @@ def _apply_gen(gen, s, row) -> dict:
         for key2, a in table[key]:
             out[key2] = get(key2, 0) + c * a
     return {key: c for key, c in out.items() if c}
-
-
-def _invariance_sweep(kernel, hull, degrees, keys) -> tuple:
-    """(stable, apps): does every kernel generator map each hull row at the
-    given degrees into the hull, and how many (degree, row, generator)
-    triples that asks about.
-
-    The same predicate as _apply_gen followed by hull.mini(s + r).contains,
-    decided in integer arithmetic on lists indexed by the key order keys.
-    Its one caller is minuscule, which asks it of the de Rham image hull
-    of each ext:k.
-    Each generator's rank-one table is read once into position-indexed
-    rows; on ext:2 at n=4 it holds a quarter of a dense matrix's entries,
-    so its nonzero entries are applied one by one. Each target degree's
-    span gives its equations once, through SpanBasis.equations(index): one
-    dense row per non-pivot key, and a degree the hull lacks has rank 0,
-    so there every key gives a unit row.
-    An image lies in the span exactly when every equation vanishes on it.
-    The sweep stops at the first image outside the hull, but apps counts
-    every triple.
-    """
-    index = {key: i for i, key in enumerate(keys)}
-    gens = [(r, du, dut, [[(index[key2], a) for key2, a in table[key]] for key in keys])
-            for r, du, dut, table in kernel]
-    eq_rows = {}
-
-    apps = len(gens) * sum(len(hull.rows_at(s)) for s in degrees)
-    plus, mul = operator.add, operator.mul
-    for s in degrees:
-        # each row dense, and as its nonzero (position, entry) pairs
-        rows = [([row.get(key, 0) for key in keys],
-                 [(index[key], c) for key, c in row.items()])
-                for row in hull.rows_at(s)]
-        if not rows:
-            continue
-        for r, du, dut, table in gens:
-            t = tuple(map(plus, s, r))
-            eqs = eq_rows.get(t)
-            if eqs is None:
-                span = hull.spans.get(t) or SpanBasis()
-                eqs = eq_rows[t] = span.equations(index)
-            if not eqs:
-                continue
-            c1 = sum(map(mul, du, s)) - dut
-            for u, nonzero in rows:
-                img = [c1 * x for x in u]
-                for i, x in nonzero:
-                    for j, a in table[i]:
-                        img[j] += x * a
-                for e in eqs:
-                    if sum(map(mul, e, img)):
-                        return False, apps
-    return True, apps
 
 
 #: Tasks are re-checked against fullness once per chunk of this many, not

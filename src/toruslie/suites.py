@@ -480,10 +480,25 @@ def _double_quad_part(i1, j1, i2, j2, s, r, m):
 
 
 def run_minuscule(cfg: RunConfig) -> SuiteResult:
+    """The de Rham image N = d(P (x) ext:(k-1)) in M = P (x) ext:k is a proper
+    submodule, and the image probe vanishes on it.
+
+    image_invariant_under_fields proves N invariant at every degree, since
+    X d(m) = d(X m) lies in N for every field X and every m. On x^s (x) w,
+    D(e_j, r) acts by the coefficient (s_j - twist_j) + rho(r e_j^T), of degree
+    1 in (r, s), and d multiplies each degree by its eigenvalue, of degree 1
+    too, so both sides have degree <= 2 in (r, s): _lattice_mismatch proves the
+    identity for every D(e_j, r) at every degree. act_direct reads u only
+    through _sparse(X.num) and rank_one(X.r, X.num) over X.den, both linear in
+    u, so D(u, r) = sum_j u_j D(e_j, r) carries it to every field. The pair
+    fields, whose direction is linear in r, would give degree 3, beyond this
+    lattice. invariance_apps is (generators with r != 0) * (central image
+    rank), the count of the window check the proof replaced.
+    """
     rec = SuiteResult("minuscule")
     rng = _rng(cfg, "minuscule")
     n, twist, B = cfg.n, cfg.twist, cfg.central
-    gens = spanning_generators(n, cfg.gen_bound)
+    shifted = sum(any(X.r) for X in spanning_generators(n, cfg.gen_bound))
     # the submodule checks stop below the top exterior power, where the
     # image fills every nonzero-eigenvalue degree; the probe family and
     # kernel criterion are still exercised there
@@ -495,9 +510,7 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     for k in ks:
         vmod = glmod.exterior(n, k)
         ctx = tensor.context(twist, vmod)
-        # each degree of the image span is built on its own, so the
-        # central part of this hull is the image span of the central box
-        hull = hulls[k] = tensor.derham_image_graded(k, twist, B + cfg.gen_bound, n)
+        hull = hulls[k] = tensor.derham_image_graded(k, twist, B, n)
 
         rank = hull.rank_in(central)
         max_rank = max(max_rank, rank)
@@ -506,10 +519,11 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             rec.check("image_proper_in_window", 0 < rank < dim,
                       "k=%d rank=%d dim=%d", k, rank, dim)
 
-        stable, apps = probe._invariance_sweep(
-            probe.gen_kernel(gens, vmod, twist), hull, central, vmod.keys)
-        rec.check("image_invariant_under_fields", stable, "k=%d", k)
-        rec.bump("invariance_apps", apps)
+        bad = _lattice_mismatch(tensor.context(twist, glmod.exterior(n, k - 1)), False,
+                                lambda X, m: tensor.derham_map(tensor.act_direct(X, m)),
+                                lambda X, m: tensor.act_direct(X, tensor.derham_map(m)))
+        rec.check("image_invariant_under_fields", not bad, "k=%d", k)
+        rec.bump("invariance_apps", shifted * rank)
 
         rows = _image_rows(k, twist, B, n)
         if n <= 3:
@@ -547,25 +561,20 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
         rec.check("kernel_matches_euler_criterion", not bad, "k=%d %s", k, bad)
 
     # the family annihilates the whole image tower, so any exact nonzero
-    # value certifies its argument sits outside the image; store one
+    # value certifies its argument sits outside the image; store the first
     if n >= 3:
-        witness = None
-        for k in range(1, n):
-            vmodk = glmod.exterior(n, k)
-            ctxk = tensor.context(twist, vmodk)
-            # RunConfig keeps B and R at least 1, so a main-loop hull covers
-            # box(n, 1), with the same rows there as a bound-1 build
-            hullk = hulls.get(k) or tensor.derham_image_graded(k, twist, 1, n)
-            for t in box(n, 1):
-                minik = hullk.mini(t)
-                for vkey in vmodk.keys:
-                    if minik.contains(SparseVec({vkey: ONE})):
-                        continue
-                    m = tensor.basis_element(ctxk, t, vkey)
-                    for i in range(1, n - 1):
-                        hit = not tensor.image_probe(i, zero(n), m).is_zero
-                        if hit and witness is None:
-                            witness = (k, i, t, vkey)
+        def hits():
+            for k in range(1, n):
+                ctxk = tensor.context(twist, glmod.exterior(n, k))
+                # B >= 1, so a main-loop hull covers box(n, 1)
+                hullk = hulls.get(k) or tensor.derham_image_graded(k, twist, 1, n)
+                for t in box(n, 1):
+                    for vkey in ctxk.vmod.keys:
+                        if not hullk.mini(t).contains({vkey: 1}):
+                            m = tensor.basis_element(ctxk, t, vkey)
+                            yield from ((k, i, t, vkey) for i in range(1, n - 1)
+                                        if not tensor.image_probe(i, zero(n), m).is_zero)
+        witness = next(hits(), None)
         rec.check("image_probe_nonzero_witness", witness is not None,
                   "level=%s i=%s exponent=%s key=%s", *(witness or (None,) * 4))
 
@@ -636,24 +645,32 @@ def _action_formula(X: VectorField, ctx, s, key) -> tensor.TensorElement:
     return tensor.TensorElement(ctx, {(add(X.r, s), k): c for k, c in fibre.items()})
 
 
-def _action_mismatch(twist, vmod, pairs: bool) -> str:
-    """The first field X, degree s and key where act_direct differs from
-    _action_formula, or "". X runs over the pair fields or the D(e_j, r), and
-    (r, s) over {x in Z^{2n}_{>=0} : sum(x) <= 2}, the sums of two picks from
-    0, e_1, ..., e_2n, unisolvent for total degree 2 (Chung & Yao, SIAM J.
-    Numer. Anal. 14, 1977): sides of degree <= 2 in (r, s) agree everywhere."""
-    n = len(twist)
-    ctx = tensor.context(twist, vmod)
+def _lattice_mismatch(ctx, pairs: bool, lhs, rhs) -> str:
+    """The first field X, degree s and key where lhs(X, m) and rhs(X, m) differ
+    on m = x^s (x) key in ctx, or "". X runs over the pair fields or the
+    D(e_j, r), and (r, s) over {x in Z^{2n}_{>=0} : sum(x) <= 2}, the sums of
+    two picks from 0, e_1, ..., e_2n, unisolvent for total degree 2 (Chung &
+    Yao, SIAM J. Numer. Anal. 14, 1977): sides of degree <= 2 in (r, s) agree
+    everywhere."""
+    n = ctx.n
     for picks in combinations_with_replacement(range(2 * n + 1), 2):
         x = tuple(picks.count(a) for a in range(1, 2 * n + 1))
         r, s = x[:n], x[n:]
         for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
                 if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:
-            for key in vmod.keys:
-                if tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
-                        != _action_formula(X, ctx, s, key):
+            for key in ctx.vmod.keys:
+                m = tensor.basis_element(ctx, s, key)
+                if lhs(X, m) != rhs(X, m):
                     return "%r at s=%s key=%s" % (X, s, key)
     return ""
+
+
+def _action_mismatch(twist, vmod, pairs: bool) -> str:
+    """_lattice_mismatch of act_direct against _action_formula on P (x) vmod,
+    which reads (s, key) off the basis element's one term."""
+    ctx = tensor.context(twist, vmod)
+    return _lattice_mismatch(ctx, pairs, tensor.act_direct,
+                             lambda X, m: _action_formula(X, ctx, *next(iter(m.num))))
 
 
 def run_lattice(cfg: RunConfig) -> SuiteResult:

@@ -37,6 +37,10 @@ REFERENCE = [
     pytest.param(["--n", "4", "--suite", "minuscule"],
                  "9cdc927ccd62f40768c3dbcaecbb5ae1765b48cba07d9e735df7d20072f7377e",
                  id="n4-integer-minuscule"),
+    # the least window at n=5: invariance is the lattice proof at every degree
+    pytest.param(["--n", "5", "--window", "1,1,1,1", "--suite", "minuscule"],
+                 "f794d663c84357bc93aca73b995d0a5eb7089d2dab615d8684fc3fc5ab58076b",
+                 id="n5-integer-minuscule"),
     # the exact suites: act_direct, act_shifted_field and both de Rham maps
     pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5",
                   "--suite", "identities,axioms,derham"],

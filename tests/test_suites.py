@@ -1,8 +1,9 @@
 """Verification-suite layer: config validation, statuses, check registry."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from toruslie import rat, suites, tensor
+from toruslie import glmod, rat, suites, tensor
 from toruslie.fields import VectorField, bracket
 from toruslie.suites import SUITES, EVIDENCE, PASS, RunConfig, SuiteResult, run_suites
 
@@ -205,3 +206,27 @@ def test_derham_is_exact_at_every_level_beyond_the_suites_ranks(n):
     for twist in (tuple(rat(1, j + 2) for j in range(n)), (rat(0),) * n,
                   (rat(1),) + (rat(0),) * (n - 1)):
         assert [suites._derham_exactness(k, twist) for k in range(1, n + 1)] == [""] * n
+
+
+# ------------------------------------------------ minuscule invariance proof
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derham_intertwines_every_field_off_the_lattice(data):
+    # run_minuscule proves d(X m) = X d(m) for the D(e_j, r) on a degree-2
+    # lattice of (r, s), and carries it to D(u, r) by linearity in u; test
+    # it far from the lattice, with rational directions and twists
+    n = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(1, n))
+
+    def vector(elements):
+        return tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+    r, s = vector(st.integers(-10, 10)), vector(st.integers(-10, 10))
+    X = VectorField(vector(st.fractions(-5, 5, max_denominator=7)), r)
+    twist = vector(st.fractions(-3, 3, max_denominator=9))
+    ctx = tensor.context(twist, glmod.exterior(n, k - 1))
+    for key in ctx.vmod.keys:
+        m = tensor.basis_element(ctx, s, key)
+        assert tensor.derham_map(tensor.act_direct(X, m)) \
+            == tensor.act_direct(X, tensor.derham_map(m))
