@@ -299,6 +299,15 @@ def run_axioms(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------------- derham
 
 
+def _principal_lattice(m, d) -> list:
+    """{x in Z^m_{>=0} : sum(x) <= d}, the sums of d picks from 0, e_1, ..., e_m
+    in the order of combinations_with_replacement. It is unisolvent for total
+    degree d (Chung & Yao, SIAM J. Numer. Anal. 14, 1977): a polynomial of
+    degree <= d in x that vanishes on it is 0."""
+    return [tuple(picks.count(a) for a in range(1, m + 1))
+            for picks in combinations_with_replacement(range(m + 1), d)]
+
+
 def _image_at_tau0(n, k) -> tuple:
     """(context at twist -e_1 on ext:k, the SpanBasis of derham_map over the
     ext:(k-1) basis at degree 0, the keys that contain 1). At s = 0 the
@@ -317,11 +326,11 @@ def _derham_exactness(k, twist) -> str:
     is exact at ext:k at every degree with tau = s - twist != 0, kernel and
     image of rank C(n-1, k-1), and d = 0 at tau = 0; else the first failure.
     1. Link. d sends x^s (x) e_key to x^s (x) (tau wedge e_key). Both sides are
-       affine in s, so agreement on {s >= 0 : sum(s) <= 1}, unisolvent for
-       degree 1 (Chung & Yao, SIAM J. Numer. Anal. 14, 1977), proves it at
-       every degree. It is read on the levels k-1 and k below n, at the twist
-       and at -e_1, where step 3 reads d. The reference takes the sign of
-       e_i wedge e_key from the inversions of (i,) + key, not from glmod.wedge_by.
+       affine in s, so agreement on _principal_lattice(n, 1), {s >= 0 :
+       sum(s) <= 1}, proves it at every degree. It is read on the levels k-1
+       and k below n, at the twist and at -e_1, where step 3 reads d. The
+       reference takes the sign of e_i wedge e_key from the inversions of
+       (i,) + key, not from glmod.wedge_by.
     2. Covariance. ext(g)(tau wedge w) = (g tau) wedge ext(g) w, and GL_n(Q)
        moves every tau != 0 to e_1, so every rank at tau != 0 is the rank at e_1.
     3. At e_1 (s = 0, twist -e_1), probe.kernel_at gives the kernel on ext:k
@@ -335,7 +344,7 @@ def _derham_exactness(k, twist) -> str:
         for j in range(k - 1, min(k, n - 1) + 1):
             ctx = tensor.context(tw, glmod.exterior(n, j))
             target = ctx.with_vmod(glmod.exterior(n, j + 1))
-            for s in [zero(n)] + [unit(i, n) for i in range(1, n + 1)]:
+            for s in _principal_lattice(n, 1):
                 tau = sub(s, ctx.twist)
                 for key in ctx.vmod.keys:
                     want = tensor.TensorElement(target, [
@@ -355,36 +364,52 @@ def _derham_exactness(k, twist) -> str:
 
 
 def run_derham(cfg: RunConfig) -> SuiteResult:
+    """P (x) ext:k, k = 0..n, is a complex under d = derham_map and under
+    d' = derham_map_shifted, and phi = to_shifted_form carries d to d'.
+
+    The three chain checks hold at every degree. For each k < n they read the
+    basis elements m = x^s (x) e_key, and m' = x^s (x) e_key in the shifted
+    style, at every key and every s of _principal_lattice(n, 2):
+    derham_squares_to_zero is d d m = 0 and derham_shifted_squares_to_zero is
+    d' d' m' = 0, both for k <= n-2; equivalence_commutes_with_derham is
+    phi(d m) = d' phi(m).
+    1. d and d' run _integer_map over a table read off the key alone: they send
+       x^s (x) e_key to a sum of (affine form in s) x^{s+c} (x) e_key', with the
+       offset c = 0 for d and c = -e_i for d'. phi moves x^s (x) e_key to
+       x^{s-weight(key)} (x) e_key: offset -weight(key), coefficient 1.
+    2. So each side of each identity is a sum over (c, key') of p(s) x^{s+c}
+       (x) e_key', with offsets c that do not depend on s and p of degree <= 2
+       in s: two affine factors on the squares, one on the equivalence.
+       Distinct offsets give distinct terms at every s, so an identity holds at
+       s exactly when, for every (c, key'), the two sides' p agree at s.
+    3. Their difference has degree <= 2, so agreement on the lattice makes it 0:
+       each identity holds on every basis element, and by linearity on P (x)
+       ext:k. A failure names the first (s, key) in the lattice's order.
+    basis_checks, the central degrees times dim ext:k summed over k, and dim,
+    the central degrees, count the window-basis checks the proof replaced.
+    """
     rec = SuiteResult("derham")
     rng = _rng(cfg, "derham")
     n, twist, B = cfg.n, cfg.twist, cfg.central
+    d, ds, phi = tensor.derham_map, tensor.derham_map_shifted, tensor.to_shifted_form
 
     central = list(box(n, B))
+    lattice = _principal_lattice(n, 2)
     for k in range(0, n):
         vmod = glmod.exterior(n, k)
         ctx = tensor.context(twist, vmod)
         sctx = ctx.with_style(tensor.STYLE_SHIFTED)
 
-        # exact chain and square identities on the full window basis
-        sq_ok = sq_shift_ok = square_ok = True
-        for s in central:
-            for vkey in vmod.keys:
-                m = tensor.basis_element(ctx, s, vkey)
-                ms = tensor.basis_element(sctx, s, vkey)
-                dm = tensor.derham_map(m)
-                if k <= n - 2:
-                    sq_ok &= tensor.derham_map(dm).is_zero
-                    sq_shift_ok &= tensor.derham_map_shifted(
-                        tensor.derham_map_shifted(ms)).is_zero
-                square_ok &= (tensor.to_shifted_form(dm)
-                              == tensor.derham_map_shifted(tensor.to_shifted_form(m)))
-                rec.bump("basis_checks")
-        if k <= n - 2:
-            rec.check("derham_squares_to_zero", sq_ok, "k=%d window basis", k)
-            rec.check("derham_shifted_squares_to_zero", sq_shift_ok,
-                      "k=%d window basis", k)
-        rec.check("equivalence_commutes_with_derham", square_ok,
-                  "k=%d window basis", k)
+        chain = [("derham_squares_to_zero", lambda m, ms: d(d(m)).is_zero),
+                 ("derham_shifted_squares_to_zero", lambda m, ms: ds(ds(ms)).is_zero),
+                 ] if k <= n - 2 else []
+        chain.append(("equivalence_commutes_with_derham", lambda m, ms: phi(d(m)) == ds(phi(m))))
+        for label, holds in chain:
+            bad = next(("s=%s key=%s" % (s, key) for s in lattice for key in vmod.keys
+                        if not holds(tensor.basis_element(ctx, s, key),
+                                     tensor.basis_element(sctx, s, key))), "")
+            rec.check(label, not bad, "k=%d %s", k, bad)
+        rec.bump("basis_checks", len(central) * vmod.dim)
 
         for _ in range(10):
             m = probe.random_element(rng, ctx, 2)
@@ -494,6 +519,14 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     fields, whose direction is linear in r, would give degree 3, beyond this
     lattice. invariance_apps is (generators with r != 0) * (central image
     rank), the count of the window check the proof replaced.
+
+    Membership in N is read off the de Rham exactness proof (_derham_exactness,
+    checked here as kernel_matches_euler_criterion), not off a span. At a
+    degree t with tau = t - twist != 0, N_t = tau wedge ext:(k-1) is the kernel
+    of tau wedge . on ext:k, of rank image_rank(k, t, twist); at tau = 0,
+    N_t = 0. So image_proper_in_window sums image_rank over the central box,
+    and e_key lies outside N_t exactly when tau = 0 or tau wedge e_key != 0,
+    which the witness reads as a nonempty glmod.wedge_by(tau, key).
     """
     rec = SuiteResult("minuscule")
     rng = _rng(cfg, "minuscule")
@@ -505,14 +538,12 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     ks = [cfg.k] if cfg.k else list(range(1, n + 1))
     central = list(box(n, B))
     max_rank = 0
-    hulls = {}
 
     for k in ks:
         vmod = glmod.exterior(n, k)
         ctx = tensor.context(twist, vmod)
-        hull = hulls[k] = tensor.derham_image_graded(k, twist, B, n)
 
-        rank = hull.rank_in(central)
+        rank = sum(tensor.image_rank(k, s, twist) for s in central)
         max_rank = max(max_rank, rank)
         dim = len(central) * vmod.dim
         if k < n:
@@ -566,11 +597,11 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
         def hits():
             for k in range(1, n):
                 ctxk = tensor.context(twist, glmod.exterior(n, k))
-                # B >= 1, so a main-loop hull covers box(n, 1)
-                hullk = hulls.get(k) or tensor.derham_image_graded(k, twist, 1, n)
                 for t in box(n, 1):
+                    tau = tensor.eigen_vector(t, twist)
                     for vkey in ctxk.vmod.keys:
-                        if not hullk.mini(t).contains({vkey: 1}):
+                        # e_key lies outside N_t
+                        if not any(tau) or glmod.wedge_by(tau, vkey):
                             m = tensor.basis_element(ctxk, t, vkey)
                             yield from ((k, i, t, vkey) for i in range(1, n - 1)
                                         if not tensor.image_probe(i, zero(n), m).is_zero)
@@ -648,13 +679,10 @@ def _action_formula(X: VectorField, ctx, s, key) -> tensor.TensorElement:
 def _lattice_mismatch(ctx, pairs: bool, lhs, rhs) -> str:
     """The first field X, degree s and key where lhs(X, m) and rhs(X, m) differ
     on m = x^s (x) key in ctx, or "". X runs over the pair fields or the
-    D(e_j, r), and (r, s) over {x in Z^{2n}_{>=0} : sum(x) <= 2}, the sums of
-    two picks from 0, e_1, ..., e_2n, unisolvent for total degree 2 (Chung &
-    Yao, SIAM J. Numer. Anal. 14, 1977): sides of degree <= 2 in (r, s) agree
-    everywhere."""
+    D(e_j, r), and (r, s) over _principal_lattice(2n, 2): sides of degree <= 2
+    in (r, s) that agree there agree everywhere."""
     n = ctx.n
-    for picks in combinations_with_replacement(range(2 * n + 1), 2):
-        x = tuple(picks.count(a) for a in range(1, 2 * n + 1))
+    for x in _principal_lattice(2 * n, 2):
         r, s = x[:n], x[n:]
         for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
                 if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:

@@ -415,9 +415,6 @@ class GradedSpan:
         sp = self.spans.get(s)
         return sp.rank if sp is not None else 0
 
-    def rank_in(self, degrees) -> int:
-        return sum(self.rank_at(s) for s in degrees)
-
     def rows_at(self, s):
         sp = self.spans.get(s)
         return sp.rows if sp is not None else []

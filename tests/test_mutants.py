@@ -110,9 +110,8 @@ PROBE = {("minuscule", "image_probe_vanishes_on_image"),
 
 #: mutant -> (patch, twist name -> failing (suite, check) pairs)
 MATRIX = {
-    "unsigned_wedge_by": (unsigned_wedge, {
-        "generic": UNSIGNED | {("minuscule", "image_proper_in_window")},
-        "zero": UNSIGNED, "integer": UNSIGNED}),
+    # image_proper_in_window sums tensor.image_rank, which reads no wedge
+    "unsigned_wedge_by": (unsigned_wedge, dict.fromkeys(TWISTS, UNSIGNED)),
     # at twist 0 the mutant changes nothing the suites compute at the twist;
     # the exactness link also reads d at twist -e_1, where it does
     "twist_sign_in_integer_map": (twist_sign, {

@@ -13,8 +13,8 @@ from test_nonminuscule import as_dense, sympy_algebra_dim
 from toruslie import cli, glmod, probe, rat, tensor
 from toruslie.fields import pair_field
 from toruslie.rational import cleared
-from toruslie.suites import (EVIDENCE, FAIL, PASS, RunConfig, _algebra_rank, _image_loops,
-                             run_minuscule, run_simplicity)
+from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_loops,
+                             run_simplicity)
 
 GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
 
@@ -82,25 +82,32 @@ def test_loops_with_equal_pairs_act_as_scalars():
     assert certificate_ranks(run_simplicity(RunConfig(n=3, twist=GEN3)))[:2] == (4, 4)
 
 
-def failures() -> list:
-    res = run_simplicity(RunConfig(n=3, twist=GEN3))
+#: a window at which the level-one closure's count shows the generator
+#: tables it read: 456 applications, and 200 from tables without r u^T
+SMALL = RunConfig(n=3, twist=GEN3, central=1, gen_bound=1, depth=1, margin=1)
+
+
+def failures(cfg=RunConfig(n=3, twist=GEN3)) -> list:
+    res = run_simplicity(cfg)
     assert res.status == FAIL
     return [line.split()[1] for line in res.failures]
 
 
 def test_simplicity_sees_act_direct_without_its_rank_one_term(monkeypatch):
     monkeypatch.setattr(glmod, "rank_one", lambda r, u: {})
-    got = failures()
+    got = failures(SMALL)
     assert "image_action_matches_formula" in got and "image_loops_generate_end" in got
 
 
-def test_minuscule_passes_after_the_rank_one_patch_is_undone():
+def test_simplicity_passes_after_the_rank_one_patch_is_undone():
     # the test above starts from caches that conftest.py's fixture cleared,
-    # so it fills probe._gen_kernel with empty rank-one tables; unless the
-    # fixture clears them again once that patch is undone, this run reads
-    # them and fails image_invariant_under_fields k=1
-    res = run_minuscule(RunConfig(n=3, twist=GEN3, k=1))
-    assert res.status == PASS, res.failures
+    # so its level-one closure fills probe._gen_kernel with tables built
+    # without the rank-one term. Simplicity is that kernel's one reader:
+    # unless the fixture clears it again once that patch is undone, this run
+    # reads those tables, and its closure still fills, in 200 applications
+    res = run_simplicity(SMALL)
+    assert res.status == EVIDENCE, res.failures
+    assert res.counters["closure_apps"] == 456
 
 
 def test_simplicity_sees_a_transposed_rank_one_term(monkeypatch):

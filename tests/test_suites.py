@@ -230,3 +230,56 @@ def test_derham_intertwines_every_field_off_the_lattice(data):
         m = tensor.basis_element(ctx, s, key)
         assert tensor.derham_map(tensor.act_direct(X, m)) \
             == tensor.act_direct(X, tensor.derham_map(m))
+
+
+# -------------------------------------------------- de Rham complex proof
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_derham_chain_identities_hold_off_the_lattice(data):
+    # run_derham proves d d = 0, d' d' = 0 and phi d = d' phi on the degree-2
+    # principal lattice in s; test them far from it, at rational twists
+    n = data.draw(st.integers(2, 4))
+    k = data.draw(st.integers(0, n - 1))
+
+    def vector(elements):
+        return tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+    s = vector(st.integers(-10, 10))
+    twist = vector(st.fractions(-3, 3, max_denominator=9))
+    ctx = tensor.context(twist, glmod.exterior(n, k))
+    sctx = ctx.with_style(tensor.STYLE_SHIFTED)
+    d, ds, phi = tensor.derham_map, tensor.derham_map_shifted, tensor.to_shifted_form
+    for key in ctx.vmod.keys:
+        m, ms = tensor.basis_element(ctx, s, key), tensor.basis_element(sctx, s, key)
+        if k <= n - 2:
+            assert d(d(m)).is_zero and ds(ds(ms)).is_zero
+        assert phi(d(m)) == ds(phi(m))
+
+
+def test_derham_work_does_not_grow_with_the_window(monkeypatch):
+    calls, derham_map = [], tensor.derham_map
+
+    def counted(m):
+        calls.append(m)
+        return derham_map(m)
+    monkeypatch.setattr(tensor, "derham_map", counted)
+    counts = []
+    for central in (1, 2):
+        calls.clear()
+        cfg = RunConfig(n=3, twist=GEN3, central=central, gen_bound=1, depth=1, margin=1)
+        assert suites.run_derham(cfg).status == PASS
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_derham_and_minuscule_build_no_graded_span(n, monkeypatch):
+    def refused(*args):
+        raise AssertionError("a suite built a graded span")
+    monkeypatch.setattr(tensor, "derham_image_graded", refused)
+    for twist in (tuple(rat(1, j + 2) for j in range(n)), (rat(0),) * n):
+        cfg = RunConfig(n=n, twist=twist)
+        for run in (suites.run_derham, suites.run_minuscule):
+            res = run(cfg)
+            assert res.status == PASS, (res.name, res.failures)
