@@ -308,6 +308,33 @@ def _principal_lattice(m, d) -> list:
             for picks in combinations_with_replacement(range(m + 1), d)]
 
 
+def _graded_sum(ctx, degrees, key) -> tensor.TensorElement:
+    """sum_s x^s (x) e_key over the degrees s, in ctx."""
+    return tensor.integer_element(ctx, {(s, key): 1 for s in degrees})
+
+
+def _first_disagreement(order, agree):
+    """The first (group, s) of order at which agree(group, [s]) is false, or
+    None. order lists a proof's basis elements x^s (x) e_key as (group, s)
+    pairs in its scan order; agree(group, degrees) compares the two sides of
+    an identity on _graded_sum over the group's degrees.
+    The proofs' maps are linear and send x^s (x) e_key to terms at
+    x^{s+c} (x) e_key', with offsets c fixed by the group and key', never by
+    s. So distinct s give distinct terms on each side, the summands of a
+    group's sum stay apart, and the sides agree on the sum exactly when they
+    agree at every s. Each group is read once over all its degrees, and only
+    a group that disagrees is read again, one degree at a time in order, so
+    the element named is the one a scan element by element names. Should no
+    degree of a disagreeing group disagree alone (agree not additive), its
+    first one is named: a disagreeing group is never passed over."""
+    groups = {}
+    for group, s in order:
+        groups.setdefault(group, []).append(s)
+    bad = {group for group, degrees in groups.items() if not agree(group, degrees)}
+    return next(((group, s) for group, s in order if group in bad and not agree(group, [s])),
+                next(((group, s) for group, s in order if group in bad), None))
+
+
 def _image_at_tau0(n, k) -> tuple:
     """(context at twist -e_1 on ext:k, the SpanBasis of derham_map over the
     ext:(k-1) basis at degree 0, the keys that contain 1). At s = 0 the
@@ -330,7 +357,9 @@ def _derham_exactness(k, twist) -> str:
        sum(s) <= 1}, proves it at every degree. It is read on the levels k-1
        and k below n, at the twist and at -e_1, where step 3 reads d. The
        reference takes the sign of e_i wedge e_key from the inversions of
-       (i,) + key, not from glmod.wedge_by.
+       (i,) + key, not from glmod.wedge_by. Both sides keep the degree
+       (offset 0), so one derham_map call per key reads all n+1 points at
+       once (_first_disagreement).
     2. Covariance. ext(g)(tau wedge w) = (g tau) wedge ext(g) w, and GL_n(Q)
        moves every tau != 0 to e_1, so every rank at tau != 0 is the rank at e_1.
     3. At e_1 (s = 0, twist -e_1), probe.kernel_at gives the kernel on ext:k
@@ -340,20 +369,24 @@ def _derham_exactness(k, twist) -> str:
     """
     n = len(twist)
     tau0 = sub(zero(n), unit(1, n))
+    lattice = _principal_lattice(n, 1)
     for tw in dict.fromkeys((twist, tau0)):
         for j in range(k - 1, min(k, n - 1) + 1):
             ctx = tensor.context(tw, glmod.exterior(n, j))
             target = ctx.with_vmod(glmod.exterior(n, j + 1))
-            for s in _principal_lattice(n, 1):
-                tau = sub(s, ctx.twist)
-                for key in ctx.vmod.keys:
-                    want = tensor.TensorElement(target, [
-                        ((s, tuple(sorted((i,) + key))),
-                         (-1) ** sum(a > b for a, b in combinations((i,) + key, 2)) * tau[i - 1])
-                        for i in range(1, n + 1) if i not in key])
-                    if tensor.derham_map(tensor.basis_element(ctx, s, key)) != want:
-                        return "link at twist=%s s=%s key=%s" % (
-                            ",".join(map(rat_str, tw)), s, key)
+
+            def agree(key, degrees):
+                want = tensor.TensorElement(target, [
+                    ((s, tuple(sorted((i,) + key))),
+                     (-1) ** sum(a > b for a, b in combinations((i,) + key, 2))
+                     * (s[i - 1] - ctx.twist[i - 1]))
+                    for s in degrees for i in range(1, n + 1) if i not in key])
+                return tensor.derham_map(_graded_sum(ctx, degrees, key)) == want
+            bad = _first_disagreement([(key, s) for s in lattice for key in ctx.vmod.keys],
+                                      agree)
+            if bad:
+                return "link at twist=%s s=%s key=%s" % (
+                    ",".join(map(rat_str, tw)), bad[1], bad[0])
     _, image, _ = _image_at_tau0(n, k)
     kernel = probe.kernel_at(zero(n), tau0, glmod.exterior(n, k))
     if not len(kernel) == image.rank == comb(n - 1, k - 1):
@@ -385,6 +418,10 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
     3. Their difference has degree <= 2, so agreement on the lattice makes it 0:
        each identity holds on every basis element, and by linearity on P (x)
        ext:k. A failure names the first (s, key) in the lattice's order.
+    4. By step 2, distinct s give distinct terms on each side for a fixed key,
+       so each identity holds on sum_s x^s (x) e_key over the lattice exactly
+       when it holds at every s: one call per (k, label, key) reads all the
+       lattice's degrees (_first_disagreement).
     basis_checks, the central degrees times dim ext:k summed over k, and dim,
     the central degrees, count the window-basis checks the proof replaced.
     """
@@ -404,11 +441,11 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
                  ("derham_shifted_squares_to_zero", lambda m, ms: ds(ds(ms)).is_zero),
                  ] if k <= n - 2 else []
         chain.append(("equivalence_commutes_with_derham", lambda m, ms: phi(d(m)) == ds(phi(m))))
+        order = [(key, s) for s in lattice for key in vmod.keys]
         for label, holds in chain:
-            bad = next(("s=%s key=%s" % (s, key) for s in lattice for key in vmod.keys
-                        if not holds(tensor.basis_element(ctx, s, key),
-                                     tensor.basis_element(sctx, s, key))), "")
-            rec.check(label, not bad, "k=%d %s", k, bad)
+            key, s = _first_disagreement(order, lambda key, degrees: holds(
+                _graded_sum(ctx, degrees, key), _graded_sum(sctx, degrees, key))) or (None, None)
+            rec.check(label, s is None, "k=%d s=%s key=%s", k, s, key)
         rec.bump("basis_checks", len(central) * vmod.dim)
 
         for _ in range(10):
@@ -665,40 +702,56 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------------ lattice
 
 
-def _action_formula(X: VectorField, ctx, s, key) -> tensor.TensorElement:
-    """(u|s - twist) x^{s+r} (x) key + x^{s+r} (x) rho(r u^T) key, X = D(u, r),
-    with r u^T written out, apart from the glmod.rank_one that act_direct reads.
-    It reads the rational direction X.u, not act_direct's integer num/den, so
-    that it stays an independent reference."""
-    fibre = ctx.vmod.matrix_apply({(i, j): a * b for i, a in enumerate(X.r, start=1)
-                                   for j, b in enumerate(X.u, start=1)}, {key: 1})
-    fibre.add_pairs([(key, dot(X.u, sub(s, ctx.twist)))])
-    return tensor.TensorElement(ctx, {(add(X.r, s), k): c for k, c in fibre.items()})
+def _action_formula(X: VectorField, m) -> tensor.TensorElement:
+    """D(u, r) on m = sum_s c_s x^s (x) key, all of its terms at one key: the sum
+    of c_s ((u|s - twist) x^{s+r} (x) key + x^{s+r} (x) rho(r u^T) key), with
+    r u^T written out from the nonzero entries of r and u, apart from the
+    glmod.rank_one that act_direct reads, and rho(r u^T) key built once. Each
+    term moves by r alone, so distinct s stay apart. It reads the rational
+    direction X.u, not act_direct's integer num/den, so that it stays an
+    independent reference."""
+    ctx = m.ctx
+    key = next(iter(m.num))[1]
+    u = [(j, b) for j, b in enumerate(X.u) if b]
+    fibre = ctx.vmod.matrix_apply({(i + 1, j + 1): a * b for i, a in enumerate(X.r) if a
+                                   for j, b in u}, {key: 1})
+    terms = []
+    for (s, _), c in m.terms.items():
+        t = add(X.r, s)
+        terms += [((t, k), c * b) for k, b in fibre.items()]
+        terms.append(((t, key), c * sum(b * (s[j] - ctx.twist[j]) for j, b in u)))
+    return tensor.TensorElement(ctx, terms)
 
 
 def _lattice_mismatch(ctx, pairs: bool, lhs, rhs) -> str:
     """The first field X, degree s and key where lhs(X, m) and rhs(X, m) differ
     on m = x^s (x) key in ctx, or "". X runs over the pair fields or the
     D(e_j, r), and (r, s) over _principal_lattice(2n, 2): sides of degree <= 2
-    in (r, s) that agree there agree everywhere."""
-    n = ctx.n
+    in (r, s) that agree there agree everywhere. Every side the proofs read
+    (act_direct, and derham_map after or before it) sends x^s (x) key to terms
+    at x^{s+r} (x) key', so the lattice is grouped by r, and one lhs and one
+    rhs call per (r, field, key) read all of the group's s at once
+    (_first_disagreement): C(n+2, 2) calls per field and key, not C(2n+2, 2)."""
+    n, keys, order = ctx.n, ctx.vmod.keys, []
     for x in _principal_lattice(2 * n, 2):
         r, s = x[:n], x[n:]
-        for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
-                if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:
-            for key in ctx.vmod.keys:
-                m = tensor.basis_element(ctx, s, key)
-                if lhs(X, m) != rhs(X, m):
-                    return "%r at s=%s key=%s" % (X, s, key)
-    return ""
+        fields = [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
+            if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]
+        # the index a keeps apart the pair fields at r = 0, all of them 0
+        order += [((a, X, key), s) for a, X in enumerate(fields) for key in keys]
+
+    def agree(group, degrees):
+        _, X, key = group
+        m = _graded_sum(ctx, degrees, key)
+        return lhs(X, m) == rhs(X, m)
+    bad = _first_disagreement(order, agree)
+    return "%r at s=%s key=%s" % (bad[0][1], bad[1], bad[0][2]) if bad else ""
 
 
 def _action_mismatch(twist, vmod, pairs: bool) -> str:
-    """_lattice_mismatch of act_direct against _action_formula on P (x) vmod,
-    which reads (s, key) off the basis element's one term."""
-    ctx = tensor.context(twist, vmod)
-    return _lattice_mismatch(ctx, pairs, tensor.act_direct,
-                             lambda X, m: _action_formula(X, ctx, *next(iter(m.num))))
+    """_lattice_mismatch of act_direct against _action_formula on P (x) vmod."""
+    return _lattice_mismatch(tensor.context(twist, vmod), pairs, tensor.act_direct,
+                             _action_formula)
 
 
 def run_lattice(cfg: RunConfig) -> SuiteResult:

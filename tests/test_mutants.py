@@ -1,12 +1,14 @@
-"""The mutant matrix: each named mutant of the de Rham layer, and the exact
-set of (suite, check) pairs that fail under it at n=3.
+"""The mutant matrix: each named mutant of the de Rham layer and of the field
+action, and the exact set of (suite, check) pairs that fail under it at n=3.
 
 A row that loses a killer, or gains one, fails here; a change that deletes
 or replaces a check edits the row and says which mutant lost which killer.
-Only derham, minuscule and simplicity run: they are the suites that read
-derham_map, glmod.wedge_by, the de Rham kernels and the r u^T term that
-act_direct reads from glmod.rank_one. The conftest.py fixture clears the
-package caches around every patch.
+Every suite but iso runs, which compares fingerprints and reads none of the
+mutated maps: identities and axioms read glmod.rank_one, lattice and
+nonminuscule read act_direct through _action_mismatch, and derham,
+minuscule and simplicity read derham_map, glmod.wedge_by, the de Rham
+kernels and the r u^T term that act_direct reads from glmod.rank_one. The
+conftest.py fixture clears the package caches around every patch.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ TWISTS = {"generic": (rat(1, 2), rat(1, 3), rat(1, 5)),
           "integer": (1, -2, 0)}
 TWISTS_N4 = {"generic": (rat(1, 2), rat(1, 3), rat(1, 5), rat(1, 7)),
              "zero": (0, 0, 0, 0)}
-RUN = ("derham", "minuscule", "simplicity")
+RUN = ("identities", "axioms", "derham", "minuscule", "lattice", "simplicity", "nonminuscule")
 
 
 def unsigned_wedge(monkeypatch):
@@ -105,6 +107,11 @@ RANK_ONE = {("derham", "derham_intertwines_fields"),
             ("minuscule", "image_invariant_under_fields"),
             ("minuscule", "square_coefficient_identity"),
             ("simplicity", "image_action_matches_formula")}
+# the lattice proofs read act_direct against _action_formula, which reads
+# neither _integer_map nor glmod.rank_one
+LATTICE_FLIPPED = {("lattice", "scalar_quotient_trivial"),
+                   ("lattice", "top_level_matches_scalar"),
+                   ("nonminuscule", "action_matches_formula")}
 PROBE = {("minuscule", "image_probe_vanishes_on_image"),
          ("minuscule", "square_coefficient_identity")}
 
@@ -115,13 +122,25 @@ MATRIX = {
     # at twist 0 the mutant changes nothing the suites compute at the twist;
     # the exactness link also reads d at twist -e_1, where it does
     "twist_sign_in_integer_map": (twist_sign, {
-        "generic": FLIPPED, "zero": EXACTNESS, "integer": FLIPPED}),
+        "generic": FLIPPED | LATTICE_FLIPPED | {("lattice", "generic_twist_generates")},
+        "zero": EXACTNESS,
+        "integer": FLIPPED | LATTICE_FLIPPED | {("lattice", "integer_twist_fixed_line")}}),
     "derham_table_wrong_index": (derham_wrong_index, dict.fromkeys(TWISTS, WRONG_INDEX)),
     "level_one_uniform_sign": (level_one_sign, dict.fromkeys(TWISTS, EXACTNESS)),
+    # r u^T = 0 also empties the loops, so the classifier finds sym:2 minuscule
     "rank_one_empty": (rank_one_empty, dict.fromkeys(
-        TWISTS, RANK_ONE | {("simplicity", "image_loops_generate_end")})),
+        TWISTS, RANK_ONE | {("simplicity", "image_loops_generate_end"),
+                            ("identities", "rank_one_outer_product"),
+                            ("lattice", "top_level_matches_scalar"),
+                            ("nonminuscule", "action_matches_formula"),
+                            ("nonminuscule", "loops_generate_end"),
+                            ("nonminuscule", "minuscule_classifier")})),
+    # u r^T has trace (u|r) too, so ext:n cannot see it; sym:2 can
     "rank_one_transposed": (rank_one_transposed, dict.fromkeys(
-        TWISTS, RANK_ONE | {("simplicity", "image_invariant_under_loops")})),
+        TWISTS, RANK_ONE | {("simplicity", "image_invariant_under_loops"),
+                            ("axioms", "module_axiom_direct"),
+                            ("identities", "rank_one_outer_product"),
+                            ("nonminuscule", "action_matches_formula")})),
 }
 
 #: mutants that no check sees at n=3, run at n=4 on minuscule alone, the one
@@ -192,13 +211,20 @@ RANK_ONE_EMPTY_FAILURES = {
     "simplicity": [
         "FAIL image_loops_generate_end rank=1/4",
         "FAIL image_action_matches_formula D[(0,-1,0); (1,0,0)] at s=(0, 0, 0) key=(2, 3)"],
+    # recorded while _lattice_mismatch still read one degree per call
+    "lattice": [
+        "FAIL top_level_matches_scalar D[(1,0,0); (1,0,0)] at s=(0, 0, 0) key=(1, 2, 3)"],
+    "nonminuscule": [
+        "FAIL minuscule_classifier module=symmetric-2",
+        "FAIL action_matches_formula D[(1,0,0); (1,0,0)] at s=(0, 0, 0) key=(1, 1)",
+        "FAIL loops_generate_end rank=1/36"],
 }
 
 
 def test_failure_details_are_unchanged(monkeypatch):
     rank_one_empty(monkeypatch)
     cfg = RunConfig(n=3, twist=TWISTS["generic"])
-    got = {suite: SUITES[suite](cfg).failures for suite in RUN}
+    got = {suite: SUITES[suite](cfg).failures for suite in RANK_ONE_EMPTY_FAILURES}
     lines = got["derham"]
     got["derham"] = (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
     assert got == RANK_ONE_EMPTY_FAILURES

@@ -661,4 +661,4 @@ def test_action_formula_matches_act_direct_off_the_lattice(data):
     ctx = tensor.context(twist, vmod)
     for key in vmod.keys:
         assert tensor.act_direct(X, tensor.basis_element(ctx, s, key)) \
-            == _action_formula(X, ctx, s, key)
+            == _action_formula(X, tensor.basis_element(ctx, s, key))

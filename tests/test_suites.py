@@ -1,10 +1,15 @@
 """Verification-suite layer: config validation, statuses, check registry."""
 
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, rat, suites, tensor
-from toruslie.fields import VectorField, bracket
+from toruslie.fields import VectorField, bracket, pair_field
+from toruslie.indices import add, unit
+from toruslie.rational import rat_str
 from toruslie.suites import SUITES, EVIDENCE, PASS, RunConfig, SuiteResult, run_suites
 
 #: the expected registry: check name -> the one suite that logs it
@@ -283,3 +288,148 @@ def test_derham_and_minuscule_build_no_graded_span(n, monkeypatch):
         for run in (suites.run_derham, suites.run_minuscule):
             res = run(cfg)
             assert res.status == PASS, (res.name, res.failures)
+
+
+# ------------------------------------------- lattice proofs read in batches
+
+
+def _oracle_lattice_mismatch(ctx, pairs, lhs, rhs):
+    # the scan _lattice_mismatch makes in one call per degree: one lhs and
+    # one rhs call per point of _principal_lattice(2n, 2), field and key
+    n = ctx.n
+    for x in suites._principal_lattice(2 * n, 2):
+        r, s = x[:n], x[n:]
+        for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
+                if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:
+            for key in ctx.vmod.keys:
+                m = tensor.basis_element(ctx, s, key)
+                if lhs(X, m) != rhs(X, m):
+                    return "%r at s=%s key=%s" % (X, s, key)
+    return ""
+
+
+def _minuscule_sides():
+    return (lambda X, m: tensor.derham_map(tensor.act_direct(X, m)),
+            lambda X, m: tensor.act_direct(X, tensor.derham_map(m)))
+
+
+#: sets of (s0, r0) with |r0| + |s0| <= 2: from the r = 0 group, an |r| = 1
+#: group and an |r| = 2 group of _principal_lattice(6, 2); and two groups,
+#: where the scan reads (r, s) = (e_2, 0) before (0, e_1), but the r = 0
+#: group comes first
+STRAYS = [(((0, 1, 1), (0, 0, 0)),), (((1, 0, 0), (0, 1, 0)),), (((0, 0, 0), (1, 0, 1)),),
+          (((1, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0)))]
+
+
+@pytest.mark.parametrize("strays", STRAYS)
+def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monkeypatch):
+    # act_direct with a stray term, only on inputs with a term at s0 and
+    # fields of exponent r0: a batch over the degrees of r0's group holds s0,
+    # so the batch fails, and its re-read names the scan's first failure
+    act_direct = tensor.act_direct
+
+    def stray(X, m):
+        out = act_direct(X, m)
+        for s0, r0 in strays:
+            hit = [key for s, key in m.num if s == s0]
+            if X.r == r0 and hit:
+                out = out + tensor.basis_element(out.ctx, add(s0, r0), hit[0])
+        return out
+    monkeypatch.setattr(tensor, "act_direct", stray)
+    for vmod, pairs in ((glmod.symmetric(3, 2), False), (glmod.exterior(3, 2), True)):
+        bad = suites._action_mismatch(GEN3, vmod, pairs)
+        ctx = tensor.context(GEN3, vmod)
+        assert "s=%s" % (strays[-1][0],) in bad
+        assert bad == _oracle_lattice_mismatch(ctx, pairs, tensor.act_direct,
+                                               suites._action_formula)
+    for k in (1, 2, 3):
+        ctx = tensor.context(GEN3, glmod.exterior(3, k - 1))
+        bad = suites._lattice_mismatch(ctx, False, *_minuscule_sides())
+        assert bad and bad == _oracle_lattice_mismatch(ctx, False, *_minuscule_sides())
+    failures = suites.run_minuscule(RunConfig(n=3, twist=GEN3)).failures
+    assert ["FAIL image_invariant_under_fields k=%d" % k for k in (1, 2, 3)] == [
+        line for line in failures if "image_invariant_under_fields" in line]
+
+
+def _oracle_chain_failures(n, twist):
+    # run_derham's three chain checks read one basis element per call
+    d, ds, phi = tensor.derham_map, tensor.derham_map_shifted, tensor.to_shifted_form
+    lines = []
+    for k in range(n):
+        ctx = tensor.context(twist, glmod.exterior(n, k))
+        sctx = ctx.with_style(tensor.STYLE_SHIFTED)
+        chain = [("derham_squares_to_zero", lambda m, ms: d(d(m)).is_zero),
+                 ("derham_shifted_squares_to_zero", lambda m, ms: ds(ds(ms)).is_zero),
+                 ] if k <= n - 2 else []
+        chain.append(("equivalence_commutes_with_derham",
+                      lambda m, ms: phi(d(m)) == ds(phi(m))))
+        for label, holds in chain:
+            lines += ["FAIL %s k=%d s=%s key=%s" % (label, k, s, key)
+                      for s in suites._principal_lattice(n, 2) for key in ctx.vmod.keys
+                      if not holds(tensor.basis_element(ctx, s, key),
+                                   tensor.basis_element(sctx, s, key))][:1]
+    return lines
+
+
+def _oracle_link(k, twist, derham_map):
+    # the link of _derham_exactness against the derham_map it proves, one
+    # basis element per call
+    n = len(twist)
+    for tw in dict.fromkeys((twist, (rat(-1),) + (rat(0),) * (n - 1))):
+        for j in range(k - 1, min(k, n - 1) + 1):
+            ctx = tensor.context(tw, glmod.exterior(n, j))
+            for s in suites._principal_lattice(n, 1):
+                for key in ctx.vmod.keys:
+                    m = tensor.basis_element(ctx, s, key)
+                    if tensor.derham_map(m) != derham_map(m):
+                        return "link at twist=%s s=%s key=%s" % (
+                            ",".join(map(rat_str, tw)), s, key)
+    return ""
+
+
+@pytest.mark.parametrize("s0", [(0, 1, 0), (1, 0, 1)])
+def test_a_derham_map_wrong_at_one_degree_is_found_where_a_scan_finds_it(s0, monkeypatch):
+    derham_map = tensor.derham_map
+
+    def stray(m):
+        out = derham_map(m)
+        if any(s == s0 for s, _ in m.num):
+            out = out + tensor.basis_element(out.ctx, s0, out.ctx.vmod.keys[0])
+        return out
+    monkeypatch.setattr(tensor, "derham_map", stray)
+    chain = ("derham_squares_to_zero", "derham_shifted_squares_to_zero",
+             "equivalence_commutes_with_derham")
+    want = _oracle_chain_failures(3, GEN3)
+    assert want and all("s=%s" % (s0,) in line for line in want)
+    rec = suites.run_derham(RunConfig(n=3, twist=GEN3))
+    assert [line for line in rec.failures if line.split()[1] in chain] == want
+    for k in (1, 2, 3):
+        assert suites._derham_exactness(k, GEN3) == _oracle_link(k, GEN3, derham_map)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_lattice_work_is_one_call_per_exponent_field_and_key(n):
+    # one lhs call per (r, field, key): C(n+2, 2) exponents r, not the
+    # C(2n+2, 2) points (r, s) of the lattice
+    twist = tuple(rat(1, j + 2) for j in range(n))
+    for vmod, pairs in ((glmod.symmetric(n, 2), False), (glmod.exterior(n, 2), True),
+                        (glmod.exterior(n, 1), False)):
+        ctx, calls = tensor.context(twist, vmod), []
+
+        def counted(X, m):
+            calls.append(m)
+            return tensor.act_direct(X, m)
+        assert suites._lattice_mismatch(ctx, pairs, counted, tensor.act_direct) == ""
+        fields = comb(n, 2) if pairs else n
+        assert len(calls) == comb(n + 2, 2) * fields * vmod.dim
+        assert all(len({key for _, key in m.num}) == 1 for m in calls)
+
+
+def test_a_group_that_disagrees_only_as_a_whole_still_fails():
+    # an agree that is not additive: only sums of two or more degrees fail
+    order = [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
+    assert suites._first_disagreement(order, lambda group, degrees: len(degrees) < 2
+                                      or group == "a") == ("b", 0)
+    assert suites._first_disagreement(order, lambda group, degrees: group != "b"
+                                      or 1 not in degrees) == ("b", 1)
+    assert suites._first_disagreement(order, lambda group, degrees: True) is None
