@@ -273,12 +273,6 @@ def _integer_map(m: TensorElement, out_ctx: Context, table, den) -> TensorElemen
     return integer_element(out_ctx, acc, den * m.den * tw_den)
 
 
-def act_monomial(r, m: TensorElement) -> TensorElement:
-    """Multiplication action of the Laurent monomial x^r (exponent shift)."""
-    r = tuple(r)
-    return _wrap(m.ctx, {(add(s, r), vkey): v for (s, vkey), v in m.num.items()}, m.den)
-
-
 def act_shifted_field(X: VectorField, m: TensorElement) -> TensorElement:
     """A general field D(u, rho) = sum_j u_j x^rho d_j in the shifted style.
 

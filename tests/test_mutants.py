@@ -1,5 +1,6 @@
-"""The mutant matrix: each named mutant of the de Rham layer and of the field
-action, and the exact set of (suite, check) pairs that fail under it at n=3.
+"""The mutant matrix: each named mutant of the de Rham layer, of the image
+probe and of the field action, and the exact set of (suite, check) pairs
+that fail under it at n=3.
 
 A row that loses a killer, or gains one, fails here; a change that deletes
 or replaces a check edits the row and says which mutant lost which killer.
@@ -7,8 +8,9 @@ Every suite but iso runs, which compares fingerprints and reads none of the
 mutated maps: identities and axioms read glmod.rank_one, lattice and
 nonminuscule read act_direct through _action_mismatch, and derham,
 minuscule and simplicity read derham_map, glmod.wedge_by, the de Rham
-kernels and the r u^T term that act_direct reads from glmod.rank_one. The
-conftest.py fixture clears the package caches around every patch.
+kernels and the r u^T term that act_direct reads from glmod.rank_one;
+minuscule alone reads image_probe. The conftest.py fixture clears the
+package caches around every patch.
 """
 
 import hashlib
@@ -16,7 +18,7 @@ import hashlib
 import pytest
 
 from toruslie import glmod, rat, tensor
-from toruslie.indices import zero
+from toruslie.indices import add, zero
 from toruslie.suites import SUITES, RunConfig
 
 TWISTS = {"generic": (rat(1, 2), rat(1, 3), rat(1, 5)),
@@ -59,7 +61,8 @@ def probe_at_t_plus_s(monkeypatch):
     # image_probe reading the eigenvalues at t + s: the s = 0 probe of x^s m
     image_probe = tensor.image_probe
     monkeypatch.setattr(tensor, "image_probe", lambda i, s, m: image_probe(
-        i, zero(m.ctx.n), tensor.act_monomial(s, m)))
+        i, zero(m.ctx.n), tensor.integer_element(
+            m.ctx, {(add(t, s), key): v for (t, key), v in m.num.items()}, m.den)))
 
 
 def _patch_derham_table(monkeypatch, lin_of):
@@ -141,10 +144,16 @@ MATRIX = {
                             ("axioms", "module_axiom_direct"),
                             ("identities", "rank_one_outer_product"),
                             ("nonminuscule", "action_matches_formula")})),
+    # the probe's lattice proof reads every shift s; square_coefficient_identity
+    # samples ext:2, on which the probe is the zero map at n=3
+    "probe_at_t_plus_s": (probe_at_t_plus_s, dict.fromkeys(
+        TWISTS, {("minuscule", "image_probe_vanishes_on_image")})),
 }
 
-#: mutants that no check sees at n=3, run at n=4 on minuscule alone, the one
-#: suite that reads image_probe: mutant -> (patch, twist name -> failing pairs)
+#: the mutants' n=4 rows, run on minuscule alone, the one suite that reads
+#: image_probe: square_coefficient_identity sees the t + s probe at n=4, where
+#: the probe is not 0 on the ext:2 it samples. mutant -> (patch, twist name ->
+#: failing pairs)
 MATRIX_N4 = {
     "probe_at_t_plus_s": (probe_at_t_plus_s, dict.fromkeys(TWISTS_N4, PROBE)),
 }
@@ -169,15 +178,6 @@ def test_each_n4_mutant_fails_exactly_its_row(name, monkeypatch):
     patch, want = MATRIX_N4[name]
     patch(monkeypatch)
     assert failing(TWISTS_N4, ("minuscule",)) == want
-
-
-def test_probe_at_t_plus_s_is_a_known_gap_at_n3(monkeypatch):
-    # A known gap: at n=3 no check sees the probe read at t + s, not even
-    # square_coefficient_identity. ROADMAP item 4's lattice proof of the
-    # probe identities must kill it at n=3; this test then fails, and the
-    # mutant's row moves to MATRIX.
-    probe_at_t_plus_s(monkeypatch)
-    assert failing(TWISTS, ("minuscule",)) == dict.fromkeys(TWISTS, set())
 
 
 def test_no_row_is_empty():

@@ -237,6 +237,25 @@ def test_derham_intertwines_every_field_off_the_lattice(data):
             == tensor.act_direct(X, tensor.derham_map(m))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_probe_vanishes_on_the_image_off_the_lattice(data):
+    # run_minuscule proves probe_{i,s}(d(x^t (x) e_w)) = 0 on the degree-2
+    # principal lattice in (s, t); test it far from it, at rational twists
+    n = data.draw(st.integers(3, 5))
+    k = data.draw(st.integers(1, n))
+
+    def vector(elements):
+        return tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+    s, t = vector(st.integers(-10, 10)), vector(st.integers(-10, 10))
+    twist = vector(st.fractions(-3, 3, max_denominator=9))
+    ctx = tensor.context(twist, glmod.exterior(n, k - 1))
+    for key in ctx.vmod.keys:
+        image = tensor.derham_map(tensor.basis_element(ctx, t, key))
+        for i in range(1, n - 1):
+            assert tensor.image_probe(i, s, image).is_zero
+
+
 # -------------------------------------------------- de Rham complex proof
 
 
@@ -349,6 +368,74 @@ def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monke
     failures = suites.run_minuscule(RunConfig(n=3, twist=GEN3)).failures
     assert ["FAIL image_invariant_under_fields k=%d" % k for k in (1, 2, 3)] == [
         line for line in failures if "image_invariant_under_fields" in line]
+
+
+def _oracle_probe_mismatch(ctx):
+    # the scan _probe_mismatch makes in one call per degree: one derham_map
+    # and one image_probe call per point (s, t) of _principal_lattice(2n, 2),
+    # probe index and key
+    n = ctx.n
+    for x in suites._principal_lattice(2 * n, 2):
+        s, t = x[:n], x[n:]
+        for i in range(1, n - 1):
+            for key in ctx.vmod.keys:
+                m = tensor.basis_element(ctx, t, key)
+                if not tensor.image_probe(i, s, tensor.derham_map(m)).is_zero:
+                    return "i=%d s=%s t=%s key=%s" % (i, s, t, key)
+    return ""
+
+
+#: sets of (shift s0, degree t0) with |s0| + |t0| <= 2: from the s = 0 group,
+#: an |s| = 1 group and an |s| = 2 group of _principal_lattice(6, 2); and two
+#: groups, where the scan reads (s, t) = (e_2, 0) before (0, e_1), but the
+#: s = 0 group comes first
+PROBE_STRAYS = [(((0, 0, 0), (0, 1, 1)),), (((0, 1, 0), (1, 0, 0)),),
+                (((1, 0, 1), (0, 0, 0)),), (((0, 1, 0), (0, 0, 0)), ((0, 0, 0), (1, 0, 0)))]
+
+
+@pytest.mark.parametrize("strays", PROBE_STRAYS)
+def test_a_stray_probe_term_at_one_shift_and_degree_is_found_where_a_scan_finds_it(
+        strays, monkeypatch):
+    # image_probe with a stray term, only at the shift s0 on inputs with a
+    # term at degree t0: a batch over the degrees of (i, s0, key) holds t0,
+    # so the batch fails, and its re-read names the scan's first failure
+    image_probe = tensor.image_probe
+
+    def stray(i, s, m):
+        out = image_probe(i, s, m)
+        for s0, t0 in strays:
+            hit = [key for t, key in m.num if t == t0]
+            if tuple(s) == s0 and hit:
+                out = out + tensor.basis_element(out.ctx, add(t0, s0), hit[0])
+        return out
+    monkeypatch.setattr(tensor, "image_probe", stray)
+    want = []
+    for k in (1, 2, 3):
+        ctx = tensor.context(GEN3, glmod.exterior(3, k - 1))
+        bad = _oracle_probe_mismatch(ctx)
+        assert "s=%s t=%s" % strays[0] in bad
+        assert suites._probe_mismatch(ctx) == bad
+        want.append("FAIL image_probe_vanishes_on_image k=%d %s" % (k, bad))
+    failures = suites.run_minuscule(RunConfig(n=3, twist=GEN3)).failures
+    assert [line for line in failures if "image_probe_vanishes_on_image" in line] == want
+
+
+@pytest.mark.parametrize("twist", (GEN3, (0, 0, 0)))
+def test_minuscule_probe_work_does_not_grow_with_the_window(twist, monkeypatch):
+    calls = {"image_probe": 0, "derham_map": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(tensor, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(tensor, name, counted)
+    counts = []
+    for window in ((1, 2, 1, 2), (2, 2, 3, 6)):
+        calls.update(dict.fromkeys(calls, 0))
+        cfg = RunConfig(n=3, twist=twist, central=window[0], gen_bound=window[1],
+                        depth=window[2], margin=window[3])
+        assert suites.run_minuscule(cfg).status == PASS
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
 
 
 def _oracle_chain_failures(n, twist):
