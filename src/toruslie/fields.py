@@ -10,14 +10,15 @@ under the bracket
 The Euler fields D(e_i, 0) span the Cartan subalgebra.
 
 A field keeps its direction as num/den: an integer vector over one
-common denominator, in lowest terms. The bracket and the field action
-work on num and den in integers and build one rational per output term,
-in the fraction-free idiom of linalg; the pair and Euler fields, the
-generators, have den 1.
+common denominator, in lowest terms. The bracket, the field action and
+the operator of a field work on num and den in integers and build no
+rational, in the fraction-free idiom of linalg; the pair and Euler
+fields, the generators, have den 1.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .indices import add, box, dot, unit, zero
@@ -64,9 +65,10 @@ class VectorField:
         return dot(self.num, self.r) == 0
 
     def to_weyl(self) -> WeylOp:
-        r, den, n = self.r, self.den, self.n
-        return WeylOp({(r, unit(i, n)): rational(c, den)
-                       for i, c in enumerate(self.num, start=1) if c})
+        """sum_i u_i x^r d_i, in lowest terms as the direction is."""
+        r = self.r
+        return WeylOp._wrap({(r, e): c for e, c in zip(_units(self.n), self.num) if c},
+                            self.den)
 
     def __eq__(self, other):
         return (isinstance(other, VectorField) and self.num == other.num
@@ -89,6 +91,12 @@ def _field(num, den, r) -> VectorField:
     X = VectorField.__new__(VectorField)
     X.num, X.den, X.r = tuple(num), den, r
     return X
+
+
+@lru_cache(maxsize=None)
+def _units(n: int) -> tuple:
+    """(e_1, ..., e_n), the exponents of the words d_i of a field's operator."""
+    return tuple(unit(i, n) for i in range(1, n + 1))
 
 
 def euler_field(i: int, n: int) -> VectorField:
@@ -121,21 +129,19 @@ def bracket(a: VectorField, b: VectorField) -> VectorField:
 def field_apply(X: VectorField, p: LaurentPoly, twist) -> LaurentPoly:
     """Twisted action on Laurent polynomials: x^s -> (u|s-t) x^{s+r}.
 
-    With u = num/D, t = dt/T and p's coefficients c/P, the coefficient of
-    x^{s+r} is c (T (num|s) - (num|dt)) / (P D T); p and the twist are
-    cleared once per call. Distinct s give distinct s + r.
+    With u = num/D, t = dt/T and p = sum c_s x^s / P, the coefficient of
+    x^{s+r} is c_s (T (num|s) - (num|dt)) / (P D T); the twist is cleared
+    once per call. Distinct s give distinct s + r.
     """
     num, r = X.num, X.r
     tden, dt = cleared(twist)
-    pden, pc = cleared(p.values())
     nt = dot(num, dt)
-    den = pden * X.den * tden
-    out = LaurentPoly()
-    for s, c in zip(p, pc):
+    out = {}
+    for s, c in p.num.items():
         v = c * (tden * dot(num, s) - nt)
         if v:
-            out[add(s, r)] = rational(v, den)
-    return out
+            out[add(s, r)] = v
+    return LaurentPoly._of(out, p.den * X.den * tden)
 
 
 def spanning_generators(n: int, bound: int) -> list:
@@ -160,12 +166,15 @@ def double_action_check(Y: VectorField, X: VectorField, p: LaurentPoly, twist) -
 
     With Y = D(v,s) and X = D(u,r): D(v,s) D(u,r) p = D(v,r+s) D(u,0) p
     + (v|r) D(u,r+s) p for every Laurent polynomial p and twist; both sides
-    evaluated independently.
+    evaluated independently. The last term is the action of the field
+    D((v|r) u, r+s), whose direction is integer over Y.den X.den.
     """
     lhs = field_apply(Y, field_apply(X, p, twist), twist)
     rs = add(X.r, Y.r)
-    Dv_rs, Du_rs = _field(Y.num, Y.den, rs), _field(X.num, X.den, rs)
+    Dv_rs = _field(Y.num, Y.den, rs)
     Du_0 = _field(X.num, X.den, zero(X.n))
+    vr = dot(Y.num, X.r)
+    vr_Du_rs = _field([vr * c for c in X.num], Y.den * X.den, rs)
     first = field_apply(Dv_rs, field_apply(Du_0, p, twist), twist)
-    rhs = first + field_apply(Du_rs, p, twist).scaled(rational(dot(Y.num, X.r), Y.den))
+    rhs = first + field_apply(vr_Du_rs, p, twist)
     return lhs == rhs

@@ -22,10 +22,11 @@ from .rational import rat
 class SparseVec(dict):
     """key -> nonzero rational coefficient; zero entries are dropped.
 
-    The one sparse accumulator of the package: Laurent polynomials and
-    operators subclass it, tensor elements keep their terms in one, and
-    its arithmetic returns the type it is called on. Sources of terms are
-    dicts or iterables of (key, coeff) pairs, where a key may repeat.
+    The one sparse accumulator of rational terms in the package: Laurent
+    polynomials, operators and tensor elements sum the terms they are
+    built from in one before they clear them to integers over one
+    denominator, and the .terms they give back are one. Sources of terms
+    are dicts or iterables of (key, coeff) pairs, where a key may repeat.
     """
 
     __slots__ = ()

@@ -2,24 +2,25 @@
 
 Every coefficient in this package is an exact rational, canonical by
 construction: lowest terms, positive denominator, zero has a single
-representation. The scalar type is fractions.Fraction; the hot loops
-(closures, the field bracket and field action of fields.py, and the
-commutator and operator action of weyl.py) do their arithmetic in
-integers and build one rational per output term. Tensor elements keep
-integer numerators over one denominator, so the one loop of tensor.py
-behind both field actions, both de Rham maps and the image probe, and
-their sums and comparisons, build no rational at all (both field actions
-run one kernel that contracts their matrix units against a merged integer
-unit table per module, and derived contexts reuse their parent's cleared
-twist); nor do coefficient extraction, whose Lagrange weights are integers
-over one denominator, and kernel_of_map, whose kernel vectors are integers.
-cleared is the one helper that clears denominators.
+representation. The scalar type is fractions.Fraction. Field directions,
+Laurent polynomials, operators and tensor elements keep integer
+numerators over one denominator, so the field bracket and field action of
+fields.py, the commutator and operator action of weyl.py, the one loop of
+tensor.py behind both field actions, both de Rham maps and the image
+probe, and their sums and comparisons, build no rational at all (both
+field actions on tensors run one kernel that contracts their matrix units
+against a merged integer unit table per module, and derived contexts
+reuse their parent's cleared twist); nor do coefficient extraction, whose
+Lagrange weights are integers over one denominator, and kernel_of_map,
+whose kernel vectors are integers. cleared is the one helper that clears
+denominators, and lowest_terms the one that reduces integer numerators
+over one denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as rational
-from math import lcm
+from math import gcd, lcm
 
 ONE = rational(1)
 
@@ -63,6 +64,21 @@ def cleared(values):
     for c in values:
         den = lcm(den, c.denominator)
     return den, [c.numerator * (den // c.denominator) for c in values]
+
+
+def lowest_terms(num: dict, den: int) -> tuple:
+    """(num, den) for the value num / den, an int dict over den > 0, in lowest
+    terms: zero entries dropped and one gcd divided out, so zero is ({}, 1).
+
+    The caller hands num over: when it holds no zero and the gcd is 1 it
+    comes back itself, which spares the copy that most calls would make.
+    """
+    if 0 in num.values():
+        num = {key: v for key, v in num.items() if v}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {key: v // g for key, v in num.items()}
+    return num, den // g
 
 
 def rat_str(value) -> str:

@@ -174,9 +174,9 @@ def _random_divzero(rng, n, bound=2) -> VectorField:
 
 def _random_poly(rng, n) -> LaurentPoly:
     """Three terms, each an exponent in [-2, 2]^n, then a coefficient."""
-    return LaurentPoly.make((tuple(rng.randint(-2, 2) for _ in range(n)),
-                             rat(rng.choice([-3, -2, -1, 1, 2, 3])))
-                            for _ in range(3))
+    return LaurentPoly((tuple(rng.randint(-2, 2) for _ in range(n)),
+                        rat(rng.choice([-3, -2, -1, 1, 2, 3])))
+                       for _ in range(3))
 
 
 # --------------------------------------------------------------- identities

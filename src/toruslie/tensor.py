@@ -43,7 +43,7 @@ from . import glmod
 from .fields import VectorField
 from .indices import add, box, sub, unit, zero
 from .linalg import SpanBasis, SparseVec
-from .rational import cleared, rat, rational
+from .rational import cleared, lowest_terms, rat, rational
 
 STYLE_DIRECT = "direct"
 STYLE_SHIFTED = "shifted"
@@ -172,11 +172,7 @@ def _wrap(ctx: Context, num: dict, den: int) -> TensorElement:
 def integer_element(ctx: Context, num: dict, den: int = 1) -> TensorElement:
     """The element sum num[(s, key)] / den x^s (x) key over ctx, for ints num
     (zeros allowed) and den > 0, reduced to lowest terms by one gcd."""
-    num = {key: v for key, v in num.items() if v}
-    g = gcd(den, *num.values())
-    if g != 1:
-        num = {key: v // g for key, v in num.items()}
-    return _wrap(ctx, num, den // g)
+    return _wrap(ctx, *lowest_terms(num, den))
 
 
 def basis_element(ctx: Context, s, vkey, coeff=1) -> TensorElement:

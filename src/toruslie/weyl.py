@@ -9,28 +9,93 @@ A rational twist t = (t_1,...,t_n) replaces each d_i by d_i - t_i. On the
 twisted polynomial module, d_i acts on x^s as the scalar (s_i - t_i) and
 x^r shifts exponents by r; every monomial is a joint eigenvector.
 
-The commutator and the action clear the denominators of their
-operands once per call, sum integer coefficients per output term and build
-one rational per surviving term.
+Polynomials and operators keep integer numerators over one denominator,
+as tensor elements do, so sums and comparisons are integer operations.
+The commutator and the action read the numerators, clear the twist once
+per call, sum integers per output term and divide by one gcd; they build
+no rational.
 """
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .indices import add, zero
 from .linalg import SparseVec
-from .rational import cleared, rat, rational
+from .rational import cleared, lowest_terms, rat, rational
 
 
-class LaurentPoly(SparseVec):
-    """Exponent tuple -> nonzero rational coefficient."""
+class IntegerTerms:
+    """Finite sum of num[key] / den times the basis element key.
+
+    num holds nonzero ints and den > 0, with gcd(den, *num.values()) = 1
+    (zero is {} over 1), so equal values have equal num and den. The
+    constructor sums a dict or (key, coeff) pairs, where a key may repeat;
+    terms gives the rationals.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, terms=()):
+        vec = SparseVec.make(terms) if terms else {}
+        den, num = cleared(vec.values())
+        self.num, self.den = dict(zip(vec, num)), den
+
+    @classmethod
+    def _wrap(cls, num: dict, den: int):
+        """num / den, already in lowest terms, without a copy."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
+    def _of(cls, num: dict, den: int):
+        """num / den for an int dict num (zeros allowed) and den > 0."""
+        return cls._wrap(*lowest_terms(num, den))
+
+    @property
+    def terms(self) -> SparseVec:
+        """The coefficients as rationals, built on each read."""
+        den = self.den
+        return SparseVec({key: rational(v, den) for key, v in self.num.items()})
+
+    def scaled(self, c):
+        c = rat(c)
+        p = c.numerator
+        return self._of({key: p * v for key, v in self.num.items()},
+                        self.den * c.denominator)
+
+    def __add__(self, other):
+        """The sum over the lcm of the two denominators."""
+        if type(other) is not type(self):
+            return NotImplemented
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        num = {key: a * v for key, v in self.num.items()}
+        get = num.get
+        for key, v in other.num.items():
+            num[key] = get(key, 0) + b * v
+        return self._of(num, a * self.den)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.den == other.den
+                and self.num == other.num)
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, dict(self.terms))
+
+
+class LaurentPoly(IntegerTerms):
+    """Exponent tuple s -> coefficient of x^s."""
 
     __slots__ = ()
 
 
-class WeylOp(SparseVec):
-    """(r, a) -> coefficient for the normal-ordered word x^r d^a."""
+class WeylOp(IntegerTerms):
+    """(r, a) -> coefficient of the normal-ordered word x^r d^a."""
 
     __slots__ = ()
 
@@ -40,7 +105,7 @@ class WeylOp(SparseVec):
         if len(r) != len(a) or any(e < 0 for e in a):
             raise ValueError("bad normal-ordered word x^%s d^%s" % (r, a))
         c = rat(coeff)
-        return cls({(r, a): c}) if c else cls()
+        return cls._of({(r, a): c.numerator}, c.denominator)
 
     @classmethod
     def monomial(cls, r) -> "WeylOp":
@@ -49,35 +114,37 @@ class WeylOp(SparseVec):
 
 def commutator(y1: WeylOp, y2: WeylOp) -> WeylOp:
     """y1 y2 - y2 y1, both normal-ordered products, via d^a x^s = x^s (d + s)^a,
-    summed in integers over the product of the two operands' common
-    denominators."""
-    den1, c1 = cleared(y1.values())
-    den2, c2 = cleared(y2.values())
-    p1, p2 = list(zip(y1, c1)), list(zip(y2, c2))
+    summed in integers over the product of the two denominators.
+
+    The leading term x^{r+s} d^{a+b} of a pair of words comes with the same
+    coefficient from both products, so only the lower terms are summed.
+    """
     acc = {}
     get = acc.get
-    for left, right, sign in ((p1, p2, 1), (p2, p1, -1)):
-        for (r, a), ca in left:
-            for (s, b), cb in right:
-                c0, base = sign * ca * cb, add(r, s)
+    for left, right, sign in ((y1.num, y2.num, 1), (y2.num, y1.num, -1)):
+        for (r, a), ca in left.items():
+            for (s, b), cb in right.items():
                 # expand prod_i (d_i + s_i)^{a_i} then append d^b
-                for key, c in _shifted_powers(a, s):
-                    key = (base, tuple(e + f for e, f in zip(key, b)))
-                    acc[key] = get(key, 0) + c0 * c
-    den = den1 * den2
-    return WeylOp({key: rational(v, den) for key, v in acc.items() if v})
+                lower = _shifted_powers(a, s)[1:]
+                if lower:
+                    c0, base = sign * ca * cb, add(r, s)
+                    for key, c in lower:
+                        key = (base, add(key, b))
+                        acc[key] = get(key, 0) + c0 * c
+    return WeylOp._of(acc, y1.den * y2.den)
 
 
 def _shifted_powers(a, s):
-    """Expansion of prod_i (d_i + s_i)^{a_i} as [(exponent tuple, coeff)]."""
-    combos = [((), 1)]
-    for ai, si in zip(a, s):
-        grown = []
-        for key, c in combos:
-            for k in range(ai + 1):
-                grown.append((key + (k,), c * comb(ai, k) * si ** (ai - k)))
-        combos = grown
-    return [(key, c) for key, c in combos if c]
+    """Expansion of prod_i (d_i + s_i)^{a_i} as [(exponent tuple, coeff)] for
+    integer s, with no zero coefficient and the leading term (a, 1) first.
+    Only the indices with a_i and s_i both nonzero expand: any other factor
+    is d_i^{a_i} itself."""
+    combos = [(a, 1)]
+    for i, (ai, si) in enumerate(zip(a, s)):
+        if ai and si:
+            combos = [(key[:i] + (k,) + key[i + 1:], c * comb(ai, k) * si ** (ai - k))
+                      for key, c in combos for k in range(ai, -1, -1)]
+    return combos
 
 
 def operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:
@@ -88,18 +155,16 @@ def operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:
     share the denominator T^top times those of y and p.
     """
     tden, dt = cleared(twist)
-    yden, yc = cleared(y.values())
-    pden, pc = cleared(p.values())
-    top = max((sum(a) for _, a in y), default=0)
-    words = [(r, a, c * tden ** (top - sum(a))) for (r, a), c in zip(y, yc)]
+    top = max((sum(a) for _, a in y.num), default=0)
+    words = [(r, [(i, ai) for i, ai in enumerate(a) if ai], c * tden ** (top - sum(a)))
+             for (r, a), c in y.num.items()]
     acc = {}
     get = acc.get
-    for s, b in zip(p, pc):
+    for s, b in p.num.items():
         eig = [tden * si - ti for si, ti in zip(s, dt)]
-        for r, a, c in words:
-            v = c * b * prod(e ** ai for ai, e in zip(a, eig) if ai)
+        for r, support, c in words:
+            v = c * b * prod(eig[i] ** ai for i, ai in support)
             if v:
                 key = add(r, s)
                 acc[key] = get(key, 0) + v
-    den = yden * pden * tden ** top
-    return LaurentPoly({key: rational(v, den) for key, v in acc.items() if v})
+    return LaurentPoly._of(acc, y.den * p.den * tden ** top)

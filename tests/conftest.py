@@ -3,7 +3,7 @@ that patches the package."""
 
 import pytest
 
-from toruslie import probe, tensor
+from toruslie import fields, probe, tensor
 
 #: every functools.lru_cache of the package; a patched dependency would
 #: otherwise leave entries built from it for the tests that run later.
@@ -12,7 +12,7 @@ from toruslie import probe, tensor
 #: modules and contexts afresh on every run, and a module that outlives a
 #: run (_derham_table's target, or a cache key) goes when its cache is
 #: cleared.
-PACKAGE_CACHES = (tensor._derham_table, tensor._probe_table,
+PACKAGE_CACHES = (fields._units, tensor._derham_table, tensor._probe_table,
                   probe._gen_kernel, probe._coeff_of_nodes)
 
 

@@ -16,6 +16,8 @@ from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.rational import rational
 from toruslie.weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
+from test_weyl import in_lowest_terms, operators
+
 
 def rand_field(rng, n, bound=2):
     while True:
@@ -147,6 +149,25 @@ def test_spanning_generators_match_the_elimination(n):
         assert spanning_generators(n, bound) == elimination_spanning_generators(n, bound)
 
 
+def test_operator_and_field_kernels_build_no_rational(monkeypatch):
+    # polynomials and operators are integers over one denominator, so the
+    # kernels read and write integers: a Fraction built here is a regression
+    X = VectorField((rat(1, 2), rat(-2, 3)), (1, -1))
+    y = X.to_weyl() + WeylOp.word((0, 2), (2, 1), rat(3, 4))
+    p = LaurentPoly({(1, 0): rat(1, 3), (0, -2): rat(5)})
+    twist = (rat(1, 2), rat(-1, 3))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    got = [X.to_weyl(), commutator(y, X.to_weyl()), operator_apply(y, p, twist),
+           field_apply(X, p, twist), double_action_check(X, X, p, twist)]
+    assert built == [] and all(got)
+
+
 def test_zero_coefficient_field_acts_as_zero():
     z = VectorField((0, 0), (1, 0))
     p = LaurentPoly({(2, -1): rat(3)})
@@ -159,7 +180,9 @@ def test_zero_coefficient_field_acts_as_zero():
 # The functions below are the per-term Fraction implementations that
 # bracket, field_apply and double_action_check replaced, kept verbatim
 # (apart from the oracle names) as an independent path: the integer
-# versions must give equal results.
+# versions must give equal results. The oracles read and build Fraction
+# SparseVecs, not the integer LaurentPoly under test, and are read on the
+# rational .terms of the polynomials.
 
 
 def fraction_bracket(a: VectorField, b: VectorField) -> VectorField:
@@ -170,13 +193,13 @@ def fraction_bracket(a: VectorField, b: VectorField) -> VectorField:
                        add(a.r, b.r))
 
 
-def fraction_field_apply(X: VectorField, p: LaurentPoly, twist) -> LaurentPoly:
+def fraction_field_apply(X: VectorField, p: SparseVec, twist) -> SparseVec:
     """Twisted action on Laurent polynomials: x^s -> (u|s-t) x^{s+r}."""
     ut = dot(X.u, twist)
-    return LaurentPoly.make((add(s, X.r), c * (dot(X.u, s) - ut)) for s, c in p.items())
+    return SparseVec.make((add(s, X.r), c * (dot(X.u, s) - ut)) for s, c in p.items())
 
 
-def fraction_double_action_check(v, s, u, r, p: LaurentPoly, twist) -> bool:
+def fraction_double_action_check(v, s, u, r, p: SparseVec, twist) -> bool:
     """Exact rewrite of a composed pair of field actions.
 
     D(v,s) D(u,r) p = D(v,r+s) D(u,0) p + (v|r) D(u,r+s) p for every
@@ -253,8 +276,8 @@ def test_field_apply_matches_fraction_oracle(data):
     X, p = data.draw(fields(n), "field"), data.draw(polys(n), "poly")
     twist = data.draw(twists(n), "twist")
     got = field_apply(X, p, twist)
-    assert got == fraction_field_apply(X, p, twist)
-    assert all(isinstance(c, rational) and c for c in got.values())
+    assert got.terms == fraction_field_apply(X, p.terms, twist)
+    assert type(got) is LaurentPoly and in_lowest_terms(got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -264,7 +287,38 @@ def test_double_action_check_matches_fraction_oracle(data):
     X, Y = data.draw(fields(n), "X"), data.draw(fields(n), "Y")
     p, twist = data.draw(polys(n), "poly"), data.draw(twists(n), "twist")
     assert double_action_check(Y, X, p, twist) \
-        == fraction_double_action_check(Y.u, Y.r, X.u, X.r, p, twist)
+        == fraction_double_action_check(Y.u, Y.r, X.u, X.r, p.terms, twist)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_polys_and_operators_come_back_in_lowest_terms(data):
+    # each value is checked against the (num, den) its rational terms give,
+    # so equal values have equal (num, den)
+    n = data.draw(st.integers(2, 4), "n")
+    X, Y = data.draw(fields(n), "X"), data.draw(fields(n), "Y")
+    y1, y2 = data.draw(operators(n), "y1"), data.draw(operators(n), "y2")
+    p, q = data.draw(polys(n), "p"), data.draw(polys(n), "q")
+    twist = data.draw(twists(n), "twist")
+    c = data.draw(st.sampled_from([0, 1, -1]) | SMALL, "c")
+    made = {
+        "commutator": commutator(y1, y2),
+        "commutator of fields": commutator(X.to_weyl(), Y.to_weyl()),
+        "operator_apply": operator_apply(y1, p, twist),
+        "operator_apply of a field": operator_apply(X.to_weyl(), p, twist),
+        "field_apply": field_apply(X, p, twist),
+        "to_weyl": X.to_weyl(),
+        "+ polys": p + q,
+        "+ operators": y1 + y2,
+        "- poly": p + p.scaled(-1),
+        "scaled poly": p.scaled(c),
+        "scaled operator": y1.scaled(c),
+    }
+    for name, got in made.items():
+        assert in_lowest_terms(got), name
+    assert (made["field_apply"].num, made["field_apply"].den) \
+        == (made["operator_apply of a field"].num, made["operator_apply of a field"].den)
+    assert (made["- poly"].num, made["- poly"].den) == ({}, 1)
 
 
 @settings(max_examples=100, deadline=None)

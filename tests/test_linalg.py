@@ -280,9 +280,11 @@ def test_insert_gives_primitive_rref_rows_from_rational_and_integer_input(data):
 
 # ------------------------------------------------ the one sparse accumulator
 #
-# SparseVec, LaurentPoly, WeylOp and the terms of a TensorElement share one
-# accumulator. A plain dict of Fractions, with zeros dropped once at the
-# end, is the oracle for every way of building and combining them.
+# SparseVec is the one accumulator of rational terms, and LaurentPoly,
+# WeylOp and TensorElement sum their terms through it before they keep
+# integer numerators over one denominator, in lowest terms. A plain dict
+# of Fractions, with zeros dropped once at the end, is the oracle for
+# every way of building and combining them.
 
 COEFFS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 EXPS = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
@@ -314,17 +316,23 @@ def test_sparse_accumulator_matches_dict_oracle(data):
     p = data.draw(pairs_of(KEYS[cls]), "p")
     q = data.draw(pairs_of(KEYS[cls]), "q")
     c = data.draw(st.sampled_from([0, 1, -1]) | COEFFS, "c")
-    a, b = cls.make(p), cls.make(dict(q))
+    # SparseVec sums pairs in make; the integer types, in their constructor
+    build = SparseVec.make if cls is SparseVec else cls
+    a, b = build(p), build(dict(q))
     results = {
-        "make pairs": (a, dict_sum((1, p))),
-        "make dict": (b, dict_sum((1, dict(q)))),
+        "build pairs": (a, dict_sum((1, p))),
+        "build dict": (b, dict_sum((1, dict(q)))),
         "+": (a + b, dict_sum((1, p), (1, dict(q)))),
         "scaled": (a.scaled(c), dict_sum((c, p))),
     }
     for name, (got, want) in results.items():
         assert type(got) is cls, name
-        assert dict(got) == want, name
-        assert all(got.values()), name
+        terms = got if cls is SparseVec else got.terms
+        assert dict(terms) == want, name
+        assert all(terms.values()), name
+        if cls is not SparseVec:
+            assert all(type(v) is int for v in got.num.values()), name
+            assert got.den > 0 and math.gcd(got.den, *got.num.values()) == 1, name
 
 
 @settings(max_examples=100, deadline=None)

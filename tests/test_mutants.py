@@ -1,23 +1,24 @@
 """The mutant matrix: each named mutant of the de Rham layer, of the image
-probe and of the field action, and the exact set of (suite, check) pairs
-that fail under it at n=3.
+probe, of the field action and of the operator algebra, and the exact set
+of (suite, check) pairs that fail under it at n=3.
 
 A row that loses a killer, or gains one, fails here; a change that deletes
 or replaces a check edits the row and says which mutant lost which killer.
 Every suite but iso runs, which compares fingerprints and reads none of the
-mutated maps: identities and axioms read glmod.rank_one, lattice and
-nonminuscule read act_direct through _action_mismatch, and derham,
-minuscule and simplicity read derham_map, glmod.wedge_by, the de Rham
-kernels and the r u^T term that act_direct reads from glmod.rank_one;
-minuscule alone reads image_probe. The conftest.py fixture clears the
-package caches around every patch.
+mutated maps: identities alone reads weyl's commutator and operator action,
+identities and axioms read glmod.rank_one, lattice and nonminuscule read
+act_direct through _action_mismatch, and derham, minuscule and simplicity
+read derham_map, glmod.wedge_by, the de Rham kernels and the r u^T term
+that act_direct reads from glmod.rank_one; minuscule alone reads
+image_probe. The conftest.py fixture clears the package caches around
+every patch.
 """
 
 import hashlib
 
 import pytest
 
-from toruslie import glmod, rat, tensor
+from toruslie import glmod, rat, suites, tensor, weyl
 from toruslie.indices import add, zero
 from toruslie.suites import SUITES, RunConfig
 
@@ -63,6 +64,18 @@ def probe_at_t_plus_s(monkeypatch):
     monkeypatch.setattr(tensor, "image_probe", lambda i, s, m: image_probe(
         i, zero(m.ctx.n), tensor.integer_element(
             m.ctx, {(add(t, s), key): v for (t, key), v in m.num.items()}, m.den)))
+
+
+def normal_order_shift_dropped(monkeypatch):
+    # d^a x^s = x^s d^a: the commutator loses every term below the leading one
+    monkeypatch.setattr(weyl, "_shifted_powers", lambda a, s: [(a, 1)])
+
+
+def operator_twist_sign(monkeypatch):
+    # operator_apply at -twist, patched where run_identities reads it
+    operator_apply = weyl.operator_apply
+    monkeypatch.setattr(suites, "operator_apply", lambda y, p, twist: operator_apply(
+        y, p, tuple(-t for t in twist)))
 
 
 def _patch_derham_table(monkeypatch, lin_of):
@@ -148,6 +161,15 @@ MATRIX = {
     # samples ext:2, on which the probe is the zero map at n=3
     "probe_at_t_plus_s": (probe_at_t_plus_s, dict.fromkeys(
         TWISTS, {("minuscule", "image_probe_vanishes_on_image")})),
+    # the suites take commutators of fields and monomials only, whose
+    # brackets are all lower terms, so each of them reads 0
+    "normal_order_shift_dropped": (normal_order_shift_dropped, dict.fromkeys(
+        TWISTS, {("identities", "bracket_vs_commutator"),
+                 ("identities", "semidirect_commutator")})),
+    # at twist 0 the n=3 round changes nothing; identities also runs n=2
+    # and n=4 at the twist (1/2, 1/3, ...), where it does
+    "operator_twist_sign": (operator_twist_sign, dict.fromkeys(
+        TWISTS, {("identities", "field_action_matches_operator")})),
 }
 
 #: the mutants' n=4 rows, run on minuscule alone, the one suite that reads

@@ -1,13 +1,13 @@
 """Normal-ordered differential operators on Laurent polynomials."""
 
 import random
-from math import prod
+from math import comb, gcd, prod
 
 from hypothesis import given, settings, strategies as st
 
 from toruslie import rat
 from toruslie.indices import add, unit
-from toruslie.rational import rational
+from toruslie.linalg import SparseVec
 from toruslie.weyl import (LaurentPoly, WeylOp, _shifted_powers, commutator,
                            operator_apply)
 
@@ -29,19 +29,12 @@ def twist_op(y: WeylOp, twist) -> WeylOp:
     """Apply the automorphism x^r -> x^r, d_i -> d_i - t_i.
 
     The oracle for twisted operator_apply: applying y at a twist must
-    equal applying twist_op(y, twist) untwisted.
+    equal applying twist_op(y, twist) untwisted. The twist is rational, so
+    the expansion is the dense oracle's.
     """
-    out = WeylOp()
-    for (r, a), c in y.items():
-        neg = tuple(-t for t in twist)
-        for key, k in _shifted_powers(a, neg):
-            k2 = (r, key)
-            c2 = out.get(k2, 0) + c * k
-            if c2:
-                out[k2] = c2
-            elif k2 in out:
-                del out[k2]
-    return out
+    neg = tuple(-t for t in twist)
+    return WeylOp(((r, key), c * k) for (r, a), c in y.terms.items()
+                  for key, k in dense_shifted_powers(a, neg))
 
 
 def test_laurent_poly_arithmetic():
@@ -49,13 +42,13 @@ def test_laurent_poly_arithmetic():
     q = LaurentPoly({(1, 0): rat(-1)})
     assert (p + q) == LaurentPoly({(0, 2): rat(3)})
     assert p.scaled(0) == LaurentPoly()
-    assert p.scaled(2)[(0, 2)] == 6
+    assert p.scaled(2).terms[(0, 2)] == 6
 
 
 def test_normal_ordering_euler_past_monomial():
     # d_1 x^(1,0) = x^(1,0) d_1 + x^(1,0), so [d_1, x^(1,0)] = x^(1,0)
     bracket = commutator(WeylOp.word((0, 0), unit(1, 2)), WeylOp.word((1, 0), (0, 0)))
-    assert bracket == WeylOp.make({((1, 0), (0, 0)): rat(1)})
+    assert bracket == WeylOp({((1, 0), (0, 0)): rat(1)})
 
 
 def test_word_rejects_negative_derivative_powers():
@@ -91,7 +84,7 @@ def test_apply_respects_operator_product():
         y2 = random_operator(rng, 2)
         p = LaurentPoly({tuple(rng.randint(-2, 2) for _ in range(2)):
                          rat(rng.randint(1, 4))})
-        lhs = operator_apply(fraction_mul(y1, y2), p, twist)
+        lhs = operator_apply(WeylOp(fraction_mul(y1.terms, y2.terms)), p, twist)
         rhs = operator_apply(y1, operator_apply(y2, p, twist), twist)
         assert lhs == rhs
 
@@ -110,8 +103,8 @@ def test_commutator_antisymmetry_and_jacobi():
 def test_twist_shifts_euler_operators():
     twist = (rat(1, 2), rat(0))
     y = twist_op(WeylOp.word((0, 0), unit(1, 2)), twist)
-    assert y == WeylOp.make({((0, 0), (1, 0)): rat(1),
-                             ((0, 0), (0, 0)): rat(-1, 2)})
+    assert y == WeylOp({((0, 0), (1, 0)): rat(1),
+                        ((0, 0), (0, 0)): rat(-1, 2)})
     # twisted application agrees with applying the twisted operator plainly
     rng = random.Random(5)
     for _ in range(20):
@@ -125,9 +118,12 @@ def test_twist_shifts_euler_operators():
 #
 # The functions below are the per-term Fraction implementations that the
 # integer commutator and operator_apply replaced, kept verbatim (apart from
-# the oracle names) as an independent path: the integer versions must
-# give equal results. fraction_mul is also the product that the tests
-# compose operators with.
+# the oracle names) as an independent path. They read and build Fraction
+# SparseVecs, not the integer types under test: read on the rational .terms
+# of the operands, they must give the .terms of the integer versions.
+# fraction_mul is also the product that the tests compose operators with,
+# and dense_shifted_powers is the expansion over every index that
+# _shifted_powers replaced.
 
 
 def fraction_mul(self, other):
@@ -139,12 +135,24 @@ def fraction_mul(self, other):
                 # expand prod_i (d_i + s_i)^{a_i} then append d^b
                 for key, c in _shifted_powers(a, s):
                     yield (base, tuple(e + f for e, f in zip(key, b))), c0 * c
-    return WeylOp.make(terms())
+    return SparseVec.make(terms())
 
 
-def fraction_operator_apply(y: WeylOp, p: LaurentPoly, twist) -> LaurentPoly:
+def dense_shifted_powers(a, s):
+    """Expansion of prod_i (d_i + s_i)^{a_i} as [(exponent tuple, coeff)]."""
+    combos = [((), 1)]
+    for ai, si in zip(a, s):
+        grown = []
+        for key, c in combos:
+            for k in range(ai + 1):
+                grown.append((key + (k,), c * comb(ai, k) * si ** (ai - k)))
+        combos = grown
+    return [(key, c) for key, c in combos if c]
+
+
+def fraction_operator_apply(y: SparseVec, p: SparseVec, twist) -> SparseVec:
     """Twisted module action: x^r d^a sends x^s to prod_i (s_i-t_i)^{a_i} x^{r+s}."""
-    return LaurentPoly.make(
+    return SparseVec.make(
         (add(r, s), c * b * prod((si - ti) ** ai for ai, si, ti in zip(a, s, twist) if ai))
         for (r, a), c in y.items() for s, b in p.items())
 
@@ -183,9 +191,9 @@ def test_product_matches_fraction_oracle(data):
     n = data.draw(st.integers(2, 4), "n")
     y1, y2 = data.draw(operators(n), "y1"), data.draw(operators(n), "y2")
     bracket = commutator(y1, y2)
-    assert bracket == fraction_mul(y1, y2) + fraction_mul(y2, y1).scaled(-1)
-    assert type(bracket) is WeylOp
-    assert all(isinstance(c, rational) and c for c in bracket.values())
+    want = fraction_mul(y1.terms, y2.terms) + fraction_mul(y2.terms, y1.terms).scaled(-1)
+    assert bracket.terms == want
+    assert type(bracket) is WeylOp and in_lowest_terms(bracket)
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,5 +203,28 @@ def test_operator_apply_matches_fraction_oracle(data):
     y, p = data.draw(operators(n), "operator"), data.draw(polys(n), "poly")
     twist = data.draw(twists(n), "twist")
     got = operator_apply(y, p, twist)
-    assert got == fraction_operator_apply(y, p, twist)
-    assert all(isinstance(c, rational) and c for c in got.values())
+    assert got.terms == fraction_operator_apply(y.terms, p.terms, twist)
+    assert type(got) is LaurentPoly and in_lowest_terms(got)
+
+
+def in_lowest_terms(x) -> bool:
+    """x keeps nonzero int numerators over a positive den, in lowest terms,
+    and so has the (num, den) that its rational terms give."""
+    return (x.den > 0 and all(type(v) is int and v for v in x.num.values())
+            and gcd(x.den, *x.num.values()) == 1
+            and (x.num, x.den) == (type(x)(x.terms).num, type(x)(x.terms).den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.lists(st.integers(0, 3), min_size=1, max_size=4), data=st.data())
+def test_shifted_powers_match_the_dense_expansion(a, data):
+    # s has zero coordinates, whose factors d_i^{a_i} the support-only
+    # expansion leaves unexpanded; the dense one drops their zero terms
+    s = data.draw(st.lists(st.sampled_from([0, 0, -2, -1, 1, 3]),
+                           min_size=len(a), max_size=len(a)), "s")
+    a = tuple(a)
+    got = _shifted_powers(a, s)
+    assert sorted(got) == sorted(dense_shifted_powers(a, s))
+    assert all(type(c) is int and c for _, c in got)
+    # the commutator sums all but this term, which both products share
+    assert got[0] == (a, 1)
