@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .rational import rat
-
 
 class SparseVec(dict):
     """key -> nonzero rational coefficient; zero entries are dropped.
@@ -52,15 +50,6 @@ class SparseVec(dict):
                         self[key] = c
                     else:
                         del self[key]
-
-    def scaled(self, c):
-        c = rat(c)
-        return type(self)((key, a * c) for key, a in self.items()) if c else type(self)()
-
-    def __add__(self, other):
-        out = type(self)(self)
-        out.add_pairs(other.items())
-        return out
 
 
 def _eliminate(work, key, row) -> None:

@@ -4,6 +4,7 @@ that patches the package."""
 import pytest
 
 from toruslie import fields, probe, tensor
+from toruslie.linalg import SparseVec
 
 #: every functools.lru_cache of the package; a patched dependency would
 #: otherwise leave entries built from it for the tests that run later.
@@ -14,6 +15,12 @@ from toruslie import fields, probe, tensor
 #: cleared.
 PACKAGE_CACHES = (fields._units, tensor._derham_table, tensor._probe_table,
                   probe._gen_kernel, probe._coeff_of_nodes)
+
+
+def vec_sum(*scaled) -> SparseVec:
+    """Sum of c * vec over the (c, vec) pairs, as one SparseVec: the linear
+    combinations that the Fraction oracles of the tests build."""
+    return SparseVec.make((key, c * a) for c, vec in scaled for key, a in vec.items())
 
 
 @pytest.fixture(autouse=True)

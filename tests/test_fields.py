@@ -16,6 +16,7 @@ from toruslie.linalg import SpanBasis, SparseVec
 from toruslie.rational import rational
 from toruslie.weyl import LaurentPoly, WeylOp, commutator, operator_apply
 
+from conftest import vec_sum
 from test_weyl import in_lowest_terms, operators
 
 
@@ -210,7 +211,7 @@ def fraction_double_action_check(v, s, u, r, p: SparseVec, twist) -> bool:
     rs = add(tuple(r), tuple(s))
     first = fraction_field_apply(VectorField(v, rs), fraction_field_apply(
         VectorField(u, zero(len(r))), p, twist), twist)
-    rhs = first + fraction_field_apply(VectorField(u, rs), p, twist).scaled(dot(v, r))
+    rhs = vec_sum((1, first), (dot(v, r), fraction_field_apply(VectorField(u, rs), p, twist)))
     return lhs == rhs
 
 

@@ -10,6 +10,8 @@ from toruslie import glmod
 from toruslie.linalg import SparseVec
 from toruslie.suites import _algebra_rank, _loops
 
+from conftest import vec_sum
+
 
 def apply_unit(vmod, i, j, vec):
     out = {}
@@ -50,13 +52,10 @@ def test_unit_commutator_relation_on_every_kind():
             i, j, k, l = (rng.randint(1, n) for _ in range(4))
             vec = SparseVec.make({key: rat(rng.randint(-3, 3))
                                   for key in vmod.keys})
-            lhs = (apply_unit(vmod, i, j, apply_unit(vmod, k, l, vec))
-                   + apply_unit(vmod, k, l, apply_unit(vmod, i, j, vec)).scaled(-1))
-            rhs = SparseVec()
-            if j == k:
-                rhs = rhs + apply_unit(vmod, i, l, vec)
-            if l == i:
-                rhs = rhs + apply_unit(vmod, k, j, vec).scaled(-1)
+            lhs = vec_sum((1, apply_unit(vmod, i, j, apply_unit(vmod, k, l, vec))),
+                          (-1, apply_unit(vmod, k, l, apply_unit(vmod, i, j, vec))))
+            rhs = vec_sum(*[(c, apply_unit(vmod, a, b, vec))
+                            for c, a, b, hit in ((1, i, l, j == k), (-1, k, j, l == i)) if hit])
             assert lhs == rhs
 
 
@@ -157,7 +156,7 @@ def test_rank_one_outer_product_entries():
 
 def test_matrix_apply_agrees_with_unit_tables():
     # every module kind, with integer vectors (as act_direct and
-    # probe._gen_kernel pass) and Fraction ones (as _double_quad_part does)
+    # probe._gen_kernel pass) and Fraction ones (as suites._action_formula does)
     rng = random.Random(7)
     for n in (2, 3, 4):
         names = ["trivial", "natural", "sym:2", "adjoint"]
@@ -174,8 +173,7 @@ def test_matrix_apply_agrees_with_unit_tables():
                     coeff = lambda: rng.randint(-3, 3)
                 vec = {key: coeff() for key in vmod.keys}
                 direct = vmod.matrix_apply(table, vec)
-                via_units = SparseVec()
-                for (i, j), c in table.items():
-                    via_units = via_units + apply_unit(vmod, i, j, vec).scaled(c)
+                via_units = vec_sum(*[(c, apply_unit(vmod, i, j, vec))
+                                      for (i, j), c in table.items()])
                 assert isinstance(direct, SparseVec) and all(direct.values())
                 assert direct == via_units, (vmod, table, vec)

@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, pair_field, spanning_generators
-from toruslie.indices import box, dot, sub
+from toruslie.indices import add, box, dot, sub
 from toruslie.linalg import SparseVec, kernel_of_map
 from toruslie.rational import cleared, rational
-from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_part,
+from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_coeffs,
                              _action_formula, run_lattice, run_simplicity)
 
 ZERO2 = (rat(0), rat(0))
@@ -493,8 +493,52 @@ def test_quintic_targets_evaluate_each_node_once():
     assert set(calls) <= set(product(fam.nodes, repeat=2))
 
 
+def _pair_quad(i, j, r):
+    """Quadratic-in-r matrix r_l r_j E_{l,i} - r_l r_i E_{l,j} as entries."""
+    return SparseVec.make(
+        pair for l, rl in enumerate(r, start=1)
+        for pair in (((l, i), rl * r[j - 1]), ((l, j), -rl * r[i - 1])))
+
+
+def _double_quad_part(i1, j1, i2, j2, s, r, m):
+    """The double-matrix summand of D_{(i2,j2),s-r} D_{(i1,j1),r} on m at one r:
+    the sampled oracle of suites._double_quad_coeffs."""
+    vmod = m.ctx.vmod
+    q1, q2 = _pair_quad(i1, j1, r), _pair_quad(i2, j2, r)
+    return tensor.integer_element(m.ctx, SparseVec.make(
+        ((add(t, s), key2), c * b) for (t, vkey), c in m.num.items()
+        for key2, b in vmod.matrix_apply(q2, vmod.matrix_apply(q1, {vkey: 1})).items()), m.den)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_double_quad_coeffs_match_the_sampled_oracle(data):
+    # the oracle is a homogeneous quartic in r, so the 5-node grid reads
+    # each of its coefficients exactly
+    n = data.draw(st.integers(2, 3), "n")
+    name = data.draw(st.sampled_from(["natural", "sym:2", "ext:2", "adjoint"]), "module")
+    twist = data.draw(st.sampled_from([(0,) * n, (1, -2, 0)[:n], (GEN2 + (rat(1, 5),))[:n]]),
+                      "twist")
+    ctx = tensor.context(twist, glmod.module_from_name(name, n))
+    s = data.draw(st.tuples(*[st.integers(-2, 2)] * n), "s")
+    m = probe.random_element(random.Random(data.draw(st.integers(0, 10 ** 6), "seed")), ctx, 1)
+    zero_el = tensor.TensorElement(ctx, ())
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    targets = [alpha for alpha in product(range(5), repeat=n) if sum(alpha) == 4]
+    for (i1, j1), (i2, j2) in product(pairs, repeat=2):
+        got = _double_quad_coeffs(i1, j1, i2, j2, s, m)
+        assert set(got) <= set(targets)
+        fam = probe.PolyFamily.sample(
+            lambda r: _double_quad_part(i1, j1, i2, j2, s, r, m), n, 4)
+        for alpha in targets:
+            want = probe.coeff_extract(fam, dict(enumerate(alpha, start=1)))
+            assert got.get(alpha, zero_el) == want, ((i1, j1), (i2, j2), alpha)
+
+
 def test_quartic_family_over_the_quintic_memo_matches_a_fresh_one():
-    # the double_action_degree_bound families of the minuscule suite
+    # the double_action_degree_bound families of the minuscule suite: the
+    # quartic family reads the quintic one's memo, and its quartic
+    # coefficients are the closed-form double-matrix part
     ctx = tensor.context(GEN2, glmod.symmetric(2, 2))
     rng = random.Random(7)
     for _ in range(3):
@@ -505,18 +549,18 @@ def test_quartic_family_over_the_quintic_memo_matches_a_fresh_one():
             return tensor.act_direct(pair_field(1, 2, sub(s, r)),
                                      tensor.act_direct(pair_field(1, 2, r), m))
 
-        def quad(r, s=s, m=m):
-            return _double_quad_part(1, 2, 1, 2, s, r, m)
-
         fam5 = probe.PolyFamily.sample(fam_fn, 2, 5, nodes=(-3, -2, -1, 0, 1, 2))
         probe.coeff_extract(fam5, {1: 2, 2: 3})
-        memo = probe.PolyFamily.sample(lambda r: fam5.at(r) - quad(r), 2, 4)
-        fresh = probe.PolyFamily.sample(lambda r: fam_fn(r) - quad(r), 2, 4)
+        memo = probe.PolyFamily.sample(fam5.at, 2, 4)
+        fresh = probe.PolyFamily.sample(fam_fn, 2, 4)
         targets = [{1: a, 2: b} for a in range(5) for b in range(5 - a)]
         assert ([probe.coeff_extract(memo, t) for t in targets]
                 == [probe.coeff_extract(fresh, t) for t in targets])
         assert all(memo.at(r) == fresh.at(r)
                    for r in product(memo.nodes, repeat=2))
+        quartic = _double_quad_coeffs(1, 2, 1, 2, s, m)
+        assert [probe.coeff_extract(memo, {1: a, 2: 4 - a}) for a in range(5)] \
+            == [quartic[a, 4 - a] for a in range(5)]
 
 
 def test_lattice_fingerprint_is_translation_invariant():

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruslie import glmod, rat, suites, tensor
+from toruslie import glmod, probe, rat, suites, tensor
 from toruslie.fields import VectorField, bracket, pair_field
 from toruslie.indices import add, unit
 from toruslie.rational import rat_str
@@ -436,6 +436,54 @@ def test_minuscule_probe_work_does_not_grow_with_the_window(twist, monkeypatch):
         assert suites.run_minuscule(cfg).status == PASS
         counts.append(dict(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("twist", (GEN3, (0, 0, 0)))
+def test_minuscule_reads_the_double_matrix_part_in_closed_form(twist, monkeypatch):
+    # double_action_degree_bound samples only the act kernel; the quartic
+    # part it compares against takes a few matrix_apply calls per term of m
+    calls = {"matrix_apply": 0, "act_direct_n2": 0, "coeff_extract": 0}
+    matrix_apply, act_direct = glmod.FinModule.matrix_apply, tensor.act_direct
+    coeff_extract = probe.coeff_extract
+
+    def counted_matrix_apply(self, entries, vec):
+        calls["matrix_apply"] += 1
+        return matrix_apply(self, entries, vec)
+
+    def counted_act_direct(X, m):
+        calls["act_direct_n2"] += m.ctx.n == 2
+        return act_direct(X, m)
+
+    def counted_coeff_extract(family, target):
+        calls["coeff_extract"] += 1
+        return coeff_extract(family, target)
+    monkeypatch.setattr(glmod.FinModule, "matrix_apply", counted_matrix_apply)
+    monkeypatch.setattr(tensor, "act_direct", counted_act_direct)
+    monkeypatch.setattr(probe, "coeff_extract", counted_coeff_extract)
+    cfg = RunConfig(n=3, twist=twist, central=1, gen_bound=2, depth=1, margin=2)
+    assert suites.run_minuscule(cfg).status == PASS
+    assert calls["matrix_apply"] <= 250
+    assert (calls["act_direct_n2"], calls["coeff_extract"]) == (420, 86)
+
+
+@pytest.mark.parametrize("twist", (GEN3, (1, -2, 0), (0, 0, 0)))
+def test_double_action_degree_bound_sees_a_dropped_cross_term(twist, monkeypatch):
+    # the closed form without rho(E_11 - E_22) rho(-E_12), the product of
+    # the r_1 r_2 and r_1^2 monomials of the two pair matrices, in Q_(3,1)
+    coeffs = suites._double_quad_coeffs
+
+    def dropped(i1, j1, i2, j2, s, m):
+        out = coeffs(i1, j1, i2, j2, s, m)
+        vmod = m.ctx.vmod
+        cross = tensor.TensorElement(m.ctx, [
+            ((add(t, s), key2), c * b) for (t, vkey), c in m.terms.items()
+            for key2, b in vmod.matrix_apply({(1, 1): 1, (2, 2): -1}, vmod.matrix_apply(
+                {(1, 2): -1}, {vkey: 1})).items()])
+        out[3, 1] = out[3, 1] - cross
+        return out
+    monkeypatch.setattr(suites, "_double_quad_coeffs", dropped)
+    failures = suites.run_minuscule(RunConfig(n=3, twist=twist)).failures
+    assert failures and {line.split()[1] for line in failures} == {"double_action_degree_bound"}
 
 
 def _oracle_chain_failures(n, twist):
