@@ -204,7 +204,7 @@ def run_identities(cfg: RunConfig) -> SuiteResult:
             jac = (bracket(a, bracket(b, c)).to_weyl()
                    + bracket(b, bracket(c, a)).to_weyl()
                    + bracket(c, bracket(a, b)).to_weyl())
-            rec.check("bracket_jacobi", not jac, "a=%r b=%r c=%r", a, b, c)
+            rec.check("bracket_jacobi", jac.is_zero, "a=%r b=%r c=%r", a, b, c)
 
             dz1, dz2 = _random_divzero(rng, n, 3), _random_divzero(rng, n, 3)
             br = bracket(dz1, dz2)
@@ -308,23 +308,10 @@ def _principal_lattice(m, d) -> list:
             for picks in combinations_with_replacement(range(m + 1), d)]
 
 
-def _graded_sum(ctx, degrees, key) -> tensor.TensorElement:
-    """sum_s x^s (x) e_key over the degrees s, in ctx."""
-    return tensor.integer_element(ctx, {(s, key): 1 for s in degrees})
-
-
 def _first_disagreement(order, agree):
     """The first (group, s) of order at which agree(group, [s]) is false, or
-    None. order lists a proof's basis elements x^s (x) e_key as (group, s)
-    pairs in its scan order; agree(group, degrees) compares the two sides of
-    an identity on _graded_sum over the group's degrees.
-    The proofs' maps are linear and send x^s (x) e_key to terms at
-    x^{s+c} (x) e_key', with offsets c fixed by the group and key', never by
-    s. So distinct s give distinct terms on each side, the summands of a
-    group's sum stay apart, and the sides agree on the sum exactly when they
-    agree at every s. Each group is read once over all its degrees, and only
-    a group that disagrees is read again, one degree at a time in order, so
-    the element named is the one a scan element by element names. Should no
+    None. Each group is read once over all its degrees, and only a group
+    that disagrees is read again, one degree at a time in order. Should no
     degree of a disagreeing group disagree alone (agree not additive), its
     first one is named: a disagreeing group is never passed over."""
     groups = {}
@@ -333,6 +320,37 @@ def _first_disagreement(order, agree):
     bad = {group for group, degrees in groups.items() if not agree(group, degrees)}
     return next(((group, s) for group, s in order if group in bad and not agree(group, [s])),
                 next(((group, s) for group, s in order if group in bad), None))
+
+
+def _lattice_proof(ctx, head, degree, labels, lhs, rhs=None):
+    """The first (label, s, key) at which lhs(label, m) and rhs(label, m) differ
+    on m = x^s (x) e_key in ctx, or None; with rhs None the identity is lhs = 0.
+    x = (h, s) runs over _principal_lattice(head + n, degree), h its first head
+    coordinates, then label over labels(h), then key over ctx's keys.
+    The premises, which the tests audit: each side is linear in m and sends
+    x^s (x) e_key to terms at x^{s+h+c} (x) e_key' (x^{s+c} when head is 0),
+    with the offset c fixed by the label's index and key', never by s; and the
+    coefficient of each such term has degree <= degree in x. The lattice is
+    unisolvent for that degree, so sides that agree on it agree everywhere.
+    Distinct s give distinct terms on each side, so the summands of
+    sum_s x^s (x) e_key over a group's degrees stay apart, and the sides agree
+    on the sum exactly when they agree at every s. So one lhs and one rhs
+    call per group (index, label, key) read all its degrees (_first_disagreement),
+    and a failing group is read again degree by degree: the failure named is
+    the one a scan element by element names. A label names its h, as a field
+    names its exponent, so groups of distinct h stay apart; the index keeps
+    apart equal labels of one h, such as the pair fields at r = 0."""
+    keys, order = ctx.vmod.keys, []
+    for x in _principal_lattice(head + ctx.n, degree):
+        h, s = x[:head], x[head:]
+        order += [((a, label, key), s) for a, label in enumerate(labels(h)) for key in keys]
+
+    def agree(group, degrees):
+        _, label, key = group
+        m = tensor.integer_element(ctx, {(s, key): 1 for s in degrees})
+        return lhs(label, m).is_zero if rhs is None else lhs(label, m) == rhs(label, m)
+    bad = _first_disagreement(order, agree)
+    return bad and (bad[0][1], bad[1], bad[0][2])
 
 
 def _image_at_tau0(n, k) -> tuple:
@@ -352,14 +370,12 @@ def _derham_exactness(k, twist) -> str:
     """Empty when P (x) ext:(k-1) -> P (x) ext:k -> P (x) ext:(k+1), d = derham_map,
     is exact at ext:k at every degree with tau = s - twist != 0, kernel and
     image of rank C(n-1, k-1), and d = 0 at tau = 0; else the first failure.
-    1. Link. d sends x^s (x) e_key to x^s (x) (tau wedge e_key). Both sides are
-       affine in s, so agreement on _principal_lattice(n, 1), {s >= 0 :
-       sum(s) <= 1}, proves it at every degree. It is read on the levels k-1
-       and k below n, at the twist and at -e_1, where step 3 reads d. The
-       reference takes the sign of e_i wedge e_key from the inversions of
-       (i,) + key, not from glmod.wedge_by. Both sides keep the degree
-       (offset 0), so one derham_map call per key reads all n+1 points at
-       once (_first_disagreement).
+    1. Link. d sends x^s (x) e_key to x^s (x) (tau wedge e_key): offset 0, and
+       both sides affine in s, so the proof reads _principal_lattice(n, 1). It
+       is read on the levels k-1 and k below n, at the twist and at -e_1, where
+       step 3 reads d. The reference takes the sign of e_i wedge e_key from the
+       inversions of (i,) + key, not from glmod.wedge_by, and sums integers
+       over the twist's cleared denominator.
     2. Covariance. ext(g)(tau wedge w) = (g tau) wedge ext(g) w, and GL_n(Q)
        moves every tau != 0 to e_1, so every rank at tau != 0 is the rank at e_1.
     3. At e_1 (s = 0, twist -e_1), probe.kernel_at gives the kernel on ext:k
@@ -369,24 +385,23 @@ def _derham_exactness(k, twist) -> str:
     """
     n = len(twist)
     tau0 = sub(zero(n), unit(1, n))
-    lattice = _principal_lattice(n, 1)
     for tw in dict.fromkeys((twist, tau0)):
         for j in range(k - 1, min(k, n - 1) + 1):
             ctx = tensor.context(tw, glmod.exterior(n, j))
             target = ctx.with_vmod(glmod.exterior(n, j + 1))
 
-            def agree(key, degrees):
-                want = tensor.TensorElement(target, [
+            def want(_, m, ctx=ctx, target=target):  # bound: it outlives the loop
+                den, dt = ctx.cleared_twist
+                return tensor.TensorElement(target, [
                     ((s, tuple(sorted((i,) + key))),
-                     (-1) ** sum(a > b for a, b in combinations((i,) + key, 2))
-                     * (s[i - 1] - ctx.twist[i - 1]))
-                    for s in degrees for i in range(1, n + 1) if i not in key])
-                return tensor.derham_map(_graded_sum(ctx, degrees, key)) == want
-            bad = _first_disagreement([(key, s) for s in lattice for key in ctx.vmod.keys],
-                                      agree)
+                     c * (-1) ** sum(a > b for a, b in combinations((i,) + key, 2))
+                     * (den * s[i - 1] - dt[i - 1]))
+                    for (s, key), c in m.num.items() for i in range(1, n + 1) if i not in key
+                ]).scaled(rat(1, m.den * den))
+            bad = _lattice_proof(ctx, 0, 1, lambda _: [None],
+                                 lambda _, m: tensor.derham_map(m), want)
             if bad:
-                return "link at twist=%s s=%s key=%s" % (
-                    ",".join(map(rat_str, tw)), bad[1], bad[0])
+                return "link at twist=%s s=%s key=%s" % (",".join(map(rat_str, tw)), *bad[1:])
     _, image, _ = _image_at_tau0(n, k)
     kernel = probe.kernel_at(zero(n), tau0, glmod.exterior(n, k))
     if not len(kernel) == image.rank == comb(n - 1, k - 1):
@@ -400,28 +415,13 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
     """P (x) ext:k, k = 0..n, is a complex under d = derham_map and under
     d' = derham_map_shifted, and phi = to_shifted_form carries d to d'.
 
-    The three chain checks hold at every degree. For each k < n they read the
-    basis elements m = x^s (x) e_key, and m' = x^s (x) e_key in the shifted
-    style, at every key and every s of _principal_lattice(n, 2):
-    derham_squares_to_zero is d d m = 0 and derham_shifted_squares_to_zero is
-    d' d' m' = 0, both for k <= n-2; equivalence_commutes_with_derham is
-    phi(d m) = d' phi(m).
-    1. d and d' run _integer_map over a table read off the key alone: they send
-       x^s (x) e_key to a sum of (affine form in s) x^{s+c} (x) e_key', with the
-       offset c = 0 for d and c = -e_i for d'. phi moves x^s (x) e_key to
-       x^{s-weight(key)} (x) e_key: offset -weight(key), coefficient 1.
-    2. So each side of each identity is a sum over (c, key') of p(s) x^{s+c}
-       (x) e_key', with offsets c that do not depend on s and p of degree <= 2
-       in s: two affine factors on the squares, one on the equivalence.
-       Distinct offsets give distinct terms at every s, so an identity holds at
-       s exactly when, for every (c, key'), the two sides' p agree at s.
-    3. Their difference has degree <= 2, so agreement on the lattice makes it 0:
-       each identity holds on every basis element, and by linearity on P (x)
-       ext:k. A failure names the first (s, key) in the lattice's order.
-    4. By step 2, distinct s give distinct terms on each side for a fixed key,
-       so each identity holds on sum_s x^s (x) e_key over the lattice exactly
-       when it holds at every s: one call per (k, label, key) reads all the
-       lattice's degrees (_first_disagreement).
+    The three chain checks hold at every degree, each a _lattice_proof in s
+    on P (x) ext:k, k < n: derham_squares_to_zero is d d m = 0 and
+    derham_shifted_squares_to_zero is d' d' m = 0 in the shifted style, both
+    for k <= n-2; equivalence_commutes_with_derham is phi(d m) = d' phi(m).
+    d and d' send x^s (x) e_key to (affine form in s) x^{s+c} (x) e_key', with
+    c = 0 for d and c = -e_i for d', and phi moves x^s (x) e_key by the offset
+    -weight(key) with coefficient 1: the sides have degree <= 2 in s.
     basis_checks, the central degrees times dim ext:k summed over k, and dim,
     the central degrees, count the window-basis checks the proof replaced.
     """
@@ -431,20 +431,18 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
     d, ds, phi = tensor.derham_map, tensor.derham_map_shifted, tensor.to_shifted_form
 
     central = list(box(n, B))
-    lattice = _principal_lattice(n, 2)
     for k in range(0, n):
         vmod = glmod.exterior(n, k)
         ctx = tensor.context(twist, vmod)
         sctx = ctx.with_style(tensor.STYLE_SHIFTED)
 
-        chain = [("derham_squares_to_zero", lambda m, ms: d(d(m)).is_zero),
-                 ("derham_shifted_squares_to_zero", lambda m, ms: ds(ds(ms)).is_zero),
+        chain = [("derham_squares_to_zero", ctx, lambda _, m: d(d(m)), None),
+                 ("derham_shifted_squares_to_zero", sctx, lambda _, m: ds(ds(m)), None),
                  ] if k <= n - 2 else []
-        chain.append(("equivalence_commutes_with_derham", lambda m, ms: phi(d(m)) == ds(phi(m))))
-        order = [(key, s) for s in lattice for key in vmod.keys]
-        for label, holds in chain:
-            key, s = _first_disagreement(order, lambda key, degrees: holds(
-                _graded_sum(ctx, degrees, key), _graded_sum(sctx, degrees, key))) or (None, None)
+        chain.append(("equivalence_commutes_with_derham", ctx, lambda _, m: phi(d(m)),
+                      lambda _, m: ds(phi(m))))
+        for label, on, lhs, rhs in chain:
+            _, s, key = _lattice_proof(on, 0, 2, lambda _: [None], lhs, rhs) or (None,) * 3
             rec.check(label, s is None, "k=%d s=%s key=%s", k, s, key)
         rec.bump("basis_checks", len(central) * vmod.dim)
 
@@ -544,8 +542,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     through _sparse(X.num) and rank_one(X.r, X.num) over X.den, both linear in
     u, so D(u, r) = sum_j u_j D(e_j, r) carries it to every field. The pair
     fields, whose direction is linear in r, would give degree 3, beyond this
-    lattice. invariance_apps is (generators with r != 0) * (central image
-    rank), the count of the window check the proof replaced.
+    lattice. Both sides move x^s by r. invariance_apps is (generators with
+    r != 0) * (central image rank), the count of the window check the proof
+    replaced.
 
     Membership in N is read off the de Rham exactness proof (_derham_exactness,
     checked here as kernel_matches_euler_criterion), not off a span. At a
@@ -556,11 +555,12 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     which the witness reads as a nonempty glmod.wedge_by(tau, key).
 
     image_probe_vanishes_on_image proves probe_{i,s}(d(x^t (x) e_w)) = 0 for
-    every probe index i, shift s, degree t and key w of ext:(k-1): both maps
-    are affine in t and the probe's coefficients do not read s, so the sides
-    have degree <= 2 in (s, t) and _probe_mismatch reads them on
-    _principal_lattice(2n, 2). probe_evals counts the window evaluations the
-    proof replaced, in closed form: d(x^t (x) e_w) != 0 exactly when
+    every probe index i, shift s, degree t and key w of ext:(k-1), a
+    _lattice_proof in (s, t): derham_map keeps the degree and the probe moves
+    it by s, both with coefficients affine in t that do not read s (a probe
+    that read eig(t+s) would still have degree 2), so the side has degree <= 2
+    in (s, t). probe_evals counts the window evaluations the proof replaced,
+    in closed form: d(x^t (x) e_w) != 0 exactly when
     supp tau(t), of size z, is not inside w, for C(n, k-1) - C(n-z, k-1-z) of
     the keys w (all of them when z > k-1); that sum over the central box,
     times n-2 probes, and times the 5^n shifts of box(n, 2) at n <= 3.
@@ -598,7 +598,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
         rec.check("image_invariant_under_fields", not bad, "k=%d", k)
         rec.bump("invariance_apps", shifted * rank)
 
-        bad = _probe_mismatch(lower)
+        bad = _lattice_proof(lower, n, 2, lambda s: [(i, s) for i in range(1, n - 1)],
+                             lambda at, m: tensor.image_probe(*at, tensor.derham_map(m)))
+        bad = bad and "i=%d s=%s t=%s key=%s" % (*bad[0], *bad[1:])
         rec.check("image_probe_vanishes_on_image", not bad, "k=%d %s", k, bad)
         if n >= 4:  # a second line keeps the n >= 4 digests until their re-pin
             rec.check("image_probe_vanishes_on_image", not bad, "k=%d factorization", k)
@@ -700,60 +702,15 @@ def _action_formula(X: VectorField, m) -> tensor.TensorElement:
 
 def _lattice_mismatch(ctx, pairs: bool, lhs, rhs) -> str:
     """The first field X, degree s and key where lhs(X, m) and rhs(X, m) differ
-    on m = x^s (x) key in ctx, or "". X runs over the pair fields or the
-    D(e_j, r), and (r, s) over _principal_lattice(2n, 2): sides of degree <= 2
-    in (r, s) that agree there agree everywhere. Every side the proofs read
-    (act_direct, and derham_map after or before it) sends x^s (x) key to terms
-    at x^{s+r} (x) key', so the lattice is grouped by r, and one lhs and one
-    rhs call per (r, field, key) read all of the group's s at once
-    (_first_disagreement): C(n+2, 2) calls per field and key, not C(2n+2, 2)."""
-    n, keys, order = ctx.n, ctx.vmod.keys, []
-    for x in _principal_lattice(2 * n, 2):
-        r, s = x[:n], x[n:]
-        fields = [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
-            if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]
-        # the index a keeps apart the pair fields at r = 0, all of them 0
-        order += [((a, X, key), s) for a, X in enumerate(fields) for key in keys]
-
-    def agree(group, degrees):
-        _, X, key = group
-        m = _graded_sum(ctx, degrees, key)
-        return lhs(X, m) == rhs(X, m)
-    bad = _first_disagreement(order, agree)
-    return "%r at s=%s key=%s" % (bad[0][1], bad[1], bad[0][2]) if bad else ""
-
-
-def _probe_mismatch(ctx) -> str:
-    """The first (i, s, t, key) where image_probe(i, s, derham_map(x^t (x) key))
-    is not 0, x^t (x) key in ctx on ext:(k-1), or "". i runs over 1..n-2 and
-    (s, t) over _principal_lattice(2n, 2). derham_map sends x^t (x) key to
-    x^t (x) (tau(t) wedge key), with coefficients affine in t, and the probe
-    sends x^t (x) w to terms (lin . eig(t)) x^{t+s} (x) w', affine in t, with
-    lin read off i and the keys alone, not off s. So the coefficient of each
-    x^{t+s} (x) w' has degree <= 2 in (s, t), and vanishing on the lattice
-    proves it at every degree and every shift; a probe that read eig(t+s)
-    would still have degree 2, and the lattice would see it. derham_map keeps
-    the degree and the probe moves every term by s, so for a fixed s distinct
-    t stay apart: the lattice is grouped by (i, s, key), and one derham_map
-    and one image_probe call per group read all of its t at once
-    (_first_disagreement)."""
-    n, keys, order = ctx.n, ctx.vmod.keys, []
-    for x in _principal_lattice(2 * n, 2):
-        s, t = x[:n], x[n:]
-        order += [((i, s, key), t) for i in range(1, n - 1) for key in keys]
-
-    def agree(group, degrees):
-        i, s, key = group
-        return tensor.image_probe(
-            i, s, tensor.derham_map(_graded_sum(ctx, degrees, key))).is_zero
-    bad = _first_disagreement(order, agree)
-    return "i=%d s=%s t=%s key=%s" % (*bad[0][:2], bad[1], bad[0][2]) if bad else ""
-
-
-def _action_mismatch(twist, vmod, pairs: bool) -> str:
-    """_lattice_mismatch of act_direct against _action_formula on P (x) vmod."""
-    return _lattice_mismatch(tensor.context(twist, vmod), pairs, tensor.act_direct,
-                             _action_formula)
+    on m = x^s (x) key in ctx, or "": a _lattice_proof in (r, s) of degree 2,
+    with X over the pair fields or the D(e_j, r) of exponent r. The sides the
+    suites read (act_direct, _action_formula, and derham_map after or before
+    act_direct) move x^s by r."""
+    n = ctx.n
+    bad = _lattice_proof(ctx, n, 2, lambda r: [
+        pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] if pairs
+        else [VectorField(unit(j, n), r) for j in range(1, n + 1)], lhs, rhs)
+    return "%r at s=%s key=%s" % bad if bad else ""
 
 
 def run_lattice(cfg: RunConfig) -> SuiteResult:
@@ -772,8 +729,9 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
        it (tau = -r at twist - r). So x^twist spans a fixed line, and the
        rest, joined by paths of step 3 that avoid it, is a simple submodule
        of codimension 1 with a trivial quotient.
-    _action_mismatch reads act_direct. Its coefficient has degree 1 in (r, s)
-    for D(e_j, r), and 2 for the pair fields, whose direction is linear in r.
+    _lattice_mismatch reads act_direct against _action_formula. Its
+    coefficient has degree 1 in (r, s) for D(e_j, r), and 2 for the pair
+    fields, whose direction is linear in r.
     The middle check reads the pair fields on trivial V, the outer two the
     D(e_j, r) on trivial V and on ext:n. dim counts the central degrees,
     max_rank those off the fixed line.
@@ -785,7 +743,8 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
     for label, vmod, pairs in (("scalar_quotient_trivial", glmod.trivial(n), False),
                                (middle, glmod.trivial(n), True),
                                ("top_level_matches_scalar", glmod.exterior(n, n), False)):
-        bad = _action_mismatch(twist, vmod, pairs)
+        bad = _lattice_mismatch(tensor.context(twist, vmod), pairs, tensor.act_direct,
+                                _action_formula)
         rec.check(label, not bad, bad)
     dim = rec.counters["dim"] = (2 * B + 1) ** n
     rec.counters["max_rank"] = dim - 1 if integral and inside(twist, B) else dim
@@ -873,7 +832,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
         rec.log.append("maximality skipped at the top exterior power")
     else:
         rec.check("quotient_loops_generate_end", qrank == qfull, "rank=%d/%d", qrank, qfull)
-    bad = _action_mismatch(twist, ctx.vmod, True)
+    bad = _lattice_mismatch(tensor.context(twist, ctx.vmod), True, tensor.act_direct,
+                            _action_formula)
     rec.check("image_action_matches_formula", not bad, bad)
     rec.counters.update(max_rank=nrank + qrank, dim=nfull + qfull)
 
@@ -961,7 +921,8 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
         rec.log.append("configured module is minuscule; probing sym:2 instead")
     rec.check("minuscule_classifier", bool(loops) and not _loops(glmod.exterior(n, 1))
               and not _loops(glmod.trivial(n)), "module=%s", "-".join(map(str, vmod.kind)))
-    bad = _action_mismatch(cfg.twist, vmod, False)
+    bad = _lattice_mismatch(tensor.context(cfg.twist, vmod), False, tensor.act_direct,
+                            _action_formula)
     rec.check("action_matches_formula", not bad, bad)
     rank = rec.counters["max_rank"] = _algebra_rank(vmod.keys, loops)
     dim = rec.counters["dim"] = vmod.dim ** 2

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, gcd
+from math import comb
 
 from . import glmod
 from .fields import VectorField
 from .indices import add, box, sub, unit, zero
-from .linalg import SpanBasis, SparseVec
-from .rational import cleared, lowest_terms, rat, rational
+from .linalg import SpanBasis
+from .rational import cleared, lowest_terms, rat
+from .weyl import IntegerTerms
 
 STYLE_DIRECT = "direct"
 STYLE_SHIFTED = "shifted"
@@ -103,69 +104,40 @@ def context(twist, vmod, style=STYLE_DIRECT) -> Context:
     return Context(tuple(rat(t) for t in twist), vmod, style)
 
 
-class TensorElement:
-    """Finite sum of terms num[(s, key)] / den * x^s (x) key over a fixed context.
+class TensorElement(IntegerTerms):
+    """Finite sum of terms num[(s, key)] / den * x^s (x) key over a fixed
+    context, with the integer arithmetic of weyl.IntegerTerms. Elements of
+    different contexts neither add nor compare equal."""
 
-    num holds nonzero ints and den > 0, with gcd(den, *num.values()) = 1 (zero
-    is {} over 1), so equal elements have equal num and den. The constructor
-    sums a dict or (key, coeff) pairs; terms gives the rationals.
-    """
-
-    __slots__ = ("ctx", "num", "den")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: Context, terms=()):
+        super().__init__(terms)
         self.ctx = ctx
-        vec = SparseVec.make(terms) if terms else {}
-        den, num = cleared(vec.values())
-        self.num, self.den = dict(zip(vec, num)), den
 
-    @property
-    def terms(self) -> SparseVec:
-        """The coefficients as rationals, built on each read."""
-        den = self.den
-        return SparseVec({key: rational(v, den) for key, v in self.num.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def add_term(self, s, vkey, c) -> None:
-        total = self + basis_element(self.ctx, s, vkey, c)
-        self.num, self.den = total.num, total.den
-
-    def scaled(self, c) -> "TensorElement":
-        c = rat(c)
-        p = c.numerator
-        return integer_element(self.ctx, {key: p * v for key, v in self.num.items()},
-                               self.den * c.denominator)
+    def _like(self, num, den) -> "TensorElement":
+        return integer_element(self.ctx, num, den)
 
     def _combine(self, other, sign: int) -> "TensorElement":
-        """self + sign * other over the lcm of the two denominators."""
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixing tensor elements from different contexts")
-        g = gcd(self.den, other.den)
-        a, b = other.den // g, sign * (self.den // g)
-        num = {key: a * v for key, v in self.num.items()}
-        get = num.get
-        for key, v in other.num.items():
-            num[key] = get(key, 0) + b * v
-        return integer_element(self.ctx, num, a * self.den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
+        return IntegerTerms._combine(self, other, sign)
 
     def __sub__(self, other):
         return self._combine(other, -1)
 
     def __eq__(self, other):
-        return (isinstance(other, TensorElement) and self.ctx == other.ctx
-                and self.den == other.den and self.num == other.num)
+        return IntegerTerms.__eq__(self, other) and self.ctx == other.ctx
+
+    def add_term(self, s, vkey, c) -> None:
+        total = self + basis_element(self.ctx, s, vkey, c)
+        self.num, self.den = total.num, total.den
 
 
 def _wrap(ctx: Context, num: dict, den: int) -> TensorElement:
     """The element num / den over ctx, already in lowest terms, without a copy."""
-    out = TensorElement.__new__(TensorElement)
-    out.ctx, out.num, out.den = ctx, num, den
+    out = TensorElement._wrap(num, den)
+    out.ctx = ctx
     return out
 
 

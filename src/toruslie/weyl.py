@@ -9,8 +9,9 @@ A rational twist t = (t_1,...,t_n) replaces each d_i by d_i - t_i. On the
 twisted polynomial module, d_i acts on x^s as the scalar (s_i - t_i) and
 x^r shifts exponents by r; every monomial is a joint eigenvector.
 
-Polynomials and operators keep integer numerators over one denominator,
-as tensor elements do, so sums and comparisons are integer operations.
+Polynomials and operators keep integer numerators over one denominator
+in IntegerTerms, the base that tensor elements share, so sums and
+comparisons are integer operations.
 The commutator and the action read the numerators, clear the twist once
 per call, sum integers per output term and divide by one gcd; they build
 no rational.
@@ -31,7 +32,8 @@ class IntegerTerms:
     num holds nonzero ints and den > 0, with gcd(den, *num.values()) = 1
     (zero is {} over 1), so equal values have equal num and den. The
     constructor sums a dict or (key, coeff) pairs, where a key may repeat;
-    terms gives the rationals.
+    terms gives the rationals. A subclass that carries more than num and
+    den (tensor.TensorElement, its context) builds its results in _like.
     """
 
     __slots__ = ("num", "den")
@@ -53,36 +55,43 @@ class IntegerTerms:
         """num / den for an int dict num (zeros allowed) and den > 0."""
         return cls._wrap(*lowest_terms(num, den))
 
+    #: num / den of the kind of self, for scaled and +: _of itself here
+    _like = _of
+
     @property
     def terms(self) -> SparseVec:
         """The coefficients as rationals, built on each read."""
         den = self.den
         return SparseVec({key: rational(v, den) for key, v in self.num.items()})
 
+    @property
+    def is_zero(self) -> bool:
+        return not self.num
+
     def scaled(self, c):
         c = rat(c)
         p = c.numerator
-        return self._of({key: p * v for key, v in self.num.items()},
-                        self.den * c.denominator)
+        return self._like({key: p * v for key, v in self.num.items()},
+                          self.den * c.denominator)
 
-    def __add__(self, other):
-        """The sum over the lcm of the two denominators."""
-        if type(other) is not type(self):
-            return NotImplemented
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         g = gcd(self.den, other.den)
-        a, b = other.den // g, self.den // g
+        a, b = other.den // g, sign * (self.den // g)
         num = {key: a * v for key, v in self.num.items()}
         get = num.get
         for key, v in other.num.items():
             num[key] = get(key, 0) + b * v
-        return self._of(num, a * self.den)
+        return self._like(num, a * self.den)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.den == other.den
                 and self.num == other.num)
-
-    def __bool__(self):
-        return bool(self.num)
 
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, dict(self.terms))

@@ -1,6 +1,9 @@
 """Verification-suite layer: config validation, statuses, check registry."""
 
-from itertools import combinations
+import operator
+import random
+from functools import partial, reduce
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -356,8 +359,8 @@ def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monke
         return out
     monkeypatch.setattr(tensor, "act_direct", stray)
     for vmod, pairs in ((glmod.symmetric(3, 2), False), (glmod.exterior(3, 2), True)):
-        bad = suites._action_mismatch(GEN3, vmod, pairs)
         ctx = tensor.context(GEN3, vmod)
+        bad = suites._lattice_mismatch(ctx, pairs, tensor.act_direct, suites._action_formula)
         assert "s=%s" % (strays[-1][0],) in bad
         assert bad == _oracle_lattice_mismatch(ctx, pairs, tensor.act_direct,
                                                suites._action_formula)
@@ -371,7 +374,7 @@ def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monke
 
 
 def _oracle_probe_mismatch(ctx):
-    # the scan _probe_mismatch makes in one call per degree: one derham_map
+    # the scan of run_minuscule's probe proof in one call per degree: one derham_map
     # and one image_probe call per point (s, t) of _principal_lattice(2n, 2),
     # probe index and key
     n = ctx.n
@@ -414,7 +417,6 @@ def test_a_stray_probe_term_at_one_shift_and_degree_is_found_where_a_scan_finds_
         ctx = tensor.context(GEN3, glmod.exterior(3, k - 1))
         bad = _oracle_probe_mismatch(ctx)
         assert "s=%s t=%s" % strays[0] in bad
-        assert suites._probe_mismatch(ctx) == bad
         want.append("FAIL image_probe_vanishes_on_image k=%d %s" % (k, bad))
     failures = suites.run_minuscule(RunConfig(n=3, twist=GEN3)).failures
     assert [line for line in failures if "image_probe_vanishes_on_image" in line] == want
@@ -543,7 +545,7 @@ def test_a_derham_map_wrong_at_one_degree_is_found_where_a_scan_finds_it(s0, mon
 
 
 @pytest.mark.parametrize("n", (3, 4))
-def test_lattice_work_is_one_call_per_exponent_field_and_key(n):
+def test_lattice_work_is_one_call_per_exponent_field_and_key(n, monkeypatch):
     # one lhs call per (r, field, key): C(n+2, 2) exponents r, not the
     # C(2n+2, 2) points (r, s) of the lattice
     twist = tuple(rat(1, j + 2) for j in range(n))
@@ -559,6 +561,42 @@ def test_lattice_work_is_one_call_per_exponent_field_and_key(n):
         assert len(calls) == comb(n + 2, 2) * fields * vmod.dim
         assert all(len({key for _, key in m.num}) == 1 for m in calls)
 
+    # and in the suites: one image_probe call per (i, s, key) of the probe
+    # proof, one lhs call per (k, check, key) of the chain proofs and per
+    # (twist, level, key) of the link
+    proofs, active = [], []
+    lattice_proof, image_probe = suites._lattice_proof, tensor.image_probe
+
+    def counted_proof(ctx, head, degree, labels, lhs, rhs=None):
+        calls = {"degree": degree, "lhs": 0, "image_probe": 0}
+
+        def counted_lhs(label, m):
+            calls["lhs"] += 1
+            return lhs(label, m)
+        proofs.append(calls)
+        active.append(calls)
+        out = lattice_proof(ctx, head, degree, labels, counted_lhs, rhs)
+        active.pop()
+        return out
+
+    def counted_probe(i, s, m):
+        if active:
+            active[-1]["image_probe"] += 1
+        return image_probe(i, s, m)
+    monkeypatch.setattr(suites, "_lattice_proof", counted_proof)
+    monkeypatch.setattr(tensor, "image_probe", counted_probe)
+    cfg = RunConfig(n=n, twist=twist, central=1, gen_bound=1, depth=1, margin=1)
+    assert suites.run_minuscule(cfg).status == PASS
+    assert [c["image_probe"] for c in proofs if c["image_probe"]] == [
+        comb(n + 2, 2) * (n - 2) * comb(n, k - 1) for k in range(1, n + 1)]
+    proofs.clear()
+    assert suites.run_derham(cfg).status == PASS
+    assert [c["lhs"] for c in proofs if c["degree"] == 2] == [
+        comb(n, k) for k in range(n) for _ in range(3 if k <= n - 2 else 1)]
+    assert [c["lhs"] for c in proofs if c["degree"] == 1] == [
+        comb(n, j) for k in range(1, n + 1) for _ in range(2)
+        for j in range(k - 1, min(k, n - 1) + 1)]
+
 
 def test_a_group_that_disagrees_only_as_a_whole_still_fails():
     # an agree that is not additive: only sums of two or more degrees fail
@@ -568,3 +606,156 @@ def test_a_group_that_disagrees_only_as_a_whole_still_fails():
     assert suites._first_disagreement(order, lambda group, degrees: group != "b"
                                       or 1 not in degrees) == ("b", 1)
     assert suites._first_disagreement(order, lambda group, degrees: True) is None
+
+
+# --------------------------------------------- premise audit of lattice proofs
+#
+# _lattice_proof is sound only if its premises hold for the sides the suites
+# pass, not just for the mathematics: each side's coefficients have degree
+# <= d in x = (h, s), every output offset from s + h (from s when head is 0)
+# is fixed, not moved by s, and the field sides are linear in the direction,
+# which carries the proofs on the D(e_j, r) to every D(u, r). The audit reads
+# the recorded declarations at points far from the lattice.
+
+AUDITED = ("derham", "minuscule", "lattice", "simplicity", "nonminuscule")
+
+
+def _declarations() -> list:
+    """(suite, ctx, head, degree, labels, sides) for every _lattice_proof call
+    of the audited suites at n = 3, at a rational, the zero and an integer twist."""
+    out, lattice_proof = [], suites._lattice_proof
+    with pytest.MonkeyPatch.context() as patch:
+        def recorded(ctx, head, degree, labels, lhs, rhs=None):
+            out.append((name, ctx, head, degree, labels, [lhs] if rhs is None else [lhs, rhs]))
+            return lattice_proof(ctx, head, degree, labels, lhs, rhs)
+        patch.setattr(suites, "_lattice_proof", recorded)
+        for twist in (GEN3, (0, 0, 0), (1, -2, 0)):
+            cfg = RunConfig(n=3, twist=twist, central=1, gen_bound=1, depth=1, margin=1)
+            for name in AUDITED:
+                SUITES[name](cfg)
+    return out
+
+
+@pytest.fixture(scope="module")
+def declarations():
+    return _declarations()
+
+
+def _offset_terms(decl, side, a, key, x) -> dict:
+    """side on x^s (x) e_key under labels(h)[a], x = (h, s), as
+    {(offset from s + h, key'): coefficient}."""
+    _, ctx, head, _, labels, _ = decl
+    h, s = x[:head], x[head:]
+    base = add(s, h) if head else s
+    out = side(labels(h)[a], tensor.basis_element(ctx, s, key))
+    return {(tuple(e - b for e, b in zip(exp, base)), key2): c
+            for (exp, key2), c in out.terms.items()}
+
+
+def _audit(decl, seed=0) -> list:
+    """The premises that decl's sides break, each as a line naming the side."""
+    _, ctx, head, degree, labels, sides = decl
+    rng, width, broken = random.Random(seed), head + ctx.n, []
+    count = len(labels((0,) * head))
+    for (a, key), (j, side) in product(product(range(count), ctx.vmod.keys), enumerate(sides)):
+        at = partial(_offset_terms, decl, side, a, key)
+        far = [tuple(rng.randint(-10, 10) for _ in range(width)) for _ in range(3)]
+        # degree: the (d+1)-th difference along lines x0 + t v, per output term
+        for _ in range(2):
+            x0 = [rng.randint(-6, 6) for _ in range(width)]
+            v = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(width)]
+            values = [at(tuple(p + t * q for p, q in zip(x0, v))) for t in range(degree + 2)]
+            if any(sum((-1) ** t * comb(degree + 1, t) * vals.get(term, 0)
+                       for t, vals in enumerate(values))
+                   for term in set().union(*values)):
+                broken.append("degree side=%d index=%d key=%s" % (j, a, key))
+        # offsets: those read far away all occur on the unisolvent lattice
+        ref = set().union(*map(at, suites._principal_lattice(width, degree)))
+        if not all(set(at(x)) <= ref for x in far):
+            broken.append("offsets side=%d index=%d key=%s" % (j, a, key))
+        # linearity: a rational direction acts as its combination of the e_j
+        if isinstance(labels(far[0][:head])[a], VectorField):
+            for x in far:
+                h, s = x[:head], x[head:]
+                r, m = labels(h)[a].r, tensor.basis_element(ctx, s, key)
+                u = [rat(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(ctx.n)]
+                parts = [side(VectorField(unit(i + 1, ctx.n), r), m).scaled(c)
+                         for i, c in enumerate(u)]
+                if side(VectorField(u, r), m) != reduce(operator.add, parts):
+                    broken.append("linearity side=%d index=%d key=%s" % (j, a, key))
+    return broken
+
+
+def test_every_lattice_proof_has_its_premises(declarations):
+    assert {decl[0] for decl in declarations} == set(AUDITED)
+    for decl in declarations:
+        assert _audit(decl) == [], decl[:4]
+
+
+def test_the_premise_audit_sees_a_direction_read_without_its_denominator(monkeypatch):
+    # act_direct reading u = num / den as num: every suite reads only integer
+    # directions and passes, and the linearity audit fails on the field proofs
+    def den_dropped(X, m):
+        return tensor._field_map(m, tensor._shift(X.r), tensor._sparse(X.num), 1,
+                                 glmod.rank_one(X.r, X.num), {})
+    monkeypatch.setattr(tensor, "act_direct", den_dropped)
+    broken = {(decl[0], line.split()[0]) for decl in _declarations() for line in _audit(decl)}
+    assert broken == {(name, "linearity")
+                      for name in ("minuscule", "lattice", "simplicity", "nonminuscule")}
+
+
+def _times_one_plus_s1(side):
+    # the side on a basis element x^s (x) e_key, times (1 + s_1)
+    return lambda label, m: side(label, m).scaled(1 + next(iter(m.num))[0][0])
+
+
+def _plus_cubic(side):
+    # a stray s_1 (s_1 - 1) (s_1 - 2) x^s (x) e_key' per term: 0 on the lattice
+    def tampered(label, m):
+        out = side(label, m)
+        key2 = out.ctx.vmod.keys[0]
+        return out + tensor.TensorElement(out.ctx, [
+            ((s, key2), c * s[0] * (s[0] - 1) * (s[0] - 2)) for (s, _), c in m.terms.items()])
+    return tampered
+
+
+def _side_degree(decl, side) -> int:
+    """The least degree the audit reads side at: -1 for a side that is 0 on
+    the unisolvent lattice, else the least e whose degree premise holds."""
+    name, ctx, head, degree, labels, _ = decl
+    if not any(_offset_terms(decl, side, a, key, x)
+               for a in range(len(labels((0,) * head))) for key in ctx.vmod.keys
+               for x in suites._principal_lattice(head + ctx.n, degree)):
+        return -1
+    return next(e for e in range(degree + 1) if not any(
+        line.startswith("degree") for line in _audit((name, ctx, head, e, labels, [side]))))
+
+
+def test_the_premise_audit_sees_a_side_one_degree_too_high(declarations):
+    # a side times (1 + s_1)^(d + 1 - e), e its own degree, fails the audit:
+    # (1 + s_1) alone where e = d. A side that is 0, as d d and the probe of
+    # the image are, stays 0. A stray cubic passes every lattice proof, as it
+    # is 0 on the lattice, and fails the audit on every proof
+    degrees = {name: set() for name in AUDITED}
+    for decl in declarations:
+        name, ctx, head, degree, labels, sides = decl
+        own = tuple(_side_degree(decl, side) for side in sides)
+        degrees[name].add((degree, own))
+        for side, e in zip(sides, own):
+            if e >= 0:
+                for _ in range(degree + 1 - e):
+                    side = _times_one_plus_s1(side)
+                assert _audit((name, ctx, head, degree, labels, [side])), decl[:4]
+        stray = _plus_cubic(sides[0])
+        assert _audit((name, ctx, head, degree, labels, [stray])), decl[:4]
+        assert suites._lattice_proof(ctx, head, degree, labels, stray, *sides[1:]) is None
+    # (declared degree, each side's own degree or -1 for 0): the equivalence
+    # and the D(e_j, r) sides against _action_formula have degree 1 on a
+    # degree-2 lattice
+    assert degrees == {
+        "derham": {(2, (-1,)), (2, (1, 1)), (1, (1, 1))},
+        "minuscule": {(2, (-1,)), (2, (2, 2)), (1, (1, 1))},
+        "lattice": {(2, (1, 1)), (2, (2, 2))},
+        "simplicity": {(2, (2, 2))},
+        "nonminuscule": {(2, (1, 1))},
+    }

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruslie import glmod, probe, rat, tensor
+from toruslie import glmod, probe, rat, tensor, weyl
 from toruslie.fields import VectorField, bracket, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub, unit, zero
 from toruslie.linalg import SparseVec
@@ -715,7 +715,7 @@ def test_maps_on_an_integral_element_build_no_fraction(monkeypatch):
         + tensor.basis_element(ctx, (0, 1, 0), (1,), -2)
     X = VectorField((rat(1, 2), 0, rat(-1, 3)), (1, 0, 2))
     Y = pair_field(1, 3, (2, 1, -1))
-    monkeypatch.setattr(tensor, "rational", counted(tensor.rational))
+    monkeypatch.setattr(weyl, "rational", counted(weyl.rational))
     monkeypatch.setattr(tensor, "rat", counted(tensor.rat))
     dd = tensor.derham_map(tensor.derham_map(m))
     xy = tensor.act(X, tensor.act(Y, m))
