@@ -754,17 +754,16 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
 # --------------------------------------------------------------- simplicity
 
 
-def _image_loops(ctx) -> list:
-    """The loops p_b(-r) p_a(r) on x^0 (x) ctx.vmod, read through act_direct as
-    _loops' sparse columns: one per r in {-1,0,1}^n with r > 0
-    lexicographically and ordered pair (a, b) of pair_field's index pairs,
-    zero loops left out."""
+def _image_loops(ctx, keys) -> list:
+    """The loops p_b(-r) p_a(r) on x^0 (x) ctx.vmod through act_direct, as _loops'
+    sparse columns at keys: one per r in {-1,0,1}^n with r > 0 lexicographically
+    and ordered pair (a, b) of pair_field's index pairs, zero loops left out."""
     n, out = ctx.n, []
     pairs = list(combinations(range(1, n + 1), 2))
     for r, a in product(product((-1, 0, 1), repeat=n), pairs):
         if r > zero(n):
             there = [(key, tensor.act_direct(pair_field(*a, r), tensor.basis_element(
-                ctx, zero(n), key))) for key in ctx.vmod.keys]
+                ctx, zero(n), key))) for key in keys]
             for b in pairs:
                 back = pair_field(*b, sub(zero(n), r))
                 cols = ((key, tensor.act_direct(back, m).terms) for key, m in there)
@@ -773,37 +772,50 @@ def _image_loops(ctx) -> list:
     return [loop for loop in out if loop]
 
 
+def _image_block(n, k) -> tuple:
+    """Simplicity's certificate on N = e_1 wedge ext:(k-1) in ext:k at tau0 = e_1:
+    derham_map's image rank, whether it is the span of the keys that contain 1,
+    the loop entries that leave N, |N|, and the rank I and the loops reach on N."""
+    ctx, image, nkeys = _image_at_tau0(n, k)
+    link = image.rank == len(nkeys) and all(image.contains({(zero(n), key): 1}) for key in nkeys)
+    loops = _image_loops(ctx, nkeys)
+    leaks = sum(1 not in row for loop in loops for col in loop.values() for row, _ in col)
+    rank = _algebra_rank(nkeys, [{key: tuple((row, c) for row, c in col if 1 in row)
+                                  for key, col in loop.items()} for loop in loops])
+    return image.rank, link, leaks, len(nkeys), rank
+
+
 def run_simplicity(cfg: RunConfig) -> SuiteResult:
-    """The image N of d in M = P (x) ext:k is simple at every twist, and
+    """The image N = N_k of d in M = P (x) ext:k is simple at every twist, and
     maximal at a non-integer twist when k < n.
 
     M_s, tau, rho, U_0 and the moves are those of run_nonminuscule. A(tau) is
     the algebra that I and the loops p_b(-r) p_a(r), u_a, u_b the directions
-    of pair_field, generate on M_s; it lies in U_0's action there. N_s is
-    tau wedge ext:(k-1), and Q = M/N.
+    of pair_field, generate on M_s, inside U_0's action; N_s = tau wedge ext:(k-1).
     1. The loops are polynomial in r, and Z^n is Zariski-dense, so their span
        over r in Z^n is their span over every r. (r, u, tau) -> (g r, g^-T u,
        g tau) keeps every pairing and conjugates r u^T by g, so A(g tau) =
        rho(g) A(tau) rho(g)^-1 and N_{g tau} = rho(g) N_tau. GL_n moves every
        tau != 0 to tau0 = e_1, so one degree settles them all: s = 0 at twist
        -e_1. There N is spanned by the keys that contain 1 (image_link_at_tau0
-       reads this off derham_map), and Q by the other keys.
-    2. A(tau0) keeps N (image_invariant_under_loops), so restriction to N and
-       the action on Q are algebra maps. The loops of r in {-1,0,1}^n generate
-       a subalgebra, and its blocks keep the rows in N, or those outside N for
-       the action on Q; when they reach End(N) and End(Q)
-       (image_loops_generate_end, quotient_loops_generate_end), N_tau and Q_tau
-       are A(tau)-simple at every tau != 0.
+       reads this off derham_map).
+    2. A(tau0) keeps N (image_invariant_under_loops), so restriction to N is
+       an algebra map. The loops of r in {-1,0,1}^n generate a subalgebra, and
+       when its block on N reaches End(N) (image_loops_generate_end), N_tau is
+       A(tau)-simple at every tau != 0. _image_block reads steps 1 and 2.
     3. N is simple: a submodule 0 != S of N has some S_s != 0, so S_s = N_s,
        and an invertible move maps N_s onto the N_{s'} of equal dimension.
        At an integer twist N_{s0} = 0, and the paths between the other
        degrees avoid s0.
-    4. N is maximal at a non-integer twist: a submodule S > N has some
-       S_s > N_s, so S_s = M_s, and the moves carry M_s onto every M_{s'}.
+    4. N is maximal at a non-integer twist when k < n: d_k is a module map
+       (minuscule's image_invariant_under_fields at level k + 1) of M onto N_{k+1}
+       with kernel N (_derham_exactness, as tau != 0 at every degree), and at
+       tau0 it sends e_w, 1 not in w, to e_{(1,)+w}. So Q = M/N is N_{k+1},
+       simple when steps 1 to 3 hold at level k + 1 (quotient_loops_generate_end).
        At an integer twist this waits for the tau = 0 degree; at k = n, N = M.
     The loops with a = b alone act as scalars on ext:k, so every ordered pair
     is kept. That the loops reach the whole stabiliser of N, a stronger
-    claim, fails at n = 2, k = 1: the blocks prove exactly steps 3 and 4.
+    claim, fails at n = 2, k = 1: the two blocks prove exactly steps 3 and 4.
     image_action_matches_formula reads act_direct against _action_formula on
     the pair fields, for the moves and loops at every degree. The level-one
     image_rank_pattern and closure stay window evidence.
@@ -811,29 +823,23 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
     rec = SuiteResult("simplicity", evidence_used=True)
     n, twist, B = cfg.n, cfg.twist, cfg.central
     k = cfg.k if cfg.k else n - 1
-    ctx, image, nkeys = _image_at_tau0(n, k)
-    qkeys = [key for key in ctx.vmod.keys if 1 not in key]
-    rec.check("image_link_at_tau0", image.rank == len(nkeys) and all(
-        image.contains({(zero(n), key): 1}) for key in nkeys), "rank=%d", image.rank)
-
-    loops = _image_loops(ctx)
-    leaks = sum(1 not in row for loop in loops for col in nkeys for row, _ in loop.get(col, ()))
+    rank, link, leaks, size, nrank = _image_block(n, k)
+    rec.check("image_link_at_tau0", link, "rank=%d", rank)
     rec.check("image_invariant_under_loops", not leaks, "leaks=%d", leaks)
-    nrank, qrank = (_algebra_rank(keys, [
-        {col: tuple((row, c) for row, c in loop[col] if row in keys) for col in keys if col in loop}
-        for loop in loops]) for keys in (nkeys, qkeys))
-    nfull, qfull = len(nkeys) ** 2, len(qkeys) ** 2
+    _, qlink, qleaks, qsize, qrank = _image_block(n, k + 1) if k < n else (0, True, 0, 0, 0)
+    nfull, qfull = size ** 2, qsize ** 2
     rec.log.append("certificate module=exterior-%d tau0=%s N=%d Q=%d ranks=%d/%d,%d/%d"
-                   % (k, unit(1, n), len(nkeys), len(qkeys), nrank, nfull, qrank, qfull))
+                   % (k, unit(1, n), size, qsize, nrank, nfull, qrank, qfull))
     rec.check("image_loops_generate_end", nrank == nfull, "rank=%d/%d", nrank, nfull)
     if all(t.denominator == 1 for t in twist):
         rec.log.append("maximality skipped for an integer twist")
     elif k == n:
         rec.log.append("maximality skipped at the top exterior power")
     else:
-        rec.check("quotient_loops_generate_end", qrank == qfull, "rank=%d/%d", qrank, qfull)
-    bad = _lattice_mismatch(tensor.context(twist, ctx.vmod), True, tensor.act_direct,
-                            _action_formula)
+        rec.check("quotient_loops_generate_end", qlink and not qleaks and qrank == qfull,
+                  "rank=%d/%d", qrank, qfull)
+    bad = _lattice_mismatch(tensor.context(twist, glmod.exterior(n, k)), True,
+                            tensor.act_direct, _action_formula)
     rec.check("image_action_matches_formula", not bad, bad)
     rec.counters.update(max_rank=nrank + qrank, dim=nfull + qfull)
 

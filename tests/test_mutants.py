@@ -7,11 +7,11 @@ or replaces a check edits the row and says which mutant lost which killer.
 Every suite but iso runs, which compares fingerprints and reads none of the
 mutated maps: identities alone reads weyl's commutator and operator action,
 identities and axioms read glmod.rank_one, lattice and nonminuscule read
-act_direct through _action_mismatch, and derham, minuscule and simplicity
-read derham_map, glmod.wedge_by, the de Rham kernels and the r u^T term
-that act_direct reads from glmod.rank_one; minuscule alone reads
-image_probe. The conftest.py fixture clears the package caches around
-every patch.
+act_direct through _lattice_mismatch against _action_formula, and derham,
+minuscule and simplicity read derham_map, glmod.wedge_by, the de Rham
+kernels and the r u^T term that act_direct reads from glmod.rank_one;
+minuscule alone reads image_probe. The conftest.py fixture clears the
+package caches around every patch.
 """
 
 import hashlib
@@ -250,3 +250,25 @@ def test_failure_details_are_unchanged(monkeypatch):
     lines = got["derham"]
     got["derham"] = (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest())
     assert got == RANK_ONE_EMPTY_FAILURES
+
+
+#: run_simplicity's failure lines under rank_one_empty at the generic twist,
+#: at the (n, k) where the quotient by N has dimension 2 and 3; at the
+#: matrix's n=3 and default k = 2 it has dimension 1, and no mutant can fail
+#: quotient_loops_generate_end there
+QUOTIENT_FAILURES = {
+    (3, 1): ["FAIL quotient_loops_generate_end rank=1/4",
+             "FAIL image_action_matches_formula D[(0,-1,0); (1,0,0)] at s=(0, 0, 0) key=(2,)"],
+    (4, 2): ["FAIL image_loops_generate_end rank=1/9",
+             "FAIL quotient_loops_generate_end rank=1/9",
+             "FAIL image_action_matches_formula D[(0,-1,0,0); (1,0,0,0)] at s=(0, 0, 0, 0)"
+             " key=(2, 3)"],
+}
+
+
+def test_rank_one_empty_fails_the_quotient_certificate(monkeypatch):
+    rank_one_empty(monkeypatch)
+    twists = {3: TWISTS["generic"], 4: TWISTS_N4["generic"]}
+    got = {(n, k): SUITES["simplicity"](RunConfig(n=n, k=k, twist=twists[n])).failures
+           for n, k in QUOTIENT_FAILURES}
+    assert got == QUOTIENT_FAILURES

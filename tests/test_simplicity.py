@@ -1,6 +1,7 @@
 """The simplicity certificate: its loops at tau0 = e_1, the algebras they
-generate on the image N and on the quotient by it, its links to derham_map
-and act_direct, and the log line that names it."""
+generate on the image N at level k and at level k + 1, the block identity
+that makes level k + 1's algebra the one on the quotient by N at level k, its
+links to derham_map and act_direct, and the log line that names it."""
 
 import json
 import re
@@ -13,8 +14,8 @@ from test_nonminuscule import as_dense, sympy_algebra_dim
 from toruslie import cli, glmod, probe, rat, tensor
 from toruslie.fields import pair_field
 from toruslie.rational import cleared
-from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_loops,
-                             run_simplicity)
+from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_at_tau0,
+                             _image_loops, run_simplicity)
 
 GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
 
@@ -57,8 +58,10 @@ def certificate_ranks(res) -> tuple:
 def test_block_algebras_agree_with_sympy(n, k):
     vmod = glmod.exterior(n, k)
     ctx = tensor.context((-1,) + (0,) * (n - 1), vmod)
-    loops, dense = _image_loops(ctx), dense_image_loops(n, k)
+    loops, dense = _image_loops(ctx, vmod.keys), dense_image_loops(n, k)
     assert [as_dense(vmod, loop) for loop in loops] == [loop for _, _, loop in dense]
+    # the suite reads the quotient's algebra off level k + 1's image block,
+    # so this dense quotient block at level k checks that certificate
     want = []
     for block in ([p for p, key in enumerate(vmod.keys) if 1 in key],
                   [p for p, key in enumerate(vmod.keys) if 1 not in key]):
@@ -73,13 +76,37 @@ def test_block_algebras_agree_with_sympy(n, k):
 def test_loops_with_equal_pairs_act_as_scalars():
     # the loops p_a(-r) p_a(r) alone reach 1 of the 4 dimensions of End(N)
     ctx = tensor.context((-1, 0, 0), glmod.exterior(3, 2))
-    loops, dense = _image_loops(ctx), dense_image_loops(3, 2)
-    same = [i for i, (a, b, _) in enumerate(dense) if a == b]
     nkeys = [(1, 2), (1, 3)]
-    assert _algebra_rank(nkeys, [{col: loops[i][col] for col in nkeys if col in loops[i]}
-                                 for i in same]) == 1
+    loops, dense = _image_loops(ctx, nkeys), dense_image_loops(3, 2)
+    # no loop vanishes on N alone, so the two lists stay aligned
+    assert len(loops) == len(dense)
+    same = [i for i, (a, b, _) in enumerate(dense) if a == b]
+    assert _algebra_rank(nkeys, [loops[i] for i in same]) == 1
     assert sympy_algebra_dim(2, [dense[i][2].extract([0, 1], [0, 1]) for i in same]) == 1
     assert certificate_ranks(run_simplicity(RunConfig(n=3, twist=GEN3)))[:2] == (4, 4)
+
+
+def blocks(loops, keys) -> set:
+    """The distinct nonzero blocks of loops on keys, each a frozenset of
+    (col, row, c) entries with col and row in keys."""
+    out = {frozenset((col, row, c) for col, entries in loop.items() if col in keys
+                     for row, c in entries if row in keys) for loop in loops}
+    return out - {frozenset()}
+
+
+@pytest.mark.parametrize("n, counts", [(2, [1]), (3, [14, 2]), (4, [98, 98, 2])])
+def test_quotient_blocks_are_the_next_levels_image_blocks(n, counts):
+    # d_k at tau0 sends e_w, 1 not in w, to e_{(1,)+w}: the loops' blocks on
+    # the quotient at level k are those on the image at level k + 1
+    for k, count in enumerate(counts, 1):
+        ctx, _, _ = _image_at_tau0(n, k)
+        qkeys = [key for key in ctx.vmod.keys if 1 not in key]
+        quotient = {frozenset(((1,) + col, (1,) + row, c) for col, row, c in block)
+                    for block in blocks(_image_loops(ctx, ctx.vmod.keys), qkeys)}
+        upper, _, nkeys = _image_at_tau0(n, k + 1)
+        image = blocks(_image_loops(upper, nkeys), nkeys)
+        assert quotient == image
+        assert len(image) == count
 
 
 #: a window at which the level-one closure's count shows the generator

@@ -2,12 +2,15 @@
 name it never uses, no function, class, method or module-level public
 name is defined that no module reads, and the package binds no name that
 no reader imports from it; every function the benchmark traces
-exists under the name it traces; and the cache fixture of conftest.py
-clears every lru_cache of the package."""
+exists under the name it traces; the cache fixture of conftest.py
+clears every lru_cache of the package; and the names that README.md and
+the tests' docstrings and comments cite still exist."""
 
 import ast
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 from conftest import PACKAGE_CACHES
@@ -154,6 +157,39 @@ def lru_cached_functions(trees) -> list:
     return sorted(found)
 
 
+def defined_names(tree) -> set:
+    """Every name a tree defines: def, class, argument, assigned name or
+    assigned attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def prose_private_names(source) -> set:
+    """The names led by one underscore that a module's docstrings and comments cite."""
+    tree = ast.parse(source)
+    texts = [ast.get_docstring(node) or "" for node in ast.walk(tree) if isinstance(
+        node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+              if tok.type == tokenize.COMMENT]
+    return {name for text in texts for name in re.findall(r"(?<!\w)_[A-Za-z]\w*", text)}
+
+
+def readme_module_references(text) -> set:
+    """(module, name) for each module.name in text whose module is one of the
+    package's; a file name such as suites.py is not a reference."""
+    modules = "|".join(sorted(path.stem for path in SRC.glob("*.py")))
+    return set(re.findall(r"\b(%s)\.(?!py\b)([A-Za-z_]\w*)" % modules, text))
+
+
 def test_no_module_imports_a_name_it_never_uses():
     found = {name: unused_imports(tree) for name, tree in module_trees().items()}
     assert len(found) >= 10
@@ -256,3 +292,35 @@ def use(b):
     return B.monomial(), A.make(), b.word()
 """)
     assert unreached_definitions({"m.py": tree}) == ["m.A.monomial", "m.use"]
+
+
+def test_readme_references_to_the_package_resolve():
+    refs = readme_module_references((ROOT / "README.md").read_text())
+    assert len(refs) >= 20
+    assert sorted("%s.%s" % (module, name) for module, name in refs if not hasattr(
+        importlib.import_module("toruslie." + module), name)) == []
+
+
+def test_private_names_in_test_prose_are_defined():
+    # a docstring or comment that cites a helper a change renamed or removed
+    package = set().union(*map(defined_names, module_trees().values()))
+    stale = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        source = path.read_text()
+        missing = prose_private_names(source) - package - defined_names(ast.parse(source))
+        if missing:
+            stale[path.name] = sorted(missing)
+    assert stale == {}
+
+
+def test_prose_names_and_readme_references_are_found():
+    source = '''"""Reads _kept and _gone."""
+x = 1  # after _other, not y_1 or __init__
+def f(_arg):
+    """See probe._deep."""
+'''
+    assert prose_private_names(source) == {"_kept", "_gone", "_other", "_deep"}
+    assert {"f", "_arg", "x"} <= defined_names(ast.parse(source))
+    assert readme_module_references("`suites.run_lattice`, suites.py, toruslie.cli, "
+                                    "glmod.rank_one.") == {("suites", "run_lattice"),
+                                                           ("glmod", "rank_one")}
