@@ -754,31 +754,13 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
 # --------------------------------------------------------------- simplicity
 
 
-def _image_loops(ctx, keys) -> list:
-    """The loops p_b(-r) p_a(r) on x^0 (x) ctx.vmod through act_direct, as _loops'
-    sparse columns at keys: one per r in {-1,0,1}^n with r > 0 lexicographically
-    and ordered pair (a, b) of pair_field's index pairs, zero loops left out."""
-    n, out = ctx.n, []
-    pairs = list(combinations(range(1, n + 1), 2))
-    for r, a in product(product((-1, 0, 1), repeat=n), pairs):
-        if r > zero(n):
-            there = [(key, tensor.act_direct(pair_field(*a, r), tensor.basis_element(
-                ctx, zero(n), key))) for key in keys]
-            for b in pairs:
-                back = pair_field(*b, sub(zero(n), r))
-                cols = ((key, tensor.act_direct(back, m).terms) for key, m in there)
-                out.append({key: tuple((row, c) for (_, row), c in col.items())
-                            for key, col in cols if col})
-    return [loop for loop in out if loop]
-
-
 def _image_block(n, k) -> tuple:
     """Simplicity's certificate on N = e_1 wedge ext:(k-1) in ext:k at tau0 = e_1:
     derham_map's image rank, whether it is the span of the keys that contain 1,
-    the loop entries that leave N, |N|, and the rank I and the loops reach on N."""
+    the loop entries that leave N, |N|, and the rank I and _loops' loops reach on N."""
     ctx, image, nkeys = _image_at_tau0(n, k)
     link = image.rank == len(nkeys) and all(image.contains({(zero(n), key): 1}) for key in nkeys)
-    loops = _image_loops(ctx, nkeys)
+    loops = _loops(ctx.vmod, nkeys, unit(1, n), True)
     leaks = sum(1 not in row for loop in loops for col in loop.values() for row, _ in col)
     rank = _algebra_rank(nkeys, [{key: tuple((row, c) for row, c in col if 1 in row)
                                   for key, col in loop.items()} for loop in loops])
@@ -800,8 +782,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
        -e_1. There N is spanned by the keys that contain 1 (image_link_at_tau0
        reads this off derham_map).
     2. A(tau0) keeps N (image_invariant_under_loops), so restriction to N is
-       an algebra map. The loops of r in {-1,0,1}^n generate a subalgebra, and
-       when its block on N reaches End(N) (image_loops_generate_end), N_tau is
+       an algebra map. The loops of r in R_n (_loops at tau0) generate a subalgebra,
+       and when its block on N reaches End(N) (image_loops_generate_end), N_tau is
        A(tau)-simple at every tau != 0. _image_block reads steps 1 and 2.
     3. N is simple: a submodule 0 != S of N has some S_s != 0, so S_s = N_s,
        and an invertible move maps N_s onto the N_{s'} of equal dimension.
@@ -817,8 +799,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
     is kept. That the loops reach the whole stabiliser of N, a stronger
     claim, fails at n = 2, k = 1: the two blocks prove exactly steps 3 and 4.
     image_action_matches_formula reads act_direct against _action_formula on
-    the pair fields, for the moves and loops at every degree. The level-one
-    image_rank_pattern and closure stay window evidence.
+    the pair fields, for the moves at every degree, and so licenses _loops'
+    closed form. The level-one image_rank_pattern and closure stay window evidence.
     """
     rec = SuiteResult("simplicity", evidence_used=True)
     n, twist, B = cfg.n, cfg.twist, cfg.central
@@ -861,17 +843,32 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------- nonminuscule
 
 
-def _loops(vmod) -> list:
-    """The nonzero rho(r u^T)^2 as sparse columns {col key: ((row key, c), ...)},
-    for each r in {-1,0,1}^n with r > 0 lexicographically (-r gives the same
-    r u^T) and each direction u of pair_field(i, j, r), which is integral."""
+def _loops(vmod, keys, tau0, ordered) -> list:
+    """The nonzero loops (rho(r u_b^T) - (u_b|tau0))((u_a|tau0) + rho(r u_a^T)) on vmod as
+    sparse columns {col key: ((row key, c), ...)} at keys, zero columns left out, for r in
+    R_n = {e_i} u {e_i - e_j, e_i + e_j : i < j} in that order and the nonzero directions
+    u_a, u_b of pair_field at r, with a = b unless ordered. This is p_b(-r) p_a(r) on
+    x^0 (x) vmod at twist -tau0 in closed form: D(u, r) acts by (u|s - twist) + rho(r u^T),
+    as action_matches_formula and image_action_matches_formula prove of act_direct at every
+    degree, and p_b(-r) has direction -u_b, (u_b|r) = 0. R_n's n^2 values of r are among the
+    (3^n - 1)/2 r > 0 in {-1,0,1}^n; any loops generate a subalgebra of A(tau), so a subset
+    that reaches End certifies what the full set does, and one short of End fails."""
     n, out = vmod.n, []
-    for r in product((-1, 0, 1), repeat=n):
-        for i, j in combinations(range(1, n + 1), 2) if r > zero(n) else ():
-            ru = glmod.rank_one(r, pair_field(i, j, r).num)
-            cols = {key: vmod.matrix_apply(ru, vmod.matrix_apply(ru, {key: 1}))
-                    for key in vmod.keys}
-            out.append({key: tuple(col.items()) for key, col in cols.items() if col})
+
+    def step(ru, c, vec):  # (c + rho(ru)) vec
+        acc = vmod.matrix_apply(ru, vec)
+        acc.add_pairs((key, c * x) for key, x in vec.items())
+        return acc
+    units = [unit(i, n) for i in range(1, n + 1)]
+    for r in units + [f(a, b) for a, b in combinations(units, 2) for f in (sub, add)]:
+        moves = [(glmod.rank_one(r, u), dot(u, tau0)) for u in (
+            pair_field(i, j, r).num for i, j in combinations(range(1, n + 1), 2)) if any(u)]
+        there = [{key: step(ru, c, {key: 1}) for key in keys} for ru, c in moves]
+        for a, b in product(range(len(moves)), repeat=2):
+            if ordered or a == b:
+                ru, c = moves[b]
+                cols = ((key, step(ru, -c, col)) for key, col in there[a].items())
+                out.append({key: tuple(col.items()) for key, col in cols if col})
     return [loop for loop in out if loop]
 
 
@@ -911,7 +908,7 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
     p_ij(-cr) p_ij(cr), u = r_j e_i - r_i e_j, acts on M_s as the polynomial
     c^4 rho(r u^T)^2 - c^2 (u|tau)^2 in c, with values in A(tau); so its c^4
     coefficient, the loop rho(r u^T)^2, lies in A(tau) at every degree, and
-    loops_generate_end finds that I and the _loops generate End(V).
+    loops_generate_end finds that I and the _loops of r in R_n generate End(V).
     At the tau = 0 degree of an integer twist, the moves out by r and in
     from tau = -r act as rho(r u^T), nonzero as some loop is: S reaches and
     leaves it too. action_matches_formula reads act_direct (linear in u)
@@ -920,13 +917,16 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
     """
     rec = SuiteResult("nonminuscule")
     n, vmod = cfg.n, cfg.vmod
-    loops = _loops(vmod)
+
+    def squares(vmod):
+        return _loops(vmod, vmod.keys, zero(n), False)
+    loops = squares(vmod)
     if not loops:
         vmod = glmod.symmetric(n, 2)
-        loops = _loops(vmod)
+        loops = squares(vmod)
         rec.log.append("configured module is minuscule; probing sym:2 instead")
-    rec.check("minuscule_classifier", bool(loops) and not _loops(glmod.exterior(n, 1))
-              and not _loops(glmod.trivial(n)), "module=%s", "-".join(map(str, vmod.kind)))
+    rec.check("minuscule_classifier", bool(loops) and not squares(glmod.exterior(n, 1))
+              and not squares(glmod.trivial(n)), "module=%s", "-".join(map(str, vmod.kind)))
     bad = _lattice_mismatch(tensor.context(cfg.twist, vmod), False, tensor.act_direct,
                             _action_formula)
     rec.check("action_matches_formula", not bad, bad)

@@ -8,9 +8,10 @@ import pytest
 from toruslie import rat
 from toruslie import glmod
 from toruslie.linalg import SparseVec
-from toruslie.suites import _algebra_rank, _loops
+from toruslie.suites import _algebra_rank
 
 from conftest import vec_sum
+from test_nonminuscule import squares
 
 
 def apply_unit(vmod, i, j, vec):
@@ -114,10 +115,10 @@ def test_minuscule_classifier():
     for n in (2, 3, 4):
         for vmod in [glmod.trivial(n), glmod.natural(n)] + [
                 glmod.exterior(n, k) for k in range(n + 1)]:
-            assert _loops(vmod) == [], vmod
-            assert _algebra_rank(vmod.keys, _loops(vmod)) == 1
+            assert squares(vmod) == [], vmod
+            assert _algebra_rank(vmod.keys, squares(vmod)) == 1
         for vmod in (glmod.symmetric(n, 2), glmod.symmetric(n, 3), glmod.adjoint(n)):
-            assert _loops(vmod), vmod
+            assert squares(vmod), vmod
 
 
 def test_module_from_name():

@@ -73,6 +73,22 @@ REFERENCE = [
     pytest.param(["--n", "2", "--lambda", "1,-2", "--suite", "lattice"],
                  "8eb7fe78cee8db0876bc56369f25bd29e671e94293160eabd73d6a3f69f2a23b",
                  id="n2-shifted-integer-lattice"),
+    # the algebra certificates: nonminuscule's End(V) and simplicity's blocks
+    # on N and on the quotient, recorded while their loops ran over every
+    # r > 0 in {-1,0,1}^n, read through act_direct for simplicity
+    pytest.param(["--n", "4", "--module", "adjoint", "--suite", "nonminuscule"],
+                 "38303b32af0da2f6683082910a726afaba75ad50cf08b26a564a370f9d61619d",
+                 id="n4-integer-adjoint-nonminuscule"),
+    pytest.param(["--n", "4", "--module", "sym:3", "--lambda", "1/2,1/3,1/5,1/7",
+                  "--suite", "nonminuscule"],
+                 "b0e3dcdc5741380b475db5d987822cb5b10afd8a6745cec177ac0ab506aa0aa5",
+                 id="n4-generic-sym3-nonminuscule"),
+    pytest.param(["--n", "4", "--k", "1", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "simplicity"],
+                 "2881e37f4b1fe1e52f996e62acc4d0d3b68bfcc79bfc3b68cafd0f7042fb3126",
+                 id="n4-generic-k1-simplicity"),
+    pytest.param(["--n", "5", "--window", "1,1,1,1", "--suite", "nonminuscule,simplicity"],
+                 "7bd5797f8a60444f7251f920203cc06f671f1eca287d9cfb83fdd68f0af3d1e1",
+                 id="n5-integer-certificates"),
     # the three whole-CLI runs whose digests gate every perf change
     pytest.param(["--n", "2"],
                  "3283c1ecca00aac36c4d55f6c5ab933c8420594aa29f1e9d035c2cd771e94490",

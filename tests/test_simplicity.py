@@ -1,32 +1,64 @@
-"""The simplicity certificate: its loops at tau0 = e_1, the algebras they
+"""The simplicity certificate: its loops at tau0 = e_1, read in closed form
+and against their composition from two act_direct steps, the algebras they
 generate on the image N at level k and at level k + 1, the block identity
 that makes level k + 1's algebra the one on the quotient by N at level k, its
 links to derham_map and act_direct, and the log line that names it."""
 
 import json
 import re
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
 import sympy
 
-from test_nonminuscule import as_dense, sympy_algebra_dim
+from test_nonminuscule import as_dense, r_n, squares, sympy_algebra_dim
 from toruslie import cli, glmod, probe, rat, tensor
 from toruslie.fields import pair_field
 from toruslie.rational import cleared
 from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_at_tau0,
-                             _image_loops, run_simplicity)
+                             _image_block, _loops, run_simplicity)
 
 GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
+
+
+def e1(n) -> tuple:
+    return (1,) + (0,) * (n - 1)
+
+
+def image_loops(n, k, keys=None) -> list:
+    """_loops on ext:k at tau0 = e_1 with every ordered pair, at keys (all by default)."""
+    vmod = glmod.exterior(n, k)
+    return _loops(vmod, vmod.keys if keys is None else keys, e1(n), True)
+
+
+def act_direct_loops(vmod, tau0, ordered) -> list:
+    """The reference for _loops: p_b(-r) p_a(r) on x^0 (x) vmod at twist -tau0,
+    composed from two act_direct steps, as sparse columns at every key: one
+    per r in {-1,0,1}^n with r > 0 lexicographically and pair (a, b) of
+    pair_field's index pairs, a = b unless ordered, zero loops left out."""
+    n, out = vmod.n, []
+    ctx, zero = tensor.context(tuple(-t for t in tau0), vmod), (0,) * vmod.n
+    pairs = list(combinations(range(1, n + 1), 2))
+    for r, a in product(product((-1, 0, 1), repeat=n), pairs):
+        if r > zero:
+            there = [(key, tensor.act_direct(pair_field(*a, r), tensor.basis_element(
+                ctx, zero, key))) for key in vmod.keys]
+            for b in pairs if ordered else [a]:
+                back = pair_field(*b, tuple(-c for c in r))
+                cols = ((key, tensor.act_direct(back, m).terms) for key, m in there)
+                out.append({key: tuple((row, c) for (_, row), c in col.items())
+                            for key, col in cols if col})
+    return [loop for loop in out if loop]
 
 
 def dense_image_loops(n, k) -> list:
     """(a, b, loop) for p_b(-r) p_a(r) on x^0 (x) ext:k at tau0 = e_1 as sympy
     matrices, each step (u|tau) + rho(r u^T) summed entry by entry from the
-    unit tables, in the order and with the zeros left out as in _image_loops."""
+    unit tables, in the order and with the zeros left out as in _loops."""
     vmod = glmod.exterior(n, k)
     pos = {key: p for p, key in enumerate(vmod.keys)}
-    tau0 = (1,) + (0,) * (n - 1)
+    tau0 = e1(n)
 
     def step(r, u, tau):
         out = sympy.eye(vmod.dim) * sum(a * b for a, b in zip(u, tau))
@@ -37,8 +69,8 @@ def dense_image_loops(n, k) -> list:
         return out
     pairs = list(combinations(range(1, n + 1), 2))
     out = []
-    for r in product((-1, 0, 1), repeat=n):
-        for a, b in product(pairs, repeat=2) if r > (0,) * n else ():
+    for r in r_n(n):
+        for a, b in product(pairs, repeat=2):
             back = tuple(-c for c in r)
             ua, ub = ([int(c) for c in pair_field(*p, q).u] for p, q in ((a, r), (b, back)))
             # the way back starts at degree r, where tau = tau0 + r
@@ -57,8 +89,7 @@ def certificate_ranks(res) -> tuple:
 @pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_block_algebras_agree_with_sympy(n, k):
     vmod = glmod.exterior(n, k)
-    ctx = tensor.context((-1,) + (0,) * (n - 1), vmod)
-    loops, dense = _image_loops(ctx, vmod.keys), dense_image_loops(n, k)
+    loops, dense = image_loops(n, k), dense_image_loops(n, k)
     assert [as_dense(vmod, loop) for loop in loops] == [loop for _, _, loop in dense]
     # the suite reads the quotient's algebra off level k + 1's image block,
     # so this dense quotient block at level k checks that certificate
@@ -75,9 +106,8 @@ def test_block_algebras_agree_with_sympy(n, k):
 
 def test_loops_with_equal_pairs_act_as_scalars():
     # the loops p_a(-r) p_a(r) alone reach 1 of the 4 dimensions of End(N)
-    ctx = tensor.context((-1, 0, 0), glmod.exterior(3, 2))
     nkeys = [(1, 2), (1, 3)]
-    loops, dense = _image_loops(ctx, nkeys), dense_image_loops(3, 2)
+    loops, dense = image_loops(3, 2, nkeys), dense_image_loops(3, 2)
     # no loop vanishes on N alone, so the two lists stay aligned
     assert len(loops) == len(dense)
     same = [i for i, (a, b, _) in enumerate(dense) if a == b]
@@ -94,7 +124,7 @@ def blocks(loops, keys) -> set:
     return out - {frozenset()}
 
 
-@pytest.mark.parametrize("n, counts", [(2, [1]), (3, [14, 2]), (4, [98, 98, 2])])
+@pytest.mark.parametrize("n, counts", [(2, [1]), (3, [10, 2]), (4, [38, 38, 2])])
 def test_quotient_blocks_are_the_next_levels_image_blocks(n, counts):
     # d_k at tau0 sends e_w, 1 not in w, to e_{(1,)+w}: the loops' blocks on
     # the quotient at level k are those on the image at level k + 1
@@ -102,11 +132,60 @@ def test_quotient_blocks_are_the_next_levels_image_blocks(n, counts):
         ctx, _, _ = _image_at_tau0(n, k)
         qkeys = [key for key in ctx.vmod.keys if 1 not in key]
         quotient = {frozenset(((1,) + col, (1,) + row, c) for col, row, c in block)
-                    for block in blocks(_image_loops(ctx, ctx.vmod.keys), qkeys)}
-        upper, _, nkeys = _image_at_tau0(n, k + 1)
-        image = blocks(_image_loops(upper, nkeys), nkeys)
+                    for block in blocks(image_loops(n, k), qkeys)}
+        _, _, nkeys = _image_at_tau0(n, k + 1)
+        image = blocks(image_loops(n, k + 1, nkeys), nkeys)
         assert quotient == image
         assert len(image) == count
+
+
+def as_multiset(loops) -> Counter:
+    """Each loop as the frozenset of its (col, row, c) entries, with multiplicity."""
+    return Counter(frozenset((col, row, c) for col, entries in loop.items()
+                             for row, c in entries) for loop in loops)
+
+
+def on_n(loops, keys) -> list:
+    """Each loop's block on the keys that contain 1, keyed as _image_block keys it."""
+    return [{key: tuple((row, c) for row, c in loop.get(key, ()) if 1 in row)
+             for key in keys} for loop in loops]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_loops_are_act_direct_loops_over_r_n(n):
+    # every closed-form loop is one that act_direct composes over the full
+    # {-1,0,1}^n, and R_n's block on N generates what the full set's does
+    for k in range(1, n + 1):
+        vmod = glmod.exterior(n, k)
+        full = act_direct_loops(vmod, e1(n), True)
+        assert not as_multiset(image_loops(n, k)) - as_multiset(full), k
+        _, _, nkeys = _image_at_tau0(n, k)
+        assert _image_block(n, k)[4] == _algebra_rank(nkeys, on_n(full, nkeys)), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_squares_over_r_n_reach_the_full_sets_rank(n):
+    # nonminuscule's loops are p_a(-r) p_a(r) at tau0 = 0: act_direct over
+    # the full {-1,0,1}^n composes each, and generates no more. At n=4 the
+    # full set's rank is not counted (3.6 s on 2 shared cores): it lies
+    # between R_n's, as R_n's loops are among its own, and dim^2, which
+    # R_n's reaches
+    for name in ("sym:2", "sym:3", "adjoint"):
+        vmod = glmod.module_from_name(name, n)
+        full = act_direct_loops(vmod, (0,) * n, False)
+        assert not as_multiset(squares(vmod)) - as_multiset(full), name
+        assert _algebra_rank(vmod.keys, squares(vmod)) == vmod.dim ** 2, name
+        if n < 4:
+            assert _algebra_rank(vmod.keys, full) == vmod.dim ** 2, name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_image_block_is_certified(n):
+    # each level's N is the keys that contain 1, no loop leaves it, and the
+    # loops generate End(N): the certificate of every k, not only the run's
+    for k in range(1, n + 1):
+        rank, link, leaks, size, nrank = _image_block(n, k)
+        assert (rank, link, leaks, nrank) == (size, True, 0, size ** 2), k
 
 
 #: a window at which the level-one closure's count shows the generator
