@@ -353,6 +353,81 @@ def _lattice_proof(ctx, head, degree, labels, lhs, rhs=None):
     return bad and (bad[0][1], bad[1], bad[0][2])
 
 
+def _tau_wedge(_, m) -> tensor.TensorElement:
+    """The link's reference, x^s (x) (tau wedge e_key) over m's terms, tau = s - twist: the
+    sign from the inversions of (i,) + key, not glmod.wedge_by; integers over den(twist)."""
+    ctx, (den, dt) = m.ctx, m.ctx.cleared_twist
+    return tensor.TensorElement(ctx.with_vmod(glmod.exterior(ctx.n, ctx.vmod.kind[1] + 1)), [
+        ((s, tuple(sorted((i,) + key))),
+         c * (-1) ** sum(a > b for a, b in combinations((i,) + key, 2))
+         * (den * s[i - 1] - dt[i - 1]))
+        for (s, key), c in m.num.items() for i in range(1, ctx.n + 1) if i not in key
+    ]).scaled(rat(1, m.den * den))
+
+
+def _unit_fields(r) -> list:
+    """The D(e_j, r), j = 1..n."""
+    return [VectorField(unit(j, len(r)), r) for j in range(1, len(r) + 1)]
+
+
+def _action_formula(X: VectorField, m) -> tensor.TensorElement:
+    """D(u, r) on m = sum_s c_s x^s (x) key, all of its terms at one key: the sum
+    of c_s ((u|s - twist) x^{s+r} (x) key + x^{s+r} (x) rho(r u^T) key), with
+    r u^T written out from the nonzero entries of r and u, apart from the
+    glmod.rank_one that act_direct reads, and rho(r u^T) key built once. It
+    reads the rational direction X.u, not act_direct's integer num/den, so that
+    it stays an independent reference."""
+    ctx = m.ctx
+    key = next(iter(m.num))[1]
+    u = [(j, b) for j, b in enumerate(X.u) if b]
+    fibre = ctx.vmod.matrix_apply({(i + 1, j + 1): a * b for i, a in enumerate(X.r) if a
+                                   for j, b in u}, {key: 1})
+    terms = []
+    for (s, _), c in m.terms.items():
+        t = add(X.r, s)
+        terms += [((t, k), c * b) for k, b in fibre.items()]
+        terms.append(((t, key), c * sum(b * (s[j] - ctx.twist[j]) for j, b in u)))
+    return tensor.TensorElement(ctx, terms)
+
+
+#: name -> (in_r, degree, labels, lhs, rhs): lhs = rhs (lhs = 0 if rhs is None) in (r, s)
+#: under labels(r) if in_r, else in s under None; rows look maps up when run, so patches apply
+PROOFS = {
+    # d sends x^s (x) e_key to x^s (x) (tau wedge e_key): offset 0, both sides affine in s
+    "link": (False, 1, None, lambda _, m: tensor.derham_map(m), _tau_wedge),
+    # d has affine coefficients and offset 0, so d d has degree <= 2 in s; it is 0
+    "d_squared": (False, 2, None, lambda _, m: tensor.derham_map(tensor.derham_map(m)), None),
+    # as d_squared, for d' at the offsets -e_i
+    "shifted_d_squared": (False, 2, None, lambda _, m: tensor.derham_map_shifted(
+        tensor.derham_map_shifted(m)), None),
+    # phi moves x^s (x) e_key by -weight(key) with coefficient 1, and d and d' have
+    # affine coefficients: phi d and d' phi are affine in s
+    "equivalence": (False, 1, None, lambda _, m: tensor.to_shifted_form(tensor.derham_map(m)),
+                    lambda _, m: tensor.derham_map_shifted(tensor.to_shifted_form(m))),
+    # D(e_j, r) moves x^s by r with the coefficient (s_j - twist_j) + rho(r e_j^T), and d
+    # keeps it with its eigenvalue, both affine: degree 2 (3 for the pair fields)
+    "invariance": (True, 2, _unit_fields,
+                   lambda X, m: tensor.derham_map(tensor.act_direct(X, m)),
+                   lambda X, m: tensor.act_direct(X, tensor.derham_map(m))),
+    # d keeps the degree t and the probe moves it by s, both with coefficients affine in t
+    # that do not read s (one that read eig(t+s) would still give degree 2); it is 0
+    "probe_of_image": (True, 2, lambda s: [(i, s) for i in range(1, len(s) - 1)],
+                       lambda at, m: tensor.image_probe(*at, tensor.derham_map(m)), None),
+    # D(e_j, r) moves x^s by r with the coefficient (s_j - twist_j) + rho(r e_j^T): affine
+    "action": (True, 1, _unit_fields, lambda X, m: tensor.act_direct(X, m), _action_formula),
+    # the pair field's direction r_j e_i - r_i e_j is linear in r: degree 2 in (r, s)
+    "pair_action": (True, 2, lambda r: [
+        pair_field(i, j, r) for i, j in combinations(range(1, len(r) + 1), 2)],
+        lambda X, m: tensor.act_direct(X, m), _action_formula),
+}
+
+
+def _prove(name, ctx):
+    """The first (label, s, key) at which the row name of PROOFS fails on ctx, or None."""
+    in_r, degree, labels, lhs, rhs = PROOFS[name]
+    return _lattice_proof(ctx, ctx.n * in_r, degree, labels or (lambda _: [None]), lhs, rhs)
+
+
 def _image_at_tau0(n, k) -> tuple:
     """(context at twist -e_1 on ext:k, the SpanBasis of derham_map over the
     ext:(k-1) basis at degree 0, the keys that contain 1). At s = 0 the
@@ -370,12 +445,8 @@ def _derham_exactness(k, twist) -> str:
     """Empty when P (x) ext:(k-1) -> P (x) ext:k -> P (x) ext:(k+1), d = derham_map,
     is exact at ext:k at every degree with tau = s - twist != 0, kernel and
     image of rank C(n-1, k-1), and d = 0 at tau = 0; else the first failure.
-    1. Link. d sends x^s (x) e_key to x^s (x) (tau wedge e_key): offset 0, and
-       both sides affine in s, so the proof reads _principal_lattice(n, 1). It
-       is read on the levels k-1 and k below n, at the twist and at -e_1, where
-       step 3 reads d. The reference takes the sign of e_i wedge e_key from the
-       inversions of (i,) + key, not from glmod.wedge_by, and sums integers
-       over the twist's cleared denominator.
+    1. Link. d is tau wedge . on each fibre (the link row of PROOFS), on the levels
+       k-1 and k below n, at the twist and at -e_1, where step 3 reads d.
     2. Covariance. ext(g)(tau wedge w) = (g tau) wedge ext(g) w, and GL_n(Q)
        moves every tau != 0 to e_1, so every rank at tau != 0 is the rank at e_1.
     3. At e_1 (s = 0, twist -e_1), probe.kernel_at gives the kernel on ext:k
@@ -387,19 +458,7 @@ def _derham_exactness(k, twist) -> str:
     tau0 = sub(zero(n), unit(1, n))
     for tw in dict.fromkeys((twist, tau0)):
         for j in range(k - 1, min(k, n - 1) + 1):
-            ctx = tensor.context(tw, glmod.exterior(n, j))
-            target = ctx.with_vmod(glmod.exterior(n, j + 1))
-
-            def want(_, m, ctx=ctx, target=target):  # bound: it outlives the loop
-                den, dt = ctx.cleared_twist
-                return tensor.TensorElement(target, [
-                    ((s, tuple(sorted((i,) + key))),
-                     c * (-1) ** sum(a > b for a, b in combinations((i,) + key, 2))
-                     * (den * s[i - 1] - dt[i - 1]))
-                    for (s, key), c in m.num.items() for i in range(1, n + 1) if i not in key
-                ]).scaled(rat(1, m.den * den))
-            bad = _lattice_proof(ctx, 0, 1, lambda _: [None],
-                                 lambda _, m: tensor.derham_map(m), want)
+            bad = _prove("link", tensor.context(tw, glmod.exterior(n, j)))
             if bad:
                 return "link at twist=%s s=%s key=%s" % (",".join(map(rat_str, tw)), *bad[1:])
     _, image, _ = _image_at_tau0(n, k)
@@ -415,34 +474,27 @@ def run_derham(cfg: RunConfig) -> SuiteResult:
     """P (x) ext:k, k = 0..n, is a complex under d = derham_map and under
     d' = derham_map_shifted, and phi = to_shifted_form carries d to d'.
 
-    The three chain checks hold at every degree, each a _lattice_proof in s
-    on P (x) ext:k, k < n: derham_squares_to_zero is d d m = 0 and
-    derham_shifted_squares_to_zero is d' d' m = 0 in the shifted style, both
-    for k <= n-2; equivalence_commutes_with_derham is phi(d m) = d' phi(m).
-    d and d' send x^s (x) e_key to (affine form in s) x^{s+c} (x) e_key', with
-    c = 0 for d and c = -e_i for d', and phi moves x^s (x) e_key by the offset
-    -weight(key) with coefficient 1: the sides have degree <= 2 in s.
+    The three chain checks, d d m = 0 and d' d' m = 0 in the shifted style for
+    k <= n-2, and phi(d m) = d' phi(m), are rows of PROOFS in s on P (x) ext:k,
+    k < n: they hold at every degree.
     basis_checks, the central degrees times dim ext:k summed over k, and dim,
     the central degrees, count the window-basis checks the proof replaced.
     """
     rec = SuiteResult("derham")
     rng = _rng(cfg, "derham")
     n, twist, B = cfg.n, cfg.twist, cfg.central
-    d, ds, phi = tensor.derham_map, tensor.derham_map_shifted, tensor.to_shifted_form
 
     central = list(box(n, B))
     for k in range(0, n):
         vmod = glmod.exterior(n, k)
         ctx = tensor.context(twist, vmod)
-        sctx = ctx.with_style(tensor.STYLE_SHIFTED)
 
-        chain = [("derham_squares_to_zero", ctx, lambda _, m: d(d(m)), None),
-                 ("derham_shifted_squares_to_zero", sctx, lambda _, m: ds(ds(m)), None),
-                 ] if k <= n - 2 else []
-        chain.append(("equivalence_commutes_with_derham", ctx, lambda _, m: phi(d(m)),
-                      lambda _, m: ds(phi(m))))
-        for label, on, lhs, rhs in chain:
-            _, s, key = _lattice_proof(on, 0, 2, lambda _: [None], lhs, rhs) or (None,) * 3
+        chain = [("derham_squares_to_zero", "d_squared", ctx),
+                 ("derham_shifted_squares_to_zero", "shifted_d_squared",
+                  ctx.with_style(tensor.STYLE_SHIFTED))] if k <= n - 2 else []
+        chain.append(("equivalence_commutes_with_derham", "equivalence", ctx))
+        for label, name, on in chain:
+            _, s, key = _prove(name, on) or (None,) * 3
             rec.check(label, s is None, "k=%d s=%s key=%s", k, s, key)
         rec.bump("basis_checks", len(central) * vmod.dim)
 
@@ -534,17 +586,12 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     submodule, and the image probe vanishes on it.
 
     image_invariant_under_fields proves N invariant at every degree, since
-    X d(m) = d(X m) lies in N for every field X and every m. On x^s (x) w,
-    D(e_j, r) acts by the coefficient (s_j - twist_j) + rho(r e_j^T), of degree
-    1 in (r, s), and d multiplies each degree by its eigenvalue, of degree 1
-    too, so both sides have degree <= 2 in (r, s): _lattice_mismatch proves the
-    identity for every D(e_j, r) at every degree. act_direct reads u only
-    through _sparse(X.num) and rank_one(X.r, X.num) over X.den, both linear in
-    u, so D(u, r) = sum_j u_j D(e_j, r) carries it to every field. The pair
-    fields, whose direction is linear in r, would give degree 3, beyond this
-    lattice. Both sides move x^s by r. invariance_apps is (generators with
-    r != 0) * (central image rank), the count of the window check the proof
-    replaced.
+    X d(m) = d(X m) lies in N for every field X and every m: the invariance row
+    of PROOFS proves it for every D(e_j, r), and act_direct reads u only through
+    _sparse(X.num) and rank_one(X.r, X.num) over X.den, both linear in u, so
+    D(u, r) = sum_j u_j D(e_j, r) carries it to every field. invariance_apps is
+    (generators with r != 0) * (central image rank), the count of the window
+    check the proof replaced.
 
     Membership in N is read off the de Rham exactness proof (_derham_exactness,
     checked here as kernel_matches_euler_criterion), not off a span. At a
@@ -555,12 +602,9 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
     which the witness reads as a nonempty glmod.wedge_by(tau, key).
 
     image_probe_vanishes_on_image proves probe_{i,s}(d(x^t (x) e_w)) = 0 for
-    every probe index i, shift s, degree t and key w of ext:(k-1), a
-    _lattice_proof in (s, t): derham_map keeps the degree and the probe moves
-    it by s, both with coefficients affine in t that do not read s (a probe
-    that read eig(t+s) would still have degree 2), so the side has degree <= 2
-    in (s, t). probe_evals counts the window evaluations the proof replaced,
-    in closed form: d(x^t (x) e_w) != 0 exactly when
+    every probe index i, shift s, degree t and key w of ext:(k-1): the
+    probe_of_image row, in (s, t). probe_evals counts the window evaluations
+    the proof replaced, in closed form: d(x^t (x) e_w) != 0 exactly when
     supp tau(t), of size z, is not inside w, for C(n, k-1) - C(n-z, k-1-z) of
     the keys w (all of them when z > k-1); that sum over the central box,
     times n-2 probes, and times the 5^n shifts of box(n, 2) at n <= 3.
@@ -592,14 +636,10 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
             rec.check("image_proper_in_window", 0 < rank < dim,
                       "k=%d rank=%d dim=%d", k, rank, dim)
 
-        bad = _lattice_mismatch(lower, False,
-                                lambda X, m: tensor.derham_map(tensor.act_direct(X, m)),
-                                lambda X, m: tensor.act_direct(X, tensor.derham_map(m)))
-        rec.check("image_invariant_under_fields", not bad, "k=%d", k)
+        rec.check("image_invariant_under_fields", not _prove("invariance", lower), "k=%d", k)
         rec.bump("invariance_apps", shifted * rank)
 
-        bad = _lattice_proof(lower, n, 2, lambda s: [(i, s) for i in range(1, n - 1)],
-                             lambda at, m: tensor.image_probe(*at, tensor.derham_map(m)))
+        bad = _prove("probe_of_image", lower)
         bad = bad and "i=%d s=%s t=%s key=%s" % (*bad[0], *bad[1:])
         rec.check("image_probe_vanishes_on_image", not bad, "k=%d %s", k, bad)
         if n >= 4:  # a second line keeps the n >= 4 digests until their re-pin
@@ -679,40 +719,6 @@ def run_minuscule(cfg: RunConfig) -> SuiteResult:
 # ------------------------------------------------------------------ lattice
 
 
-def _action_formula(X: VectorField, m) -> tensor.TensorElement:
-    """D(u, r) on m = sum_s c_s x^s (x) key, all of its terms at one key: the sum
-    of c_s ((u|s - twist) x^{s+r} (x) key + x^{s+r} (x) rho(r u^T) key), with
-    r u^T written out from the nonzero entries of r and u, apart from the
-    glmod.rank_one that act_direct reads, and rho(r u^T) key built once. Each
-    term moves by r alone, so distinct s stay apart. It reads the rational
-    direction X.u, not act_direct's integer num/den, so that it stays an
-    independent reference."""
-    ctx = m.ctx
-    key = next(iter(m.num))[1]
-    u = [(j, b) for j, b in enumerate(X.u) if b]
-    fibre = ctx.vmod.matrix_apply({(i + 1, j + 1): a * b for i, a in enumerate(X.r) if a
-                                   for j, b in u}, {key: 1})
-    terms = []
-    for (s, _), c in m.terms.items():
-        t = add(X.r, s)
-        terms += [((t, k), c * b) for k, b in fibre.items()]
-        terms.append(((t, key), c * sum(b * (s[j] - ctx.twist[j]) for j, b in u)))
-    return tensor.TensorElement(ctx, terms)
-
-
-def _lattice_mismatch(ctx, pairs: bool, lhs, rhs) -> str:
-    """The first field X, degree s and key where lhs(X, m) and rhs(X, m) differ
-    on m = x^s (x) key in ctx, or "": a _lattice_proof in (r, s) of degree 2,
-    with X over the pair fields or the D(e_j, r) of exponent r. The sides the
-    suites read (act_direct, _action_formula, and derham_map after or before
-    act_direct) move x^s by r."""
-    n = ctx.n
-    bad = _lattice_proof(ctx, n, 2, lambda r: [
-        pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] if pairs
-        else [VectorField(unit(j, n), r) for j in range(1, n + 1)], lhs, rhs)
-    return "%r at s=%s key=%s" % bad if bad else ""
-
-
 def run_lattice(cfg: RunConfig) -> SuiteResult:
     """P (x) V at every degree, for the 1-dimensional V = trivial and ext:n.
 
@@ -729,23 +735,19 @@ def run_lattice(cfg: RunConfig) -> SuiteResult:
        it (tau = -r at twist - r). So x^twist spans a fixed line, and the
        rest, joined by paths of step 3 that avoid it, is a simple submodule
        of codimension 1 with a trivial quotient.
-    _lattice_mismatch reads act_direct against _action_formula. Its
-    coefficient has degree 1 in (r, s) for D(e_j, r), and 2 for the pair
-    fields, whose direction is linear in r.
-    The middle check reads the pair fields on trivial V, the outer two the
-    D(e_j, r) on trivial V and on ext:n. dim counts the central degrees,
+    The outer two checks are the action row of PROOFS on trivial V and ext:n, the
+    middle one the pair_action row on trivial V. dim counts the central degrees,
     max_rank those off the fixed line.
     """
     rec = SuiteResult("lattice")
     n, twist, B = cfg.n, cfg.twist, cfg.central
     integral = all(t.denominator == 1 for t in twist)
     middle = "integer_twist_fixed_line" if integral else "generic_twist_generates"
-    for label, vmod, pairs in (("scalar_quotient_trivial", glmod.trivial(n), False),
-                               (middle, glmod.trivial(n), True),
-                               ("top_level_matches_scalar", glmod.exterior(n, n), False)):
-        bad = _lattice_mismatch(tensor.context(twist, vmod), pairs, tensor.act_direct,
-                                _action_formula)
-        rec.check(label, not bad, bad)
+    for label, vmod, name in (("scalar_quotient_trivial", glmod.trivial(n), "action"),
+                              (middle, glmod.trivial(n), "pair_action"),
+                              ("top_level_matches_scalar", glmod.exterior(n, n), "action")):
+        bad = _prove(name, tensor.context(twist, vmod))
+        rec.check(label, not bad, "%r at s=%s key=%s", *bad or ())
     dim = rec.counters["dim"] = (2 * B + 1) ** n
     rec.counters["max_rank"] = dim - 1 if integral and inside(twist, B) else dim
     return rec
@@ -820,9 +822,8 @@ def run_simplicity(cfg: RunConfig) -> SuiteResult:
     else:
         rec.check("quotient_loops_generate_end", qlink and not qleaks and qrank == qfull,
                   "rank=%d/%d", qrank, qfull)
-    bad = _lattice_mismatch(tensor.context(twist, glmod.exterior(n, k)), True,
-                            tensor.act_direct, _action_formula)
-    rec.check("image_action_matches_formula", not bad, bad)
+    bad = _prove("pair_action", tensor.context(twist, glmod.exterior(n, k)))
+    rec.check("image_action_matches_formula", not bad, "%r at s=%s key=%s", *bad or ())
     rec.counters.update(max_rank=nrank + qrank, dim=nfull + qfull)
 
     # level-one image is one line per admissible exponent
@@ -927,9 +928,8 @@ def run_nonminuscule(cfg: RunConfig) -> SuiteResult:
         rec.log.append("configured module is minuscule; probing sym:2 instead")
     rec.check("minuscule_classifier", bool(loops) and not squares(glmod.exterior(n, 1))
               and not squares(glmod.trivial(n)), "module=%s", "-".join(map(str, vmod.kind)))
-    bad = _lattice_mismatch(tensor.context(cfg.twist, vmod), False, tensor.act_direct,
-                            _action_formula)
-    rec.check("action_matches_formula", not bad, bad)
+    bad = _prove("action", tensor.context(cfg.twist, vmod))
+    rec.check("action_matches_formula", not bad, "%r at s=%s key=%s", *bad or ())
     rank = rec.counters["max_rank"] = _algebra_rank(vmod.keys, loops)
     dim = rec.counters["dim"] = vmod.dim ** 2
     rec.check("loops_generate_end", rank == dim, "rank=%d/%d", rank, dim)

@@ -7,7 +7,7 @@ or replaces a check edits the row and says which mutant lost which killer.
 Every suite but iso runs, which compares fingerprints and reads none of the
 mutated maps: identities alone reads weyl's commutator and operator action,
 identities and axioms read glmod.rank_one, lattice and nonminuscule read
-act_direct through _lattice_mismatch against _action_formula, and derham,
+act_direct through _prove against _action_formula, and derham,
 minuscule and simplicity read derham_map, glmod.wedge_by, the de Rham
 kernels and the r u^T term that act_direct reads from glmod.rank_one;
 minuscule alone reads image_probe. The conftest.py fixture clears the
@@ -233,7 +233,7 @@ RANK_ONE_EMPTY_FAILURES = {
     "simplicity": [
         "FAIL image_loops_generate_end rank=1/4",
         "FAIL image_action_matches_formula D[(0,-1,0); (1,0,0)] at s=(0, 0, 0) key=(2, 3)"],
-    # recorded while _lattice_mismatch still read one degree per call
+    # recorded while the lattice proofs still read one degree per call
     "lattice": [
         "FAIL top_level_matches_scalar D[(1,0,0); (1,0,0)] at s=(0, 0, 0) key=(1, 2, 3)"],
     "nonminuscule": [

@@ -4,7 +4,8 @@ name is defined that no module reads, and the package binds no name that
 no reader imports from it; every function the benchmark traces
 exists under the name it traces; the cache fixture of conftest.py
 clears every lru_cache of the package; and the names that README.md and
-the tests' docstrings and comments cite still exist."""
+the tests' docstrings and comments cite still exist; and the lattice-proof
+runner is read only by _prove, which runs the rows of suites.PROOFS."""
 
 import ast
 import importlib
@@ -142,6 +143,20 @@ def benchmark_trace_targets() -> dict:
     return targets
 
 
+def readers_of(trees, name) -> list:
+    """module.top for each top-level def or class of a module (module.<module>
+    for its other statements) whose code reads name, as a name or an attribute."""
+    found = set()
+    for fname, tree in trees.items():
+        for top in tree.body:
+            where = getattr(top, "name", "<module>")
+            if any(isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   for node in ast.walk(top) if isinstance(getattr(node, "ctx", None), ast.Load)):
+                found.add("%s.%s" % (Path(fname).stem, where))
+    return sorted(found)
+
+
 def lru_cached_functions(trees) -> list:
     """module.name of each function a module memoises with functools'
     lru_cache or cache, bare or called, by name or as functools.name."""
@@ -231,6 +246,28 @@ def test_every_benchmark_trace_target_exists():
         if owner is None or last not in vars(owner):
             missing.append(name)
     assert missing == []
+
+
+def test_the_lattice_proof_runner_is_read_only_by_prove():
+    # every lattice proof is a row of suites.PROOFS, which the premise audit reads
+    assert readers_of(module_trees(), "_lattice_proof") == ["suites._prove"]
+
+
+def test_readers_are_found_in_nested_code_and_by_attribute():
+    tree = ast.parse("""
+def a():
+    def inner():
+        return run()
+    return inner
+def b():
+    return mod.run
+def c(run):
+    return 1
+class K:
+    go = staticmethod(run)
+x = [run]
+""")
+    assert readers_of({"m.py": tree}, "run") == ["m.<module>", "m.K", "m.a", "m.b"]
 
 
 def test_the_cache_fixture_clears_every_lru_cache_of_the_package():

@@ -315,19 +315,26 @@ def test_derham_and_minuscule_build_no_graded_span(n, monkeypatch):
 # ------------------------------------------- lattice proofs read in batches
 
 
-def _oracle_lattice_mismatch(ctx, pairs, lhs, rhs):
-    # the scan _lattice_mismatch makes in one call per degree: one lhs and
-    # one rhs call per point of _principal_lattice(2n, 2), field and key
+def _unit_fields(r):
+    return [VectorField(unit(j, len(r)), r) for j in range(1, len(r) + 1)]
+
+
+def _pair_fields(r):
+    return [pair_field(i, j, r) for i, j in combinations(range(1, len(r) + 1), 2)]
+
+
+def _oracle_scan(ctx, fields, degree, lhs, rhs):
+    # the scan a lattice proof in (r, s) makes in one call per degree: one lhs
+    # and one rhs call per point of _principal_lattice(2n, degree), field and key
     n = ctx.n
-    for x in suites._principal_lattice(2 * n, 2):
+    for x in suites._principal_lattice(2 * n, degree):
         r, s = x[:n], x[n:]
-        for X in [pair_field(i, j, r) for i, j in combinations(range(1, n + 1), 2)] \
-                if pairs else [VectorField(unit(j, n), r) for j in range(1, n + 1)]:
+        for X in fields(r):
             for key in ctx.vmod.keys:
                 m = tensor.basis_element(ctx, s, key)
                 if lhs(X, m) != rhs(X, m):
-                    return "%r at s=%s key=%s" % (X, s, key)
-    return ""
+                    return X, s, key
+    return None
 
 
 def _minuscule_sides():
@@ -338,7 +345,7 @@ def _minuscule_sides():
 #: sets of (s0, r0) with |r0| + |s0| <= 2: from the r = 0 group, an |r| = 1
 #: group and an |r| = 2 group of _principal_lattice(6, 2); and two groups,
 #: where the scan reads (r, s) = (e_2, 0) before (0, e_1), but the r = 0
-#: group comes first
+#: group comes first. Only the last lies on _principal_lattice(6, 1) too
 STRAYS = [(((0, 1, 1), (0, 0, 0)),), (((1, 0, 0), (0, 1, 0)),), (((0, 0, 0), (1, 0, 1)),),
           (((1, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 1, 0)))]
 
@@ -347,7 +354,9 @@ STRAYS = [(((0, 1, 1), (0, 0, 0)),), (((1, 0, 0), (0, 1, 0)),), (((0, 0, 0), (1,
 def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monkeypatch):
     # act_direct with a stray term, only on inputs with a term at s0 and
     # fields of exponent r0: a batch over the degrees of r0's group holds s0,
-    # so the batch fails, and its re-read names the scan's first failure
+    # so the batch fails, and its re-read names the scan's first failure. Each
+    # row is scanned at its own degree; the degree-1 action row is read at
+    # degree 2 as well, where every stray lies on its lattice
     act_direct = tensor.act_direct
 
     def stray(X, m):
@@ -358,16 +367,20 @@ def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monke
                 out = out + tensor.basis_element(out.ctx, add(s0, r0), hit[0])
         return out
     monkeypatch.setattr(tensor, "act_direct", stray)
-    for vmod, pairs in ((glmod.symmetric(3, 2), False), (glmod.exterior(3, 2), True)):
-        ctx = tensor.context(GEN3, vmod)
-        bad = suites._lattice_mismatch(ctx, pairs, tensor.act_direct, suites._action_formula)
-        assert "s=%s" % (strays[-1][0],) in bad
-        assert bad == _oracle_lattice_mismatch(ctx, pairs, tensor.act_direct,
-                                               suites._action_formula)
+    for name, vmod, fields in (("action", glmod.symmetric(3, 2), _unit_fields),
+                               ("pair_action", glmod.exterior(3, 2), _pair_fields)):
+        ctx, row = tensor.context(GEN3, vmod), suites.PROOFS[name]
+        on_lattice = row[1] == 2 or strays == STRAYS[-1]
+        for degree in dict.fromkeys((row[1], 2)):
+            monkeypatch.setitem(suites.PROOFS, name, (row[0], degree) + row[2:])
+            bad = suites._prove(name, ctx)
+            assert bad == _oracle_scan(ctx, fields, degree, tensor.act_direct,
+                                       suites._action_formula)
+            assert (bad and bad[1]) == (strays[-1][0] if degree == 2 or on_lattice else None)
     for k in (1, 2, 3):
         ctx = tensor.context(GEN3, glmod.exterior(3, k - 1))
-        bad = suites._lattice_mismatch(ctx, False, *_minuscule_sides())
-        assert bad and bad == _oracle_lattice_mismatch(ctx, False, *_minuscule_sides())
+        bad = suites._prove("invariance", ctx)
+        assert bad and bad == _oracle_scan(ctx, _unit_fields, 2, *_minuscule_sides())
     failures = suites.run_minuscule(RunConfig(n=3, twist=GEN3)).failures
     assert ["FAIL image_invariant_under_fields k=%d" % k for k in (1, 2, 3)] == [
         line for line in failures if "image_invariant_under_fields" in line]
@@ -488,8 +501,9 @@ def test_double_action_degree_bound_sees_a_dropped_cross_term(twist, monkeypatch
     assert failures and {line.split()[1] for line in failures} == {"double_action_degree_bound"}
 
 
-def _oracle_chain_failures(n, twist):
-    # run_derham's three chain checks read one basis element per call
+def _oracle_chain_failures(n, twist, degrees):
+    # run_derham's three chain checks read one basis element per call, each on
+    # the lattice of its degree in degrees
     d, ds, phi = tensor.derham_map, tensor.derham_map_shifted, tensor.to_shifted_form
     lines = []
     for k in range(n):
@@ -502,7 +516,8 @@ def _oracle_chain_failures(n, twist):
                       lambda m, ms: phi(d(m)) == ds(phi(m))))
         for label, holds in chain:
             lines += ["FAIL %s k=%d s=%s key=%s" % (label, k, s, key)
-                      for s in suites._principal_lattice(n, 2) for key in ctx.vmod.keys
+                      for s in suites._principal_lattice(n, degrees[label])
+                      for key in ctx.vmod.keys
                       if not holds(tensor.basis_element(ctx, s, key),
                                    tensor.basis_element(sctx, s, key))][:1]
     return lines
@@ -534,66 +549,74 @@ def test_a_derham_map_wrong_at_one_degree_is_found_where_a_scan_finds_it(s0, mon
             out = out + tensor.basis_element(out.ctx, s0, out.ctx.vmod.keys[0])
         return out
     monkeypatch.setattr(tensor, "derham_map", stray)
-    chain = ("derham_squares_to_zero", "derham_shifted_squares_to_zero",
-             "equivalence_commutes_with_derham")
-    want = _oracle_chain_failures(3, GEN3)
-    assert want and all("s=%s" % (s0,) in line for line in want)
-    rec = suites.run_derham(RunConfig(n=3, twist=GEN3))
-    assert [line for line in rec.failures if line.split()[1] in chain] == want
+    # each check at its row's degree, then the degree-1 equivalence row at
+    # degree 2, whose lattice holds (1, 0, 1) too
+    chain = {"derham_squares_to_zero": "d_squared",
+             "derham_shifted_squares_to_zero": "shifted_d_squared",
+             "equivalence_commutes_with_derham": "equivalence"}
+    row = suites.PROOFS["equivalence"]
+    for degree in (row[1], 2):
+        monkeypatch.setitem(suites.PROOFS, "equivalence", (row[0], degree) + row[2:])
+        want = _oracle_chain_failures(3, GEN3, {label: suites.PROOFS[name][1]
+                                                for label, name in chain.items()})
+        assert want and all("s=%s" % (s0,) in line for line in want)
+        assert any("equivalence" in line for line in want) == (degree == 2 or s0 == (0, 1, 0))
+        rec = suites.run_derham(RunConfig(n=3, twist=GEN3))
+        assert [line for line in rec.failures if line.split()[1] in chain] == want
     for k in (1, 2, 3):
         assert suites._derham_exactness(k, GEN3) == _oracle_link(k, GEN3, derham_map)
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_lattice_work_is_one_call_per_exponent_field_and_key(n, monkeypatch):
-    # one lhs call per (r, field, key): C(n+2, 2) exponents r, not the
-    # C(2n+2, 2) points (r, s) of the lattice
+    # one lhs call per (r, field, key): C(n+d, d) exponents r at the row's
+    # degree d, not the C(2n+d, d) points (r, s) of the lattice. Each row's
+    # lhs is counted into the _prove call that runs it
     twist = tuple(rat(1, j + 2) for j in range(n))
-    for vmod, pairs in ((glmod.symmetric(n, 2), False), (glmod.exterior(n, 2), True),
-                        (glmod.exterior(n, 1), False)):
-        ctx, calls = tensor.context(twist, vmod), []
+    proofs, active, prove, image_probe = [], [], suites._prove, tensor.image_probe
 
-        def counted(X, m):
-            calls.append(m)
-            return tensor.act_direct(X, m)
-        assert suites._lattice_mismatch(ctx, pairs, counted, tensor.act_direct) == ""
-        fields = comb(n, 2) if pairs else n
-        assert len(calls) == comb(n + 2, 2) * fields * vmod.dim
-        assert all(len({key for _, key in m.num}) == 1 for m in calls)
-
-    # and in the suites: one image_probe call per (i, s, key) of the probe
-    # proof, one lhs call per (k, check, key) of the chain proofs and per
-    # (twist, level, key) of the link
-    proofs, active = [], []
-    lattice_proof, image_probe = suites._lattice_proof, tensor.image_probe
-
-    def counted_proof(ctx, head, degree, labels, lhs, rhs=None):
-        calls = {"degree": degree, "lhs": 0, "image_probe": 0}
-
-        def counted_lhs(label, m):
-            calls["lhs"] += 1
-            return lhs(label, m)
+    def counted_prove(name, ctx):
+        calls = {"name": name, "lhs": 0, "image_probe": 0}
         proofs.append(calls)
         active.append(calls)
-        out = lattice_proof(ctx, head, degree, labels, counted_lhs, rhs)
+        out = prove(name, ctx)
         active.pop()
         return out
+
+    def counting(lhs):
+        def counted(label, m):
+            active[-1]["lhs"] += 1
+            assert len({key for _, key in m.num}) == 1
+            return lhs(label, m)
+        return counted
 
     def counted_probe(i, s, m):
         if active:
             active[-1]["image_probe"] += 1
         return image_probe(i, s, m)
-    monkeypatch.setattr(suites, "_lattice_proof", counted_proof)
+    for name, row in list(suites.PROOFS.items()):
+        monkeypatch.setitem(suites.PROOFS, name, row[:3] + (counting(row[3]),) + row[4:])
+    monkeypatch.setattr(suites, "_prove", counted_prove)
     monkeypatch.setattr(tensor, "image_probe", counted_probe)
+    for name, vmod, fields in (("action", glmod.symmetric(n, 2), n),
+                               ("pair_action", glmod.exterior(n, 2), comb(n, 2)),
+                               ("invariance", glmod.exterior(n, 1), n)):
+        assert suites._prove(name, tensor.context(twist, vmod)) is None
+        degree = suites.PROOFS[name][1]
+        assert proofs.pop()["lhs"] == comb(n + degree, degree) * fields * vmod.dim
+
+    # and in the suites: one image_probe call per (i, s, key) of the probe
+    # proof, one lhs call per (k, check, key) of the chain proofs and per
+    # (twist, level, key) of the link
     cfg = RunConfig(n=n, twist=twist, central=1, gen_bound=1, depth=1, margin=1)
     assert suites.run_minuscule(cfg).status == PASS
-    assert [c["image_probe"] for c in proofs if c["image_probe"]] == [
+    assert [c["image_probe"] for c in proofs if c["name"] == "probe_of_image"] == [
         comb(n + 2, 2) * (n - 2) * comb(n, k - 1) for k in range(1, n + 1)]
     proofs.clear()
     assert suites.run_derham(cfg).status == PASS
-    assert [c["lhs"] for c in proofs if c["degree"] == 2] == [
+    assert [c["lhs"] for c in proofs if c["name"] != "link"] == [
         comb(n, k) for k in range(n) for _ in range(3 if k <= n - 2 else 1)]
-    assert [c["lhs"] for c in proofs if c["degree"] == 1] == [
+    assert [c["lhs"] for c in proofs if c["name"] == "link"] == [
         comb(n, j) for k in range(1, n + 1) for _ in range(2)
         for j in range(k - 1, min(k, n - 1) + 1)]
 
@@ -615,20 +638,24 @@ def test_a_group_that_disagrees_only_as_a_whole_still_fails():
 # <= d in x = (h, s), every output offset from s + h (from s when head is 0)
 # is fixed, not moved by s, and the field sides are linear in the direction,
 # which carries the proofs on the D(e_j, r) to every D(u, r). The audit reads
-# the recorded declarations at points far from the lattice.
+# the rows of suites.PROOFS that the suites run, at points far from the lattice.
 
 AUDITED = ("derham", "minuscule", "lattice", "simplicity", "nonminuscule")
 
 
 def _declarations() -> list:
-    """(suite, ctx, head, degree, labels, sides) for every _lattice_proof call
-    of the audited suites at n = 3, at a rational, the zero and an integer twist."""
-    out, lattice_proof = [], suites._lattice_proof
+    """(suite, row, ctx, head, degree, labels, sides) for every _prove call of
+    the audited suites at n = 3, at a rational, the zero and an integer twist,
+    with head, degree, labels and sides read from the row of suites.PROOFS."""
+    out, prove = [], suites._prove
     with pytest.MonkeyPatch.context() as patch:
-        def recorded(ctx, head, degree, labels, lhs, rhs=None):
-            out.append((name, ctx, head, degree, labels, [lhs] if rhs is None else [lhs, rhs]))
-            return lattice_proof(ctx, head, degree, labels, lhs, rhs)
-        patch.setattr(suites, "_lattice_proof", recorded)
+        def recorded(row, ctx):
+            in_r, degree, labels, lhs, rhs = suites.PROOFS[row]
+            out.append((name, row, ctx, ctx.n if in_r else 0, degree,
+                        labels if in_r else lambda _: [None],
+                        [lhs] if rhs is None else [lhs, rhs]))
+            return prove(row, ctx)
+        patch.setattr(suites, "_prove", recorded)
         for twist in (GEN3, (0, 0, 0), (1, -2, 0)):
             cfg = RunConfig(n=3, twist=twist, central=1, gen_bound=1, depth=1, margin=1)
             for name in AUDITED:
@@ -644,7 +671,7 @@ def declarations():
 def _offset_terms(decl, side, a, key, x) -> dict:
     """side on x^s (x) e_key under labels(h)[a], x = (h, s), as
     {(offset from s + h, key'): coefficient}."""
-    _, ctx, head, _, labels, _ = decl
+    ctx, head, _, labels, _ = decl[2:]
     h, s = x[:head], x[head:]
     base = add(s, h) if head else s
     out = side(labels(h)[a], tensor.basis_element(ctx, s, key))
@@ -654,7 +681,7 @@ def _offset_terms(decl, side, a, key, x) -> dict:
 
 def _audit(decl, seed=0) -> list:
     """The premises that decl's sides break, each as a line naming the side."""
-    _, ctx, head, degree, labels, sides = decl
+    ctx, head, degree, labels, sides = decl[2:]
     rng, width, broken = random.Random(seed), head + ctx.n, []
     count = len(labels((0,) * head))
     for (a, key), (j, side) in product(product(range(count), ctx.vmod.keys), enumerate(sides)):
@@ -689,7 +716,51 @@ def _audit(decl, seed=0) -> list:
 def test_every_lattice_proof_has_its_premises(declarations):
     assert {decl[0] for decl in declarations} == set(AUDITED)
     for decl in declarations:
-        assert _audit(decl) == [], decl[:4]
+        assert _audit(decl) == [], decl[:5]
+
+
+def test_every_row_of_the_declaration_table_is_run(declarations):
+    # a row no suite runs at n = 3 would escape the audit
+    assert {decl[1] for decl in declarations} == set(suites.PROOFS)
+
+
+#: row -> (style, the modules the suites run it on at rank n)
+ROW_MODULES = {
+    "link": (tensor.STYLE_DIRECT, lambda n: [glmod.exterior(n, j) for j in range(n)]),
+    "d_squared": (tensor.STYLE_DIRECT, lambda n: [glmod.exterior(n, k) for k in range(n - 1)]),
+    "shifted_d_squared": (tensor.STYLE_SHIFTED,
+                          lambda n: [glmod.exterior(n, k) for k in range(n - 1)]),
+    "equivalence": (tensor.STYLE_DIRECT, lambda n: [glmod.exterior(n, k) for k in range(n)]),
+    "invariance": (tensor.STYLE_DIRECT, lambda n: [glmod.exterior(n, k) for k in range(n)]),
+    "probe_of_image": (tensor.STYLE_DIRECT, lambda n: [glmod.exterior(n, k) for k in range(n)]),
+    "action": (tensor.STYLE_DIRECT, lambda n: [
+        glmod.trivial(n), glmod.exterior(n, n), glmod.symmetric(n, 2), glmod.adjoint(n),
+        glmod.symmetric(n, 3)]),
+    "pair_action": (tensor.STYLE_DIRECT, lambda n: [
+        glmod.trivial(n)] + [glmod.exterior(n, k) for k in range(1, n + 1)]),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_row_holds_off_its_lattice(data):
+    # each row of PROOFS, on a module its suites run it on, at a point (h, s)
+    # far from its lattice and a rational twist: every label and key agree
+    assert set(ROW_MODULES) == set(suites.PROOFS)
+    n = data.draw(st.integers(2, 4))
+
+    def vector(elements):
+        return tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
+    twist = vector(st.fractions(-3, 3, max_denominator=9))
+    for name, (style, modules) in ROW_MODULES.items():
+        in_r, _, labels, lhs, rhs = suites.PROOFS[name]
+        ctx = tensor.context(twist, data.draw(st.sampled_from(modules(n))), style)
+        h, s = vector(st.integers(-6, 6)), vector(st.integers(-6, 6))
+        for label in labels(h) if in_r else [None]:
+            for key in ctx.vmod.keys:
+                m = tensor.basis_element(ctx, s, key)
+                assert lhs(label, m).is_zero if rhs is None else lhs(label, m) == rhs(label, m), (
+                    name, label, s, key)
 
 
 def test_the_premise_audit_sees_a_direction_read_without_its_denominator(monkeypatch):
@@ -722,40 +793,32 @@ def _plus_cubic(side):
 def _side_degree(decl, side) -> int:
     """The least degree the audit reads side at: -1 for a side that is 0 on
     the unisolvent lattice, else the least e whose degree premise holds."""
-    name, ctx, head, degree, labels, _ = decl
+    name, row, ctx, head, degree, labels, _ = decl
     if not any(_offset_terms(decl, side, a, key, x)
                for a in range(len(labels((0,) * head))) for key in ctx.vmod.keys
                for x in suites._principal_lattice(head + ctx.n, degree)):
         return -1
     return next(e for e in range(degree + 1) if not any(
-        line.startswith("degree") for line in _audit((name, ctx, head, e, labels, [side]))))
+        line.startswith("degree") for line in _audit((name, row, ctx, head, e, labels, [side]))))
 
 
 def test_the_premise_audit_sees_a_side_one_degree_too_high(declarations):
     # a side times (1 + s_1)^(d + 1 - e), e its own degree, fails the audit:
     # (1 + s_1) alone where e = d. A side that is 0, as d d and the probe of
     # the image are, stays 0. A stray cubic passes every lattice proof, as it
-    # is 0 on the lattice, and fails the audit on every proof
-    degrees = {name: set() for name in AUDITED}
+    # is 0 on the lattice, and fails the audit on every proof. A row with two
+    # sides declares the larger of their degrees; a row whose one side is 0
+    # when the code is right declares 2, the degree its comment argues
     for decl in declarations:
-        name, ctx, head, degree, labels, sides = decl
+        name, row, ctx, head, degree, labels, sides = decl
         own = tuple(_side_degree(decl, side) for side in sides)
-        degrees[name].add((degree, own))
+        assert degree == (max(own) if len(sides) == 2 else 2), (decl[:5], own)
+        assert len(sides) == 2 or own == (-1,), (decl[:5], own)
         for side, e in zip(sides, own):
             if e >= 0:
                 for _ in range(degree + 1 - e):
                     side = _times_one_plus_s1(side)
-                assert _audit((name, ctx, head, degree, labels, [side])), decl[:4]
+                assert _audit((name, row, ctx, head, degree, labels, [side])), decl[:5]
         stray = _plus_cubic(sides[0])
-        assert _audit((name, ctx, head, degree, labels, [stray])), decl[:4]
+        assert _audit((name, row, ctx, head, degree, labels, [stray])), decl[:5]
         assert suites._lattice_proof(ctx, head, degree, labels, stray, *sides[1:]) is None
-    # (declared degree, each side's own degree or -1 for 0): the equivalence
-    # and the D(e_j, r) sides against _action_formula have degree 1 on a
-    # degree-2 lattice
-    assert degrees == {
-        "derham": {(2, (-1,)), (2, (1, 1)), (1, (1, 1))},
-        "minuscule": {(2, (-1,)), (2, (2, 2)), (1, (1, 1))},
-        "lattice": {(2, (1, 1)), (2, (2, 2))},
-        "simplicity": {(2, (2, 2))},
-        "nonminuscule": {(2, (1, 1))},
-    }
