@@ -22,7 +22,6 @@ work is pure-Python arithmetic, which threads cannot overlap.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, product
@@ -32,6 +31,16 @@ from . import glmod, tensor
 from .indices import box, dot, inf_norm, inside, zero
 from .linalg import SparseVec, kernel_of_map
 from .rational import ONE, cleared, rat
+
+# the interpreter's own SHA-256 (3.12+, then 3.10-3.11): the OpenSSL-backed
+# module would map libcrypto, about 3.6 MB, into every run just for the logs
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 FILLS = "FillsWindow"
 PROPER = "ProperInvariant"
@@ -74,8 +83,12 @@ class ClosureResult:
 
     @property
     def log_digest(self) -> str:
-        payload = "\n".join(self.log).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return log_digest(self.log)
+
+
+def log_digest(lines) -> str:
+    """sha256 hex digest of a derivation log, its lines joined by newlines."""
+    return sha256("\n".join(lines).encode()).hexdigest()
 
 
 def gen_kernel(gens, vmod, twist) -> list:

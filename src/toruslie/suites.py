@@ -14,7 +14,6 @@ a report is a pure function of its configuration.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass, field
@@ -129,7 +128,7 @@ class SuiteResult:
 
     @property
     def log_digest(self) -> str:
-        return hashlib.sha256("\n".join(self.log).encode()).hexdigest()
+        return probe.log_digest(self.log)
 
     def to_dict(self, timings: bool = False) -> dict:
         out = {

@@ -1,5 +1,10 @@
 """Shared fixtures: the package's memo tables are cleared around every test
-that patches the package."""
+that patches the package; and a runner of scripts in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,16 @@ def vec_sum(*scaled) -> SparseVec:
     """Sum of c * vec over the (c, vec) pairs, as one SparseVec: the linear
     combinations that the Fraction oracles of the tests build."""
     return SparseVec.make((key, c * a) for c, vec in scaled for key, a in vec.items())
+
+
+def run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `python -c script *args` in a fresh interpreter that imports this
+    package from the same source tree; its output is captured as text."""
+    src = str(Path(probe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture(autouse=True)

@@ -7,6 +7,8 @@ import pytest
 
 from toruslie import cli, glmod, suites
 
+from conftest import run_fresh
+
 
 def run_main(argv, capsys):
     code = cli.main(argv)
@@ -291,3 +293,21 @@ def test_timings_flag_reports_wall_time(capsys):
     assert code == 0
     entry = json.loads(out)["suites"][0]
     assert entry["timeMs"] >= 0
+
+
+#: run in a fresh interpreter: the modules that importing the package and
+#: one run add to those the interpreter started with
+FOOTPRINT = """
+import sys
+before = set(sys.modules)
+from toruslie import cli
+code = cli.main(["--n", "2", "--suite", "lattice,iso", "--out", sys.argv[1]])
+print(sorted({"hashlib", "_hashlib"} & (set(sys.modules) - before)))
+sys.exit(code)
+"""
+
+
+def test_a_run_loads_no_openssl(tmp_path):
+    proc = run_fresh(FOOTPRINT, str(tmp_path / "r.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

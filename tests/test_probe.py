@@ -8,7 +8,7 @@ from itertools import product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
 from toruslie.fields import VectorField, pair_field, spanning_generators
@@ -20,6 +20,15 @@ from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_coeffs,
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text()))
+@example([])
+@example(["ok d_squared", "FAIL x τ∧e_1"])
+def test_log_digest_is_the_sha256_of_the_joined_log(lines):
+    expected = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert probe.log_digest(lines) == expected
 
 
 def test_default_windows_per_rank():

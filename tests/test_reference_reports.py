@@ -5,15 +5,22 @@ that only makes the engine faster leaves them alone.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from toruslie import cli
 
+from conftest import run_fresh
+
 REFERENCE = [
     pytest.param(["--n", "2", "--lambda", "1/2,1/3"],
                  "e40e57b4ec1938f71a70fb89240b579fa226e9ed9c53bc385019ca83a035ee1f",
                  id="n2-generic-natural"),
+    # the CSV report: one log_digest column per suite
+    pytest.param(["--n", "2", "--lambda", "1/2,1/3", "--format", "csv"],
+                 "c9e7551e7d69801d2fa932cc04fb5ba26096dda919f8f156c8468c33a010288f",
+                 id="n2-generic-natural-csv"),
     pytest.param(["--n", "2", "--lambda", "1/2,1/3", "--module", "sym:2"],
                  "482b373ce6443c9c98460d07784a9f6e8e61fca06e72b2c7d99aecb69d9e381b",
                  id="n2-generic-sym2"),
@@ -107,3 +114,26 @@ def test_reference_report_digest(argv, digest, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: a fresh interpreter without the built-in SHA-256 modules, so that
+#: probe.log_digest takes its last fallback
+FALLBACK = """
+import hashlib, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from toruslie import cli, probe
+assert probe.sha256 is hashlib.sha256
+print(json.dumps([probe.log_digest(log) for log in json.loads(sys.argv[1])]))
+sys.exit(cli.main(["--n", "2", "--out", sys.argv[2]]))
+"""
+
+
+def test_fallback_hash_keeps_every_digest(tmp_path):
+    logs = [[], ["ok d_squared"], ["ok d_squared", "FAIL x τ∧e_1"]]
+    out = tmp_path / "report.json"
+    proc = run_fresh(FALLBACK, json.dumps(logs), str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        hashlib.sha256("\n".join(log).encode()).hexdigest() for log in logs]
+    gate = next(p.values[1] for p in REFERENCE if p.id == "gate-n2")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == gate
