@@ -8,11 +8,10 @@ import json
 import time
 
 from toruslie import probe, rat
+from toruslie.certificates import run_iso, run_lattice, run_nonminuscule, run_simplicity
 from toruslie.cli import emit_json
 from toruslie.suites import (EVIDENCE, FAIL, PASS, RunConfig, run_suites,
-                             run_axioms, run_derham, run_identities, run_iso,
-                             run_lattice, run_minuscule, run_nonminuscule,
-                             run_simplicity)
+                             run_axioms, run_derham, run_identities, run_minuscule)
 from toruslie import glmod
 
 GEN = {2: (rat(1, 3), rat(1, 2)),

@@ -7,8 +7,8 @@ import pytest
 
 from toruslie import rat
 from toruslie import glmod
+from toruslie.certificates import _algebra_rank
 from toruslie.linalg import SparseVec
-from toruslie.suites import _algebra_rank
 
 from conftest import vec_sum
 from test_nonminuscule import squares
@@ -157,7 +157,7 @@ def test_rank_one_outer_product_entries():
 
 def test_matrix_apply_agrees_with_unit_tables():
     # every module kind, with integer vectors (as act_direct and
-    # probe._gen_kernel pass) and Fraction ones (as suites._action_formula does)
+    # probe._gen_kernel pass) and Fraction ones (as proofs._action_formula does)
     rng = random.Random(7)
     for n in (2, 3, 4):
         names = ["trivial", "natural", "sym:2", "adjoint"]

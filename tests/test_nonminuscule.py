@@ -10,9 +10,10 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from toruslie import cli, glmod, probe, rat, tensor
+from toruslie.certificates import _algebra_rank, _loops, run_nonminuscule
 from toruslie.fields import pair_field
 from toruslie.rational import cleared
-from toruslie.suites import PASS, RunConfig, _algebra_rank, _loops, run_nonminuscule
+from toruslie.suites import PASS, RunConfig
 
 ZERO3 = (rat(0),) * 3
 GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from toruslie import glmod, probe, rat, tensor
+from toruslie.certificates import run_lattice, run_simplicity
 from toruslie.fields import VectorField, pair_field, spanning_generators
 from toruslie.indices import add, box, dot, sub
 from toruslie.linalg import SparseVec, kernel_of_map
+from toruslie.proofs import _action_formula
 from toruslie.rational import cleared, rational
-from toruslie.suites import (EVIDENCE, PASS, RunConfig, _double_quad_coeffs,
-                             _action_formula, run_lattice, run_simplicity)
+from toruslie.suites import EVIDENCE, PASS, RunConfig, _double_quad_coeffs
 
 ZERO2 = (rat(0), rat(0))
 GEN2 = (rat(1, 3), rat(1, 2))

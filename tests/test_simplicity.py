@@ -14,10 +14,11 @@ import sympy
 
 from test_nonminuscule import as_dense, r_n, squares, sympy_algebra_dim
 from toruslie import cli, glmod, probe, rat, tensor
+from toruslie.certificates import _algebra_rank, _image_block, _loops, run_simplicity
 from toruslie.fields import pair_field
+from toruslie.proofs import _image_at_tau0
 from toruslie.rational import cleared
-from toruslie.suites import (EVIDENCE, FAIL, RunConfig, _algebra_rank, _image_at_tau0,
-                             _image_block, _loops, run_simplicity)
+from toruslie.suites import EVIDENCE, FAIL, RunConfig
 
 GEN3 = (rat(1, 2), rat(1, 3), rat(1, 5))
 

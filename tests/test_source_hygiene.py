@@ -4,8 +4,10 @@ name is defined that no module reads, and the package binds no name that
 no reader imports from it; every function the benchmark traces
 exists under the name it traces; the cache fixture of conftest.py
 clears every lru_cache of the package; and the names that README.md and
-the tests' docstrings and comments cite still exist; and the lattice-proof
-runner is read only by _prove, which runs the rows of suites.PROOFS."""
+the tests' docstrings and comments cite still exist; the lattice-proof
+runner is read only by _prove, which runs the rows of proofs.PROOFS; and
+proofs imports none of the modules that run it, while no module imports
+inside a function body."""
 
 import ast
 import importlib
@@ -157,6 +159,35 @@ def readers_of(trees, name) -> list:
     return sorted(found)
 
 
+def package_imports(tree) -> set:
+    """The package modules a tree imports, in any of the forms from . import a,
+    from .a import x, from toruslie import a, from toruslie.a import x and
+    import toruslie.a."""
+    modules, found = {path.stem for path in SRC.glob("*.py")}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "toruslie":
+                    continue
+                path = path[1:] or [""]
+            found |= {path[0]} if path[0] else {
+                alias.name for alias in node.names if alias.name in modules}
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("toruslie.")}
+    return found
+
+
+def imports_in_functions(trees) -> list:
+    """module.function for each def whose body holds an import statement."""
+    return sorted("%s.%s" % (Path(fname).stem, node.name)
+                  for fname, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                          for inner in ast.walk(node)))
+
+
 def lru_cached_functions(trees) -> list:
     """module.name of each function a module memoises with functools'
     lru_cache or cache, bare or called, by name or as functools.name."""
@@ -249,8 +280,34 @@ def test_every_benchmark_trace_target_exists():
 
 
 def test_the_lattice_proof_runner_is_read_only_by_prove():
-    # every lattice proof is a row of suites.PROOFS, which the premise audit reads
-    assert readers_of(module_trees(), "_lattice_proof") == ["suites._prove"]
+    # every lattice proof is a row of proofs.PROOFS, which the premise audit reads
+    assert readers_of(module_trees(), "_lattice_proof") == ["proofs._prove"]
+
+
+def test_the_proofs_module_imports_none_of_its_runners():
+    # the suites run the proofs by name, so proofs stays below them; the
+    # cycle between suites and certificates is laid out at module level
+    trees = module_trees()
+    assert package_imports(trees["proofs.py"]) & {"suites", "certificates", "cli"} == set()
+    assert {"glmod", "tensor"} <= package_imports(trees["proofs.py"])
+    assert imports_in_functions(trees) == []
+
+
+def test_package_imports_are_found_in_every_form():
+    tree = ast.parse("""
+from . import glmod, rat
+from .tensor import act
+from toruslie import probe
+from toruslie.weyl import WeylOp
+import toruslie.linalg as la
+import random
+from itertools import product
+def late():
+    from . import suites
+    return suites
+""")
+    assert package_imports(tree) == {"glmod", "tensor", "probe", "weyl", "linalg", "suites"}
+    assert imports_in_functions({"m.py": tree}) == ["m.late"]
 
 
 def test_readers_are_found_in_nested_code_and_by_attribute():

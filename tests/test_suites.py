@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toruslie import glmod, probe, rat, suites, tensor
+from toruslie import glmod, probe, proofs, rat, suites, tensor
 from toruslie.fields import VectorField, bracket, pair_field
 from toruslie.indices import add, unit
 from toruslie.rational import rat_str
@@ -213,7 +213,7 @@ def test_derham_is_exact_at_every_level_beyond_the_suites_ranks(n):
     # no suite test runs above n = 4; the link and the ranks at e_1 hold on
     for twist in (tuple(rat(1, j + 2) for j in range(n)), (rat(0),) * n,
                   (rat(1),) + (rat(0),) * (n - 1)):
-        assert [suites._derham_exactness(k, twist) for k in range(1, n + 1)] == [""] * n
+        assert [proofs._derham_exactness(k, twist) for k in range(1, n + 1)] == [""] * n
 
 
 # ------------------------------------------------ minuscule invariance proof
@@ -327,7 +327,7 @@ def _oracle_scan(ctx, fields, degree, lhs, rhs):
     # the scan a lattice proof in (r, s) makes in one call per degree: one lhs
     # and one rhs call per point of _principal_lattice(2n, degree), field and key
     n = ctx.n
-    for x in suites._principal_lattice(2 * n, degree):
+    for x in proofs._principal_lattice(2 * n, degree):
         r, s = x[:n], x[n:]
         for X in fields(r):
             for key in ctx.vmod.keys:
@@ -369,17 +369,17 @@ def test_a_stray_term_at_one_degree_is_found_where_a_scan_finds_it(strays, monke
     monkeypatch.setattr(tensor, "act_direct", stray)
     for name, vmod, fields in (("action", glmod.symmetric(3, 2), _unit_fields),
                                ("pair_action", glmod.exterior(3, 2), _pair_fields)):
-        ctx, row = tensor.context(GEN3, vmod), suites.PROOFS[name]
+        ctx, row = tensor.context(GEN3, vmod), proofs.PROOFS[name]
         on_lattice = row[1] == 2 or strays == STRAYS[-1]
         for degree in dict.fromkeys((row[1], 2)):
-            monkeypatch.setitem(suites.PROOFS, name, (row[0], degree) + row[2:])
-            bad = suites._prove(name, ctx)
+            monkeypatch.setitem(proofs.PROOFS, name, (row[0], degree) + row[2:])
+            bad = proofs._prove(name, ctx)
             assert bad == _oracle_scan(ctx, fields, degree, tensor.act_direct,
-                                       suites._action_formula)
+                                       proofs._action_formula)
             assert (bad and bad[1]) == (strays[-1][0] if degree == 2 or on_lattice else None)
     for k in (1, 2, 3):
         ctx = tensor.context(GEN3, glmod.exterior(3, k - 1))
-        bad = suites._prove("invariance", ctx)
+        bad = proofs._prove("invariance", ctx)
         assert bad and bad == _oracle_scan(ctx, _unit_fields, 2, *_minuscule_sides())
     failures = suites.run_minuscule(RunConfig(n=3, twist=GEN3)).failures
     assert ["FAIL image_invariant_under_fields k=%d" % k for k in (1, 2, 3)] == [
@@ -391,7 +391,7 @@ def _oracle_probe_mismatch(ctx):
     # and one image_probe call per point (s, t) of _principal_lattice(2n, 2),
     # probe index and key
     n = ctx.n
-    for x in suites._principal_lattice(2 * n, 2):
+    for x in proofs._principal_lattice(2 * n, 2):
         s, t = x[:n], x[n:]
         for i in range(1, n - 1):
             for key in ctx.vmod.keys:
@@ -516,7 +516,7 @@ def _oracle_chain_failures(n, twist, degrees):
                       lambda m, ms: phi(d(m)) == ds(phi(m))))
         for label, holds in chain:
             lines += ["FAIL %s k=%d s=%s key=%s" % (label, k, s, key)
-                      for s in suites._principal_lattice(n, degrees[label])
+                      for s in proofs._principal_lattice(n, degrees[label])
                       for key in ctx.vmod.keys
                       if not holds(tensor.basis_element(ctx, s, key),
                                    tensor.basis_element(sctx, s, key))][:1]
@@ -530,7 +530,7 @@ def _oracle_link(k, twist, derham_map):
     for tw in dict.fromkeys((twist, (rat(-1),) + (rat(0),) * (n - 1))):
         for j in range(k - 1, min(k, n - 1) + 1):
             ctx = tensor.context(tw, glmod.exterior(n, j))
-            for s in suites._principal_lattice(n, 1):
+            for s in proofs._principal_lattice(n, 1):
                 for key in ctx.vmod.keys:
                     m = tensor.basis_element(ctx, s, key)
                     if tensor.derham_map(m) != derham_map(m):
@@ -554,17 +554,17 @@ def test_a_derham_map_wrong_at_one_degree_is_found_where_a_scan_finds_it(s0, mon
     chain = {"derham_squares_to_zero": "d_squared",
              "derham_shifted_squares_to_zero": "shifted_d_squared",
              "equivalence_commutes_with_derham": "equivalence"}
-    row = suites.PROOFS["equivalence"]
+    row = proofs.PROOFS["equivalence"]
     for degree in (row[1], 2):
-        monkeypatch.setitem(suites.PROOFS, "equivalence", (row[0], degree) + row[2:])
-        want = _oracle_chain_failures(3, GEN3, {label: suites.PROOFS[name][1]
+        monkeypatch.setitem(proofs.PROOFS, "equivalence", (row[0], degree) + row[2:])
+        want = _oracle_chain_failures(3, GEN3, {label: proofs.PROOFS[name][1]
                                                 for label, name in chain.items()})
         assert want and all("s=%s" % (s0,) in line for line in want)
         assert any("equivalence" in line for line in want) == (degree == 2 or s0 == (0, 1, 0))
         rec = suites.run_derham(RunConfig(n=3, twist=GEN3))
         assert [line for line in rec.failures if line.split()[1] in chain] == want
     for k in (1, 2, 3):
-        assert suites._derham_exactness(k, GEN3) == _oracle_link(k, GEN3, derham_map)
+        assert proofs._derham_exactness(k, GEN3) == _oracle_link(k, GEN3, derham_map)
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -573,11 +573,11 @@ def test_lattice_work_is_one_call_per_exponent_field_and_key(n, monkeypatch):
     # degree d, not the C(2n+d, d) points (r, s) of the lattice. Each row's
     # lhs is counted into the _prove call that runs it
     twist = tuple(rat(1, j + 2) for j in range(n))
-    proofs, active, prove, image_probe = [], [], suites._prove, tensor.image_probe
+    proved, active, prove, image_probe = [], [], proofs._prove, tensor.image_probe
 
     def counted_prove(name, ctx):
         calls = {"name": name, "lhs": 0, "image_probe": 0}
-        proofs.append(calls)
+        proved.append(calls)
         active.append(calls)
         out = prove(name, ctx)
         active.pop()
@@ -594,29 +594,29 @@ def test_lattice_work_is_one_call_per_exponent_field_and_key(n, monkeypatch):
         if active:
             active[-1]["image_probe"] += 1
         return image_probe(i, s, m)
-    for name, row in list(suites.PROOFS.items()):
-        monkeypatch.setitem(suites.PROOFS, name, row[:3] + (counting(row[3]),) + row[4:])
-    monkeypatch.setattr(suites, "_prove", counted_prove)
+    for name, row in list(proofs.PROOFS.items()):
+        monkeypatch.setitem(proofs.PROOFS, name, row[:3] + (counting(row[3]),) + row[4:])
+    monkeypatch.setattr(proofs, "_prove", counted_prove)
     monkeypatch.setattr(tensor, "image_probe", counted_probe)
     for name, vmod, fields in (("action", glmod.symmetric(n, 2), n),
                                ("pair_action", glmod.exterior(n, 2), comb(n, 2)),
                                ("invariance", glmod.exterior(n, 1), n)):
-        assert suites._prove(name, tensor.context(twist, vmod)) is None
-        degree = suites.PROOFS[name][1]
-        assert proofs.pop()["lhs"] == comb(n + degree, degree) * fields * vmod.dim
+        assert proofs._prove(name, tensor.context(twist, vmod)) is None
+        degree = proofs.PROOFS[name][1]
+        assert proved.pop()["lhs"] == comb(n + degree, degree) * fields * vmod.dim
 
     # and in the suites: one image_probe call per (i, s, key) of the probe
     # proof, one lhs call per (k, check, key) of the chain proofs and per
     # (twist, level, key) of the link
     cfg = RunConfig(n=n, twist=twist, central=1, gen_bound=1, depth=1, margin=1)
     assert suites.run_minuscule(cfg).status == PASS
-    assert [c["image_probe"] for c in proofs if c["name"] == "probe_of_image"] == [
+    assert [c["image_probe"] for c in proved if c["name"] == "probe_of_image"] == [
         comb(n + 2, 2) * (n - 2) * comb(n, k - 1) for k in range(1, n + 1)]
-    proofs.clear()
+    proved.clear()
     assert suites.run_derham(cfg).status == PASS
-    assert [c["lhs"] for c in proofs if c["name"] != "link"] == [
+    assert [c["lhs"] for c in proved if c["name"] != "link"] == [
         comb(n, k) for k in range(n) for _ in range(3 if k <= n - 2 else 1)]
-    assert [c["lhs"] for c in proofs if c["name"] == "link"] == [
+    assert [c["lhs"] for c in proved if c["name"] == "link"] == [
         comb(n, j) for k in range(1, n + 1) for _ in range(2)
         for j in range(k - 1, min(k, n - 1) + 1)]
 
@@ -624,11 +624,11 @@ def test_lattice_work_is_one_call_per_exponent_field_and_key(n, monkeypatch):
 def test_a_group_that_disagrees_only_as_a_whole_still_fails():
     # an agree that is not additive: only sums of two or more degrees fail
     order = [("a", 0), ("b", 0), ("a", 1), ("b", 1)]
-    assert suites._first_disagreement(order, lambda group, degrees: len(degrees) < 2
+    assert proofs._first_disagreement(order, lambda group, degrees: len(degrees) < 2
                                       or group == "a") == ("b", 0)
-    assert suites._first_disagreement(order, lambda group, degrees: group != "b"
+    assert proofs._first_disagreement(order, lambda group, degrees: group != "b"
                                       or 1 not in degrees) == ("b", 1)
-    assert suites._first_disagreement(order, lambda group, degrees: True) is None
+    assert proofs._first_disagreement(order, lambda group, degrees: True) is None
 
 
 # --------------------------------------------- premise audit of lattice proofs
@@ -638,7 +638,7 @@ def test_a_group_that_disagrees_only_as_a_whole_still_fails():
 # <= d in x = (h, s), every output offset from s + h (from s when head is 0)
 # is fixed, not moved by s, and the field sides are linear in the direction,
 # which carries the proofs on the D(e_j, r) to every D(u, r). The audit reads
-# the rows of suites.PROOFS that the suites run, at points far from the lattice.
+# the rows of proofs.PROOFS that the suites run, at points far from the lattice.
 
 AUDITED = ("derham", "minuscule", "lattice", "simplicity", "nonminuscule")
 
@@ -646,16 +646,16 @@ AUDITED = ("derham", "minuscule", "lattice", "simplicity", "nonminuscule")
 def _declarations() -> list:
     """(suite, row, ctx, head, degree, labels, sides) for every _prove call of
     the audited suites at n = 3, at a rational, the zero and an integer twist,
-    with head, degree, labels and sides read from the row of suites.PROOFS."""
-    out, prove = [], suites._prove
+    with head, degree, labels and sides read from the row of proofs.PROOFS."""
+    out, prove = [], proofs._prove
     with pytest.MonkeyPatch.context() as patch:
         def recorded(row, ctx):
-            in_r, degree, labels, lhs, rhs = suites.PROOFS[row]
+            in_r, degree, labels, lhs, rhs = proofs.PROOFS[row]
             out.append((name, row, ctx, ctx.n if in_r else 0, degree,
                         labels if in_r else lambda _: [None],
                         [lhs] if rhs is None else [lhs, rhs]))
             return prove(row, ctx)
-        patch.setattr(suites, "_prove", recorded)
+        patch.setattr(proofs, "_prove", recorded)
         for twist in (GEN3, (0, 0, 0), (1, -2, 0)):
             cfg = RunConfig(n=3, twist=twist, central=1, gen_bound=1, depth=1, margin=1)
             for name in AUDITED:
@@ -697,7 +697,7 @@ def _audit(decl, seed=0) -> list:
                    for term in set().union(*values)):
                 broken.append("degree side=%d index=%d key=%s" % (j, a, key))
         # offsets: those read far away all occur on the unisolvent lattice
-        ref = set().union(*map(at, suites._principal_lattice(width, degree)))
+        ref = set().union(*map(at, proofs._principal_lattice(width, degree)))
         if not all(set(at(x)) <= ref for x in far):
             broken.append("offsets side=%d index=%d key=%s" % (j, a, key))
         # linearity: a rational direction acts as its combination of the e_j
@@ -721,7 +721,7 @@ def test_every_lattice_proof_has_its_premises(declarations):
 
 def test_every_row_of_the_declaration_table_is_run(declarations):
     # a row no suite runs at n = 3 would escape the audit
-    assert {decl[1] for decl in declarations} == set(suites.PROOFS)
+    assert {decl[1] for decl in declarations} == set(proofs.PROOFS)
 
 
 #: row -> (style, the modules the suites run it on at rank n)
@@ -746,14 +746,14 @@ ROW_MODULES = {
 def test_every_row_holds_off_its_lattice(data):
     # each row of PROOFS, on a module its suites run it on, at a point (h, s)
     # far from its lattice and a rational twist: every label and key agree
-    assert set(ROW_MODULES) == set(suites.PROOFS)
+    assert set(ROW_MODULES) == set(proofs.PROOFS)
     n = data.draw(st.integers(2, 4))
 
     def vector(elements):
         return tuple(data.draw(st.lists(elements, min_size=n, max_size=n)))
     twist = vector(st.fractions(-3, 3, max_denominator=9))
     for name, (style, modules) in ROW_MODULES.items():
-        in_r, _, labels, lhs, rhs = suites.PROOFS[name]
+        in_r, _, labels, lhs, rhs = proofs.PROOFS[name]
         ctx = tensor.context(twist, data.draw(st.sampled_from(modules(n))), style)
         h, s = vector(st.integers(-6, 6)), vector(st.integers(-6, 6))
         for label in labels(h) if in_r else [None]:
@@ -796,7 +796,7 @@ def _side_degree(decl, side) -> int:
     name, row, ctx, head, degree, labels, _ = decl
     if not any(_offset_terms(decl, side, a, key, x)
                for a in range(len(labels((0,) * head))) for key in ctx.vmod.keys
-               for x in suites._principal_lattice(head + ctx.n, degree)):
+               for x in proofs._principal_lattice(head + ctx.n, degree)):
         return -1
     return next(e for e in range(degree + 1) if not any(
         line.startswith("degree") for line in _audit((name, row, ctx, head, e, labels, [side]))))
@@ -821,4 +821,4 @@ def test_the_premise_audit_sees_a_side_one_degree_too_high(declarations):
                 assert _audit((name, row, ctx, head, degree, labels, [side])), decl[:5]
         stray = _plus_cubic(sides[0])
         assert _audit((name, row, ctx, head, degree, labels, [stray])), decl[:5]
-        assert suites._lattice_proof(ctx, head, degree, labels, stray, *sides[1:]) is None
+        assert proofs._lattice_proof(ctx, head, degree, labels, stray, *sides[1:]) is None
