@@ -18,7 +18,7 @@ from math import comb
 from . import glmod, probe, tensor
 from .fields import VectorField, pair_field
 from .indices import add, sub, unit, zero
-from .linalg import SpanBasis
+from .linalg import SpanBasis, SparseVec
 from .rational import rat, rat_str
 
 
@@ -76,16 +76,38 @@ def _lattice_proof(ctx, head, degree, labels, lhs, rhs=None):
     return bad and (bad[0][1], bad[1], bad[0][2])
 
 
+def _wedge(i, key) -> list:
+    """e_i wedge e_key as [(key', sign)], [] if i is in key; the sign counts inversions."""
+    return [] if i in key else [(tuple(sorted((i,) + key)),
+                                 (-1) ** sum(a > b for a, b in combinations((i,) + key, 2)))]
+
+
 def _tau_wedge(_, m) -> tensor.TensorElement:
-    """The link's reference, x^s (x) (tau wedge e_key) over m's terms, tau = s - twist: the
-    sign from the inversions of (i,) + key, not glmod.wedge_by; integers over den(twist)."""
+    """The link's reference: x^s (x) (tau wedge e_key) by _wedge, integers over den(twist)."""
     ctx, (den, dt) = m.ctx, m.ctx.cleared_twist
     return tensor.TensorElement(ctx.with_vmod(glmod.exterior(ctx.n, ctx.vmod.kind[1] + 1)), [
-        ((s, tuple(sorted((i,) + key))),
-         c * (-1) ** sum(a > b for a, b in combinations((i,) + key, 2))
-         * (den * s[i - 1] - dt[i - 1]))
-        for (s, key), c in m.num.items() for i in range(1, ctx.n + 1) if i not in key
-    ]).scaled(rat(1, m.den * den))
+        ((s, new), c * sign * (den * s[i - 1] - dt[i - 1])) for (s, key), c in m.num.items()
+        for i in range(1, ctx.n + 1) for new, sign in _wedge(i, key)]).scaled(rat(1, m.den * den))
+
+
+def _fibre_identities(n, j) -> str:
+    """Empty when, at each i, a, b and key w of ext:j, rho(E_ib)(e_a ^ w) = delta_ab e_i ^ w +
+    e_a ^ rho(E_ib) w and e_i ^ rho(E_ab) w + e_a ^ rho(E_ib) w = 0, else the first failure
+    (^ is _wedge; rho the merged unit tables, all (i, b) at once). Multilinear in r, r', u and
+    tau, they give gl_n acting by derivations and, polarised, r ^ rho(r u^T) w = 0."""
+    low, high, idx = glmod.exterior(n, j), glmod.exterior(n, j + 1), range(1, n + 1)
+    for w, units in low.merged_units.items():  # ((i, b), v, c): c e_v is in rho(E_ib) w
+        for a in idx:
+            lhs = SparseVec.make(((ib, new), c * sign) for h, sign in _wedge(a, w)
+                                 for ib, new, c in high.merged_units[h])
+            rhs = [((ib, new), c * sign) for ib, v, c in units for new, sign in _wedge(a, v)]
+            if lhs != SparseVec.make(rhs + [(((i, a), new), sign)
+                                            for i in idx for new, sign in _wedge(i, w)]):
+                return "derivation at e_%d ^ %s" % (a, w)
+        if SparseVec.make((((min(i, a), max(i, a), b), new), c * sign)  # i = a: half the sum
+                          for (a, b), v, c in units for i in idx for new, sign in _wedge(i, v)):
+            return "r ^ rho(r u^T) at %s" % (w,)
+    return ""
 
 
 def _unit_fields(r) -> list:
@@ -118,20 +140,12 @@ def _action_formula(X: VectorField, m) -> tensor.TensorElement:
 PROOFS = {
     # d sends x^s (x) e_key to x^s (x) (tau wedge e_key): offset 0, both sides affine in s
     "link": (False, 1, None, lambda _, m: tensor.derham_map(m), _tau_wedge),
-    # d has affine coefficients and offset 0, so d d has degree <= 2 in s; it is 0
+    # d and d' have affine coefficients at offsets 0 and -e_i: d d and d' d' have degree 2; 0
     "d_squared": (False, 2, None, lambda _, m: tensor.derham_map(tensor.derham_map(m)), None),
-    # as d_squared, for d' at the offsets -e_i
-    "shifted_d_squared": (False, 2, None, lambda _, m: tensor.derham_map_shifted(
-        tensor.derham_map_shifted(m)), None),
     # phi moves x^s (x) e_key by -weight(key) with coefficient 1, and d and d' have
     # affine coefficients: phi d and d' phi are affine in s
     "equivalence": (False, 1, None, lambda _, m: tensor.to_shifted_form(tensor.derham_map(m)),
-                    lambda _, m: tensor.derham_map_shifted(tensor.to_shifted_form(m))),
-    # D(e_j, r) moves x^s by r with the coefficient (s_j - twist_j) + rho(r e_j^T), and d
-    # keeps it with its eigenvalue, both affine: degree 2 (3 for the pair fields)
-    "invariance": (True, 2, _unit_fields,
-                   lambda X, m: tensor.derham_map(tensor.act_direct(X, m)),
-                   lambda X, m: tensor.act_direct(X, tensor.derham_map(m))),
+                    lambda _, m: tensor.derham_map(tensor.to_shifted_form(m))),
     # d keeps the degree t and the probe moves it by s, both with coefficients affine in t
     # that do not read s (one that read eig(t+s) would still give degree 2); it is 0
     "probe_of_image": (True, 2, lambda s: [(i, s) for i in range(1, len(s) - 1)],

@@ -6,8 +6,8 @@ representation. The scalar type is fractions.Fraction. Field directions,
 Laurent polynomials, operators and tensor elements keep integer
 numerators over one denominator, so the field bracket and field action of
 fields.py, the commutator and operator action of weyl.py, the one loop of
-tensor.py behind both field actions, both de Rham maps and the image
-probe, and their sums and comparisons, build no rational at all (both
+tensor.py behind both field actions, the de Rham map in each style and the
+image probe, and their sums and comparisons, build no rational at all (both
 field actions on tensors run one kernel that contracts their matrix units
 against a merged integer unit table per module, and derived contexts
 reuse their parent's cleared twist); nor do coefficient extraction, whose

@@ -11,7 +11,7 @@ actions of the torus vector fields are implemented:
 The two are transported into each other by the exponent-by-weight shift
 z (x) v -> x^{-weight(v)} z (x) v (to_shifted_form / from_shifted_form),
 under which the de Rham map d (wedge with the Euler eigenvalue vector)
-corresponds to its shifted variant.
+corresponds to its shifted variant d' (derham_map reads the style, as act does).
 
 The image of the de Rham map (level k: from exterior k-1 into exterior k)
 is spanned by the vectors x^s (x) (shat wedge w) with shat the eigenvalue
@@ -20,14 +20,14 @@ probe that annihilates exactly the image underpin the verification suites.
 
 An element keeps integer numerators over one denominator, so sums and
 comparisons are integer operations. All five maps on P (x) V (both field
-actions, both de Rham maps and the image probe) run through one integer
-loop, _integer_map. Each sends x^s (x) w to a sum of (linear form in
-s - twist + constant) times x^{s+shift} (x) w', and supplies only those
-entries per key w, as integers; the loop reads the numerators and the twist
-cleared once per context (and shared with the contexts derived from it),
-sums integers per output term and divides by one gcd. The results equal
-the termwise rational formulas. The de Rham maps read their entries, and
-their target module, from a table built once per module and style. Both
+actions, the de Rham map in each style and the image probe) run through
+one integer loop, _integer_map. Each sends x^s (x) w to a sum of (linear
+form in s - twist + constant) times x^{s+shift} (x) w', and supplies only
+those entries per key w, as integers; the loop reads the numerators and the
+twist cleared once per context (and shared with the contexts derived from
+it), sums integers per output term and divides by one gcd. The results
+equal the termwise rational formulas. The de Rham map reads its entries,
+and its target module, from a table built once per module and style. Both
 field actions hand their matrix units, each with its shift and factor, to
 one kernel, _field_map. A context builds each context derived from it
 (with_vmod, with_style) once, so no map builds a context on a warm one.
@@ -283,27 +283,12 @@ def _exterior_level(ctx: Context) -> int:
 
 
 def derham_map(m: TensorElement) -> TensorElement:
-    """d: p (x) w -> sum_i (d_i p) (x) (e_i wedge w), exterior k -> k+1."""
-    return _wedge_by_eigenvalues(
-        m, STYLE_DIRECT, "the unshifted de Rham map needs a direct-style element")
-
-
-def derham_map_shifted(m: TensorElement) -> TensorElement:
-    """Shifted-style variant: p (x) w -> sum_i (x^{-e_i} d_i p) (x) (e_i wedge w)."""
-    return _wedge_by_eigenvalues(
-        m, STYLE_SHIFTED, "shifted de Rham map needs a shifted-style element")
-
-
-def _wedge_by_eigenvalues(m: TensorElement, style: str, wrong_style: str) -> TensorElement:
-    """Both de Rham maps: x^s (x) key -> sum_i eig_i(s) x^s (x) (e_i wedge key),
-    with entries from _derham_table."""
+    """d: p (x) w -> sum_i (d_i p) (x) (e_i wedge w), exterior k -> k+1, on a direct-style m,
+    and d', with x^{-e_i} d_i p for d_i p, on a shifted-style one; entries from _derham_table."""
     ctx = m.ctx
-    k = _exterior_level(ctx)
-    if ctx.style != style:
-        raise ValueError(wrong_style)
-    if k >= ctx.n:
+    if _exterior_level(ctx) >= ctx.n:
         raise ValueError("de Rham map undefined above the top exterior power")
-    target, table = _derham_table(ctx.vmod, style)
+    target, table = _derham_table(ctx.vmod, ctx.style)
     return _integer_map(m, ctx.with_vmod(target), table.__getitem__, 1)
 
 

@@ -4,13 +4,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toruslie import rat
-from toruslie import glmod
+from toruslie import glmod, proofs, tensor
 from toruslie.certificates import _algebra_rank
+from toruslie.indices import dot
 from toruslie.linalg import SparseVec
 
 from conftest import vec_sum
+from test_mutants import ext2_key_sign
 from test_nonminuscule import squares
 
 
@@ -178,3 +181,51 @@ def test_matrix_apply_agrees_with_unit_tables():
                                       for (i, j), c in table.items()])
                 assert isinstance(direct, SparseVec) and all(direct.values())
                 assert direct == via_units, (vmod, table, vec)
+
+
+def wedge(vec, w) -> SparseVec:
+    """(sum_i vec_i e_i) wedge w, by glmod.wedge_by."""
+    return SparseVec.make((new, a * c) for key, a in w.items()
+                          for _, new, c in glmod.wedge_by(vec, key))
+
+
+def rho(vmod, r, u, w) -> SparseVec:
+    """rho(r u^T) w, the matrix written out entry by entry."""
+    return vmod.matrix_apply({(i + 1, b + 1): ri * ub for i, ri in enumerate(r)
+                              for b, ub in enumerate(u)}, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fibre_identities_hold_at_rational_points(data):
+    # the two identities that proofs._fibre_identities decides on basis
+    # indices, read at rational r, r', u, tau and w, with glmod.wedge_by as the
+    # wedge: gl_n acts on ext by derivations, and r wedge rho(r u^T) w = 0,
+    # polarised over (r, r')
+    n = data.draw(st.integers(2, 5), "n")
+    q = st.fractions(-3, 3, max_denominator=5)
+    r, r2, u, tau = (data.draw(st.lists(q, min_size=n, max_size=n)) for _ in range(4))
+    for j in range(n):
+        low, high = glmod.exterior(n, j), glmod.exterior(n, j + 1)
+        w = {key: data.draw(q) for key in low.keys}
+        assert rho(high, r, u, wedge(tau, w)) == vec_sum(
+            (dot(u, tau), wedge(r, w)), (1, wedge(tau, rho(low, r, u, w)))), (n, j)
+        assert not vec_sum((1, wedge(r, rho(low, r2, u, w))),
+                           (1, wedge(r2, rho(low, r, u, w)))), (n, j)
+
+
+def test_fibre_identities_hold_on_every_level():
+    assert all(proofs._fibre_identities(n, j) == "" for n in range(2, 6) for j in range(n))
+
+
+def test_fibre_identities_alone_see_the_ext2_key_sign(monkeypatch):
+    # an isomorphic ext:2 keeps the action and link rows at every level, so
+    # of image invariance's premises only the fibre identities fail: on ext:1,
+    # whose wedge lands in ext:2, and on ext:2
+    ext2_key_sign(monkeypatch)
+    twist = (rat(1, 2), rat(1, 3), rat(1, 5))
+    for j in range(4):
+        ctx = tensor.context(twist, glmod.exterior(3, j))
+        assert proofs._prove("action", ctx) is None
+        assert j == 3 or proofs._prove("link", ctx) is None
+    assert [bool(proofs._fibre_identities(3, j)) for j in range(3)] == [False, True, True]

@@ -10,8 +10,9 @@ identities and axioms read glmod.rank_one, lattice and nonminuscule read
 act_direct through _prove against _action_formula, and derham,
 minuscule and simplicity read derham_map, glmod.wedge_by, the de Rham
 kernels and the r u^T term that act_direct reads from glmod.rank_one;
-minuscule alone reads image_probe. The conftest.py fixture clears the
-package caches around every patch.
+minuscule alone reads image_probe, and derives image invariance from the
+action and link rows and the fibre identities of the unit tables. The
+conftest.py fixture clears the package caches around every patch.
 """
 
 import hashlib
@@ -103,6 +104,15 @@ def level_one_sign(monkeypatch):
         (j, -c) for j, c in lin) if vmod.kind[1] == 1 else lin)
 
 
+def ext2_key_sign(monkeypatch):
+    # glmod._exterior_unit conjugated on ext:2 by the sign of the key (1, 2): an
+    # isomorphic representation, so the module axioms and the action row hold,
+    # but d, which reads glmod.wedge_by, is no longer a module map
+    exterior_unit, flip = glmod._exterior_unit, {(1, 2): -1}
+    monkeypatch.setattr(glmod, "_exterior_unit", lambda i, j, key: [
+        (new, c * flip.get(key, 1) * flip.get(new, 1)) for new, c in exterior_unit(i, j, key)])
+
+
 EXACTNESS = {("derham", "image_kernel_exactness"),
              ("minuscule", "kernel_matches_euler_criterion")}
 UNSIGNED = EXACTNESS | {("derham", "derham_intertwines_fields"),
@@ -136,13 +146,22 @@ MATRIX = {
     # image_proper_in_window sums tensor.image_rank, which reads no wedge
     "unsigned_wedge_by": (unsigned_wedge, dict.fromkeys(TWISTS, UNSIGNED)),
     # at twist 0 the mutant changes nothing the suites compute at the twist;
-    # the exactness link also reads d at twist -e_1, where it does
+    # the exactness link also reads d at twist -e_1, where it does. Elsewhere
+    # the link row, a premise of image invariance, sees d read at -twist
     "twist_sign_in_integer_map": (twist_sign, {
-        "generic": FLIPPED | LATTICE_FLIPPED | {("lattice", "generic_twist_generates")},
+        "generic": FLIPPED | LATTICE_FLIPPED | {("lattice", "generic_twist_generates"),
+                                                ("minuscule", "image_invariant_under_fields")},
         "zero": EXACTNESS,
-        "integer": FLIPPED | LATTICE_FLIPPED | {("lattice", "integer_twist_fixed_line")}}),
+        "integer": FLIPPED | LATTICE_FLIPPED | {("lattice", "integer_twist_fixed_line"),
+                                                ("minuscule", "image_invariant_under_fields")}}),
     "derham_table_wrong_index": (derham_wrong_index, dict.fromkeys(TWISTS, WRONG_INDEX)),
-    "level_one_uniform_sign": (level_one_sign, dict.fromkeys(TWISTS, EXACTNESS)),
+    # the link row fails on ext:1 at the twist too, so image invariance does
+    "level_one_uniform_sign": (level_one_sign, dict.fromkeys(
+        TWISTS, EXACTNESS | {("minuscule", "image_invariant_under_fields")})),
+    # only the fibre identities among the invariance premises see it
+    "ext2_key_sign": (ext2_key_sign, dict.fromkeys(
+        TWISTS, {("derham", "derham_intertwines_fields"),
+                 ("minuscule", "image_invariant_under_fields")})),
     # r u^T = 0 also empties the loops, so the classifier finds sym:2 minuscule
     "rank_one_empty": (rank_one_empty, dict.fromkeys(
         TWISTS, RANK_ONE | {("simplicity", "image_loops_generate_end"),

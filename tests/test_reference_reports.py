@@ -36,19 +36,22 @@ REFERENCE = [
                   "--window", "1,2,1,2"],
                  "e85ea315dc6a778ec01613f3affc8e346aff510fca704524731fd146507df437",
                  id="n3-integer-minuscule"),
-    # n > 3 takes the sampled image_probe branch and a 5-node r_i^2 grid
+    # n=4: two probe indices, the least rank at which square_coefficient_identity
+    # sees a probe read at t+s, and the second probe-proof line kept at n >= 4
     pytest.param(["--n", "4", "--lambda", "1/2,1/3,1/5,1/7", "--suite", "minuscule"],
                  "6b64ea11b0fc10e4b70b05a220f90cc8b161ec1bdf0eb7899e6e6358b0658cd9",
                  id="n4-generic-minuscule"),
-    # the default twist 0 is integral: the invariance sweep meets tau = 0
+    # the default twist 0 is integral: the action and link rows that image
+    # invariance derives from meet tau = 0
     pytest.param(["--n", "4", "--suite", "minuscule"],
                  "9cdc927ccd62f40768c3dbcaecbb5ae1765b48cba07d9e735df7d20072f7377e",
                  id="n4-integer-minuscule"),
-    # the least window at n=5: invariance is the lattice proof at every degree
+    # the least window at n=5: image invariance is derived from the action and
+    # link rows and the fibre identities, at every degree
     pytest.param(["--n", "5", "--window", "1,1,1,1", "--suite", "minuscule"],
                  "f794d663c84357bc93aca73b995d0a5eb7089d2dab615d8684fc3fc5ab58076b",
                  id="n5-integer-minuscule"),
-    # the exact suites: act_direct, act_shifted_field and both de Rham maps
+    # the exact suites: act_direct, act_shifted_field and the de Rham map in both styles
     pytest.param(["--n", "3", "--lambda", "1/2,1/3,1/5",
                   "--suite", "identities,axioms,derham"],
                  "173b4dd20a7b2978f79b9dd83145a3c3f1ea56119cf1662f85d0277ae76647d9",

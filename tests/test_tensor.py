@@ -79,13 +79,13 @@ def test_chain_map_known_values():
 
     sh = tensor.basis_element(scalars.with_style(tensor.STYLE_SHIFTED),
                               (1, 0), ())
-    pi = tensor.derham_map_shifted(sh)
+    pi = tensor.derham_map(sh)
     assert pi.terms == {((0, 0), (1,)): rat(1)}
 
     ones = tensor.context(ZERO2, glmod.exterior(2, 1),
                           tensor.STYLE_SHIFTED)
     m1 = tensor.basis_element(ones, (1, 1), (1,))
-    pi1 = tensor.derham_map_shifted(m1)
+    pi1 = tensor.derham_map(m1)
     assert pi1.terms == {((1, 0), (1, 2)): rat(-1)}
 
 
@@ -112,8 +112,7 @@ def test_chain_maps_square_to_zero_property():
             assert tensor.derham_map(tensor.derham_map(m)).is_zero
             ms = probe.random_element(
                 rng, ctx.with_style(tensor.STYLE_SHIFTED), 2)
-            assert tensor.derham_map_shifted(
-                tensor.derham_map_shifted(ms)).is_zero
+            assert tensor.derham_map(tensor.derham_map(ms)).is_zero
 
 
 def test_chain_map_intertwines_general_fields():
@@ -148,7 +147,7 @@ def test_derham_maps_build_no_module_on_a_warm_context(monkeypatch):
             assert sctx.with_style(STYLE_DIRECT) is ctx
             fields = [rand_field(rng, n) for _ in range(50)]
             maps = [(tensor.derham_map, ctx, lambda m, X: (m,)),
-                    (tensor.derham_map_shifted, sctx, lambda m, X: (m,)),
+                    (tensor.derham_map, sctx, lambda m, X: (m,)),
                     (tensor.act_direct, ctx, lambda m, X: (X, m)),
                     (tensor.act_shifted_field, sctx, lambda m, X: (X, m)),
                     (tensor.to_shifted_form, ctx, lambda m, X: (m,)),
@@ -165,7 +164,7 @@ def test_derham_maps_build_no_module_on_a_warm_context(monkeypatch):
                 outs = [fn(*args(m, X)) for m, X in zip(elems, fields)]
                 monkeypatch.undo()
                 assert (builds, contexts, units) == ([], [], []), (n, k, fn.__name__)
-                if fn in (tensor.derham_map, tensor.derham_map_shifted):
+                if fn is tensor.derham_map:
                     # the target module, at the element's twist and style
                     assert all(out.ctx is style_ctx.with_vmod(target) for out in outs)
 
@@ -547,15 +546,13 @@ def test_derham_maps_match_per_index_oracles(data):
     ctx = tensor.context(data.draw(twists(n), "twist"), glmod.exterior(n, k))
     m = data.draw(elements(ctx), "element")
     ms = data.draw(elements(ctx.with_style(STYLE_SHIFTED)), "shifted element")
-    # each map also meets both elements, one of them of the wrong style
-    for fn, oracles in ((tensor.derham_map, (oracle_derham_map, fraction_derham_map)),
-                        (tensor.derham_map_shifted,
-                         (oracle_derham_map_shifted, fraction_derham_map_shifted))):
-        for elem in (m, ms):
-            got = outcome(fn, elem)
-            assert all(got == outcome(oracle, elem) for oracle in oracles)
-            if isinstance(got, TensorElement):
-                assert all(isinstance(c, rational) for c in got.terms.values())
+    # derham_map is d on the direct style and d' on the shifted one
+    for elem, oracles in ((m, (oracle_derham_map, fraction_derham_map)),
+                          (ms, (oracle_derham_map_shifted, fraction_derham_map_shifted))):
+        got = outcome(tensor.derham_map, elem)
+        assert all(got == outcome(oracle, elem) for oracle in oracles)
+        if isinstance(got, TensorElement):
+            assert all(isinstance(c, rational) for c in got.terms.values())
 
 
 def permutation_sign(seq) -> int:
@@ -643,7 +640,7 @@ def five_maps(data, n):
     i = data.draw(st.integers(1, max(1, n - 2)), "i")
     s = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n), "s"))
     return [(tensor.act_direct, (X, m)), (tensor.act_shifted_field, (X, ms)),
-            (tensor.derham_map, (m,)), (tensor.derham_map_shifted, (ms,)),
+            (tensor.derham_map, (m,)), (tensor.derham_map, (ms,)),
             (tensor.image_probe, (i, s, m))]
 
 
@@ -738,12 +735,12 @@ def test_derived_contexts_carry_their_own_cleared_twist(first, second):
         X = rand_field(rng, 3)
         dm = tensor.derham_map(m)
         shifted = tensor.to_shifted_form(m)
-        for out in (dm, shifted, tensor.derham_map_shifted(shifted),
+        for out in (dm, shifted, tensor.derham_map(shifted),
                     tensor.from_shifted_form(shifted)):
             assert out.ctx.cleared_twist == cleared(twist)
         assert tensor.derham_map(dm) == fraction_derham_map(fraction_derham_map(m))
         assert tensor.act_direct(X, dm) == fraction_act_direct(X, fraction_derham_map(m))
-        assert tensor.derham_map_shifted(tensor.derham_map_shifted(shifted)) \
+        assert tensor.derham_map(tensor.derham_map(shifted)) \
             == fraction_derham_map_shifted(fraction_derham_map_shifted(shifted))
 
 
